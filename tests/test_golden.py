@@ -1,0 +1,108 @@
+"""Golden outputs on the bundled toy corpus, pinned by sha256.
+
+Every canonical echo, dependency listing, emitted problem and ranking the
+pipeline produces on the toy corpus is hashed per kind.  A refactor must
+leave all of them byte-identical; a change that means to alter one of
+these outputs recomputes its digest and says why.
+"""
+
+import hashlib
+from importlib import resources
+from pathlib import Path
+
+import pytest
+
+from hammerkit.corpus import AccessRelation, Signature, load_corpus, parse_tt, print_tt
+from hammerkit.harness import build_problem, conjunct_premises, suggest
+
+TOY = Path(str(resources.files("hammerkit") / "data" / "toy"))
+
+GOLDEN = {
+    "echo": "11c149446e00cd16fabacdae195a351ce6ab896ad7edf33e06cde2064f1033b2",
+    "deps": "76a15b4ba64b1d95e7a87445ea4f5306158c2c42a18d7c6048daef4ba55af97a",
+    "exact": "3e597e4cf5e67f9a2f5480b8665860c2128e524ff8315f530467498bcb73280e",
+    "exact_tag_all": "9bf801db2233cfe27fa72680cbca6a9f5e0b4dea3d9738b6adb19fcda42a9e55",
+    "ranked_linear": "fb1928d756e585fe0eef35ff9ed2547f4adb6832079c6bd5b819f0db1001c6a5",
+    "ranked_loaded": "fb1928d756e585fe0eef35ff9ed2547f4adb6832079c6bd5b819f0db1001c6a5",
+    "ranked_transitive": "b47a475273034df4403784f7e3b1f884a4519480b8baebcb70a3260e683576b3",
+    "problems_linear": "ae22de54fc7047d8e98288ddbcc9b8b00b25abf04151b1a6e7740792a996b0bf",
+    "problems_loaded": "ae22de54fc7047d8e98288ddbcc9b8b00b25abf04151b1a6e7740792a996b0bf",
+    "problems_transitive": "ed8131fcc8f93ddc4bd484767b00f1ce23345ea70e8782a08734f949ac73edc0",
+}
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+def golden_digests() -> dict[str, str]:
+    corpus = load_corpus(TOY)
+    out: dict[str, list[str]] = {}
+
+    sig = Signature()
+    out["echo"] = [
+        print_tt(entry)
+        for theory in corpus.theories
+        for entry in parse_tt((TOY / f"{theory}.tt").read_text(encoding="utf-8"), sig)
+    ]
+
+    out["deps"] = []
+    for tid in corpus.order():
+        entry = corpus.theorem(tid)
+        for cid, deps in zip(entry.conjunct_ids(), entry.dependencies):
+            labels = sorted(corpus.conjunct_label(d) for d in deps)
+            out["deps"].append(f"{corpus.conjunct_label(cid)}: {' '.join(labels)}")
+
+    targets = [tid for tid in corpus.order() if not corpus.theorem(tid).is_definition]
+    assert len(targets) == 59
+    out["exact"], out["exact_tag_all"] = [], []
+    for tid in targets:
+        entry = corpus.theorem(tid)
+        premises = conjunct_premises(corpus, frozenset().union(*entry.dependencies))
+        for key, tag_all in (("exact", False), ("exact_tag_all", True)):
+            _, text = build_problem(
+                corpus, premises, (entry.name, entry.statement), tag_all
+            )
+            out[key].append(text)
+
+    # The toy theories form one ancestry chain, so linear and loaded
+    # accessibility coincide there and their digests agree.
+    cache: dict = {}
+    for relation in ("linear", "loaded", "transitive"):
+        ranked_lines, problems = [], []
+        for tid in targets:
+            entry = corpus.theorem(tid)
+            ranked = suggest(
+                corpus,
+                entry.statement,
+                k=40,
+                n_premises=32,
+                relation=AccessRelation(relation),
+                target=tid,
+                feature_cache=cache,
+            )
+            ranked_lines.append(
+                entry.name
+                + ": "
+                + " ".join(f"{corpus.conjunct_label(c)}={w!r}" for c, w in ranked)
+            )
+            if ranked:
+                premises = [
+                    (corpus.conjunct_label(c), corpus.conjunct_statement(c))
+                    for c, _ in ranked
+                ]
+                _, text = build_problem(corpus, premises, (entry.name, entry.statement))
+                problems.append(text)
+        out[f"ranked_{relation}"] = ranked_lines
+        out[f"problems_{relation}"] = problems
+    return {key: _digest(lines) for key, lines in out.items()}
+
+
+@pytest.fixture(scope="module")
+def digests():
+    return golden_digests()
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN))
+def test_golden_output_is_unchanged(digests, kind):
+    assert digests[kind] == GOLDEN[kind]

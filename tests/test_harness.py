@@ -319,6 +319,26 @@ def test_advise_failure_carries_diagnostics():
     assert err.suggested
 
 
+def test_advise_first_listed_prover_wins_with_its_budget():
+    c = tiny_corpus()
+    goal = c.theorem_named("ADD_1").statement
+    # Claims every problem at once, whatever premises it is given.
+    eager = ProverConfig(
+        "eager", "sh", ("-c", "echo '% SZS status Theorem'"), n_premises=1
+    )
+    advice = advise(c, goal, [eager, micro()])
+    assert advice.prover == "eager"
+    assert len(advice.premises) == 1
+    assert advice.premises == (advice.suggested[0][0],)
+    assert [r.prover for r in advice.results] == ["eager", "microres"]
+    assert all(r.status.proved for r in advice.results)
+
+    advice = advise(c, goal, [micro(), eager])
+    assert advice.prover == "microres"
+    assert len(advice.premises) == min(32, len(advice.suggested))
+    assert [r.prover for r in advice.results] == ["microres", "eager"]
+
+
 # ------------------------------------------------------------ core shrinking
 
 
