@@ -548,16 +548,10 @@ def parse_tt(text: str, signature: Signature | None = None, theory: str = "") ->
             if role == "ty":
                 entry = _elaborate_ty_entry(name, raw, sig)
             elif role in ("ax", "conj"):
-                el = _Elab(sig)
-                el.tyvars = {v.name for v in _raw_tyvars(raw)}
-                term = el.term(raw)
-                ty = typecheck(term, sig)
-                if ty != BOOL:
-                    raise NotBoolean(f"{name} is not a boolean formula")
                 entry = ObjectEntry(
                     name,
                     Role.THEOREM if role == "ax" else Role.CONJECTURE,
-                    term,
+                    _elaborate_statement(raw, sig, name),
                 )
             else:
                 raise ParseError(f"unknown role {role!r}")
@@ -580,6 +574,17 @@ def _raw_tyvars(raw: _Raw) -> list[TyVar]:
                 out.append(TyVar(n))
         out.extend(_raw_tyvars(raw.body))
     return out
+
+
+def _elaborate_statement(raw: _Raw, sig: Signature, what: str) -> HolTerm:
+    """A parsed formula as a term over ``sig``; NotBoolean unless it is a
+    statement.  ``what`` names the formula in the error."""
+    el = _Elab(sig)
+    el.tyvars = {v.name for v in _raw_tyvars(raw)}
+    term = el.term(raw)
+    if typecheck(term, sig) != BOOL:
+        raise NotBoolean(f"{what} is not a boolean formula")
+    return term
 
 
 # ----------------------------------------------------------------- printing
@@ -697,10 +702,14 @@ def _rename_apart(t: HolTerm) -> HolTerm:
             raise PrintError(f"two distinct free variables named {v.name}")
 
     names: set[str] = set()
+    consts: set[str] = set()
 
     def collect(t: HolTerm) -> None:
-        if isinstance(t, (Var, Const)):
+        if isinstance(t, Var):
             names.add(t.name)
+        elif isinstance(t, Const):
+            names.add(t.name)
+            consts.add(t.name)
         elif isinstance(t, App):
             collect(t.fun)
             collect(t.arg)
@@ -709,18 +718,6 @@ def _rename_apart(t: HolTerm) -> HolTerm:
             collect(t.body)
 
     collect(t)
-    consts: set[str] = set()
-
-    def collect_consts(t: HolTerm) -> None:
-        if isinstance(t, Const):
-            consts.add(t.name)
-        elif isinstance(t, App):
-            collect_consts(t.fun)
-            collect_consts(t.arg)
-        elif isinstance(t, Abs):
-            collect_consts(t.body)
-
-    collect_consts(t)
 
     def walk(t: HolTerm, taken: frozenset[str]) -> HolTerm:
         if isinstance(t, (Var, Const)):
@@ -928,67 +925,6 @@ def accessible_set(
         return loaded
     order = corpus.order()
     return set(order[: corpus.position(target)])
-
-
-def qualify(corpus: Corpus, namespace: str) -> Corpus:
-    """Prefix every object name with ``namespace/theory/``.  Names that
-    already contain a separator are left alone, so qualify is idempotent."""
-
-    ty_map: dict[str, str] = {}
-    const_map: dict[str, str] = {}
-    for e in corpus.entries:
-        if "/" in e.name:
-            continue
-        q = f"{namespace}/{e.theory}/{e.name}"
-        if e.role is Role.TYPE_DECL:
-            ty_map[e.name] = q
-        elif e.role is Role.CONST_DECL:
-            const_map[e.name] = q
-
-    def q_name(name: str, theory: str) -> str:
-        return name if "/" in name else f"{namespace}/{theory}/{name}"
-
-    def q_ty(ty: HolType) -> HolType:
-        if isinstance(ty, TyVar):
-            return ty
-        return TyApp(ty_map.get(ty.con, ty.con), tuple(q_ty(a) for a in ty.args))
-
-    def q_tm(t: HolTerm) -> HolTerm:
-        if isinstance(t, Var):
-            return Var(t.name, q_ty(t.ty))
-        if isinstance(t, Const):
-            return Const(const_map.get(t.name, t.name), tuple(q_ty(i) for i in t.inst))
-        if isinstance(t, App):
-            return App(q_tm(t.fun), q_tm(t.arg))
-        return Abs(q_tm(t.var), q_tm(t.body))
-
-    out = Corpus()
-    out.theories = list(corpus.theories)
-    out.ancestors = dict(corpus.ancestors)
-    for e in corpus.entries:
-        if e.role is Role.TYPE_DECL:
-            name = ty_map.get(e.name, e.name)
-            out.signature.declare_type(name, e.formula)
-            out.entries.append(replace(e, name=name))
-        elif e.role is Role.CONST_DECL:
-            name = const_map.get(e.name, e.name)
-            decl = ConstDecl(e.formula.tyvars, q_ty(e.formula.ty))
-            out.signature.declare_const(name, decl.tyvars, decl.ty)
-            out.entries.append(replace(e, name=name, formula=decl))
-        else:
-            e2 = replace(e, name=q_name(e.name, e.theory), formula=q_tm(e.formula))
-            out.entries.append(e2)
-            if e.role is Role.CONJECTURE:
-                out.conjectures.append(e2)
-    for tid, entry in corpus.theorems.items():
-        out.theorems[tid] = replace(
-            entry,
-            name=q_name(entry.name, tid.theory),
-            statement=q_tm(entry.statement),
-            conjuncts=tuple((a, q_tm(c)) for a, c in entry.conjuncts),
-        )
-        out.by_name[out.theorems[tid].name] = tid
-    return out
 
 
 def rename_overwritten(
@@ -1225,9 +1161,4 @@ def parse_goal(text: str, sig: Signature) -> tuple[str, HolTerm]:
         p.take()
     if p.peek().kind != "eof":
         raise p.fail("trailing input after the goal formula")
-    el = _Elab(sig)
-    el.tyvars = {v.name for v in _raw_tyvars(raw)}
-    term = el.term(raw)
-    if typecheck(term, sig) != BOOL:
-        raise NotBoolean("goal is not a boolean formula")
-    return "goal", term
+    return "goal", _elaborate_statement(raw, sig, "goal")

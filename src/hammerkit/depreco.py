@@ -22,16 +22,15 @@ from typing import Callable, Sequence, Union
 
 from .corpus import (
     ConjunctId,
-    Corpus,
     ParseError,
     TheoremId,
-    _Elab,
+    _elaborate_statement,
     _lex,
+    _parse_name_list,
     _Parser,
-    _raw_tyvars,
     show_name,
 )
-from .hol import HolTerm, Signature, split_conjuncts, typecheck, BOOL, NotBoolean
+from .hol import HolTerm, Signature, split_conjuncts
 
 
 class UnknownIdentifier(Exception):
@@ -86,10 +85,6 @@ def all_ids(tree: DepTree) -> frozenset[DepId]:
     if isinstance(tree, Leaf):
         return tree.ids
     return all_ids(tree.left) | all_ids(tree.right)
-
-
-def flatten(tree: DepTree) -> Leaf:
-    return Leaf(all_ids(tree))
 
 
 def passed_deps(tag: Tag) -> DepTree:
@@ -215,14 +210,6 @@ def recover_conjunct_deps(
     return out
 
 
-def corpus_split_id(corpus: Corpus) -> Callable[[DepId], frozenset[ConjunctId]]:
-    def split(dep: DepId) -> frozenset[ConjunctId]:
-        entry = corpus.theorem(dep.theorem)
-        return split_maximally(dep, [a.path for a, _ in entry.conjuncts])
-
-    return split
-
-
 # ------------------------------------------------------------------- replay
 
 
@@ -313,14 +300,7 @@ def parse_trace(text: str, sig: Signature) -> list[tuple[str, object]]:
         except ValueError:
             raise ParseError(f"unknown rule {rule_name!r}") from None
         p.expect(",")
-        p.expect("[")
-        premises: list[str] = []
-        if not p.at_op("]"):
-            premises.append(p.name())
-            while p.at_op(","):
-                p.take()
-                premises.append(p.name())
-        p.expect("]")
+        premises = _parse_name_list(p)
         p.expect(",")
         flag = p.name()
         if flag == "none":
@@ -337,12 +317,7 @@ def parse_trace(text: str, sig: Signature) -> list[tuple[str, object]]:
             p.take()
             name = p.name()
             p.expect(",")
-            raw = p.expr()
-            el = _Elab(sig)
-            el.tyvars = {v.name for v in _raw_tyvars(raw)}
-            statement = el.term(raw)
-            if typecheck(statement, sig) != BOOL:
-                raise NotBoolean(f"statement of {name} is not boolean")
+            statement = _elaborate_statement(p.expr(), sig, f"statement of {name}")
         p.expect(")")
         p.expect(".")
         out.append(("step", TraceStep(label, rule, tuple(premises), payload, name, statement)))

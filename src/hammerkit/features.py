@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .corpus import show_name, _Parser, _lex, ParseError
 from .hol import (
     Abs,
     App,
@@ -138,38 +137,3 @@ def extract(statement: HolTerm) -> frozenset[str]:
             out.add("s:" + normalize_print(sub, scheme))
     return frozenset(out)
 
-
-# ------------------------------------------------------------------ fea IO
-
-
-def print_fea(named_features: list[tuple[str, frozenset[str]]]) -> str:
-    """fea(NAME, [feature, ...]). lines, features sorted."""
-    lines = [
-        f"fea({show_name(name)}, [{', '.join(show_name(f) for f in sorted(fs))}])."
-        for name, fs in named_features
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_fea(text: str) -> list[tuple[str, frozenset[str]]]:
-    p = _Parser(_lex(text))
-    out = []
-    while p.peek().kind != "eof":
-        head = p.name()
-        if head != "fea":
-            raise ParseError(f"expected a fea entry, found {head!r}")
-        p.expect("(")
-        name = p.name()
-        p.expect(",")
-        p.expect("[")
-        feats: list[str] = []
-        if not p.at_op("]"):
-            feats.append(p.name())
-            while p.at_op(","):
-                p.take()
-                feats.append(p.name())
-        p.expect("]")
-        p.expect(")")
-        p.expect(".")
-        out.append((name, frozenset(feats)))
-    return out

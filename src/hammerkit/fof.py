@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 from .hol import (
     Abs,
@@ -32,6 +32,7 @@ from .hol import (
     TyApp,
     TyVar,
     Var,
+    alpha_key,
     beta_normalize,
     dest_fun,
     free_vars,
@@ -104,13 +105,6 @@ class Quant:
 
 
 FofFormula = Union[Pred, Eq, Not, BinOp, Quant]
-
-
-@dataclass(frozen=True)
-class LiftedDef:
-    symbol: str
-    arity: int
-    axiom: "FofFormula"
 
 
 @dataclass(frozen=True)
@@ -271,18 +265,25 @@ def _formula_parts(t: HolTerm, sig: Signature):
     return None
 
 
-def _alpha_key(t: HolTerm, bound: tuple[Var, ...] = ()) -> object:
-    """A hashable form of t modulo bound-variable names."""
-    if isinstance(t, Var):
-        for i in range(len(bound) - 1, -1, -1):
-            if bound[i] == t:
-                return ("b", len(bound) - 1 - i)
-        return ("f", t.name, t.ty)
-    if isinstance(t, Const):
-        return ("c", t.name, t.inst)
-    if isinstance(t, App):
-        return ("a", _alpha_key(t.fun, bound), _alpha_key(t.arg, bound))
-    return ("l", t.var.ty, _alpha_key(t.body, bound + (t.var,)))
+def _map_atoms(
+    t: HolTerm, sig: Signature, atom: Callable[[HolTerm], HolTerm]
+) -> HolTerm:
+    """Rebuild the connective and quantifier skeleton of a formula, passing
+    each atom through ``atom``.  A quantifier applied to something other
+    than an abstraction is an atom."""
+    parts = _formula_parts(t, sig)
+    if parts is None:
+        return atom(t)
+    if parts[0] in ("bin", "iff"):
+        return App(
+            App(t.fun.fun, _map_atoms(t.fun.arg, sig, atom)),
+            _map_atoms(t.arg, sig, atom),
+        )
+    if parts[0] == "not":
+        return App(t.fun, _map_atoms(t.arg, sig, atom))
+    if not isinstance(t.arg, Abs):
+        return atom(t)
+    return App(t.fun, Abs(t.arg.var, _map_atoms(t.arg.body, sig, atom)))
 
 
 def lambda_lift(t: HolTerm, state: "TranslationState") -> HolTerm:
@@ -293,21 +294,7 @@ def lambda_lift(t: HolTerm, state: "TranslationState") -> HolTerm:
     lambda occurring in several statements of a problem stays connected."""
 
     def formula(t: HolTerm) -> HolTerm:
-        parts = _formula_parts(t, state.sig)
-        if parts is None:
-            return term(t)
-        if parts[0] == "bin":
-            _, op, l, r = parts
-            return App(App(Const(op), formula(l)), formula(r))
-        if parts[0] == "iff":
-            _, l, r = parts
-            return App(App(Const("=", (BOOL,)), formula(l)), formula(r))
-        if parts[0] == "not":
-            return App(Const("~"), formula(parts[1]))
-        _, kind, body, ty = parts
-        if isinstance(body, Abs):
-            return App(Const(kind, (ty,)), Abs(body.var, formula(body.body)))
-        return App(Const(kind, (ty,)), term(body))
+        return _map_atoms(t, state.sig, term)
 
     def term(t: HolTerm) -> HolTerm:
         if isinstance(t, (Var, Const)):
@@ -322,7 +309,7 @@ def lambda_lift(t: HolTerm, state: "TranslationState") -> HolTerm:
         body = formula(t.body) if type_of(t.body, state.sig) == BOOL else term(t.body)
         lifted = Abs(t.var, body)
         captured = free_vars(lifted)
-        key = (_alpha_key(lifted), tuple((v.name, v.ty) for v in captured))
+        key = (alpha_key(lifted), tuple((v.name, v.ty) for v in captured))
         name = state.lam_cache.get(key)
         if name is None:
             chain_ty = type_of(lifted, state.sig)
@@ -342,7 +329,7 @@ def lambda_lift(t: HolTerm, state: "TranslationState") -> HolTerm:
                 captured + [x],
                 mk_eq(App(head_ax, x), body, type_of(body, state.sig)),
             )
-            state.pending_defs.append((name, len(captured), axiom))
+            state.pending_defs.append((name, axiom))
         decl = state.sig.const_decl(name)
         head: HolTerm = Const(name, tuple(TyVar(a) for a in decl.tyvars))
         for v in captured:
@@ -383,21 +370,7 @@ def remove_bool_args(t: HolTerm, sig: Signature) -> HolTerm:
                 return Var(name, BOOL)
 
     def formula(t: HolTerm) -> HolTerm:
-        parts = _formula_parts(t, sig)
-        if parts is None:
-            return atom(t)
-        if parts[0] == "bin":
-            _, op, l, r = parts
-            return App(App(Const(op), formula(l)), formula(r))
-        if parts[0] == "iff":
-            _, l, r = parts
-            return App(App(Const("=", (BOOL,)), formula(l)), formula(r))
-        if parts[0] == "not":
-            return App(Const("~"), formula(parts[1]))
-        _, kind, body, ty = parts
-        if isinstance(body, Abs):
-            return App(Const(kind, (ty,)), Abs(body.var, formula(body.body)))
-        return atom(t)
+        return _map_atoms(t, sig, atom)
 
     def atom(t: HolTerm) -> HolTerm:
         extracted: list[tuple[Var, HolTerm]] = []
@@ -440,9 +413,8 @@ class TranslationState:
     arity: dict[str, int] = field(default_factory=dict)
     symbol_kind: dict[str, str] = field(default_factory=dict)
     proxies: dict[str, str] = field(default_factory=dict)  # const -> proxy const
-    pending_defs: list[tuple[str, int, HolTerm]] = field(default_factory=list)
+    pending_defs: list[tuple[str, HolTerm]] = field(default_factory=list)
     pending_proxy_axioms: list[tuple[str, HolTerm]] = field(default_factory=list)
-    lifted: list[LiftedDef] = field(default_factory=list)
     lam_cache: dict[object, str] = field(default_factory=dict)
     _fresh: dict[str, int] = field(default_factory=dict)
 
@@ -562,63 +534,48 @@ class _Translator:
         head, args, spine = self._chain(t) if isinstance(t, App) else (t, [], [])
         if isinstance(head, Abs):
             raise TranslateError("abstraction survived lambda lifting")
+        # The head consumes the first `done` arguments; `general` is its
+        # declared type, None for a variable head, whose applications are
+        # tagged only in tag-all mode.
+        general: HolType | None = None
+        done = 0
+        tagged = False
         if isinstance(head, Var):
             out: FofTerm = FofVar(env[head])
-            tagged = False
-            prev_ty = head.ty
-            for a, node in zip(args, spine):
-                if not tagged:
-                    out = self._wrap(prev_ty, out)
-                out = FofApp("ap", (out, self.term(a, env, None)))
-                tagged = False
-                if self.state.tag_all:
-                    out = self._wrap(type_of(node, sig), out)
+            ty = head.ty
+        else:
+            name = head.name
+            general = sig.const_decl(name).ty
+            k = self.state.const_arity(name)
+            if self.state.is_pred(name):
+                k = None  # the saturated form is a predicate; terms use the proxy
+            if k is not None and len(args) >= k:
+                gargs, _ = strip_fun(general)
+                out = FofApp(
+                    self.state.symbol(name),
+                    tuple(
+                        self.term(a, env, gargs[i]) for i, a in enumerate(args[:k])
+                    ),
+                )
+                ty = type_of(spine[k - 1] if k else head, sig)
+                done = k
+                if self.state.tag_all or _has_tyvar(_strip_arrows(general, k)):
+                    out = self._wrap(ty, out)
                     tagged = True
-                prev_ty = type_of(node, sig)
-            return out, tagged, prev_ty
-        name = head.name
-        decl = sig.const_decl(name)
-        k = self.state.const_arity(name)
-        if self.state.is_pred(name):
-            k = None  # the saturated form is a predicate; terms use the proxy
-        if k is not None and len(args) >= k:
-            gargs, _ = strip_fun(decl.ty)
-            out = FofApp(
-                self.state.symbol(name),
-                tuple(
-                    self.term(a, env, gargs[i]) for i, a in enumerate(args[:k])
-                ),
-            )
-            node = spine[k - 1] if k else head
-            prev_ty = type_of(node, sig)
-            tagged = False
-            if self.state.tag_all or _has_tyvar(_strip_arrows(decl.ty, k)):
-                out = self._wrap(prev_ty, out)
-                tagged = True
-            for i, (a, node) in enumerate(zip(args[k:], spine[k:]), start=1):
-                if not tagged:
-                    out = self._wrap(prev_ty, out)
-                out = FofApp("ap", (out, self.term(a, env, None)))
-                tagged = False
-                prev_ty = type_of(node, sig)
-                if self.state.tag_all or _has_tyvar(_strip_arrows(decl.ty, k + i)):
-                    out = self._wrap(prev_ty, out)
-                    tagged = True
-            return out, tagged, prev_ty
-        proxy = self.state.proxy_for(name)
-        out = FofApp(self.state.symbol(proxy))
-        tagged = False
-        prev_ty = sig.const_type(head)
-        for i, (a, node) in enumerate(zip(args, spine), start=1):
+            else:
+                out = FofApp(self.state.symbol(self.state.proxy_for(name)))
+                ty = sig.const_type(head)
+        for i in range(done, len(args)):
             if not tagged:
-                out = self._wrap(prev_ty, out)
-            out = FofApp("ap", (out, self.term(a, env, None)))
-            tagged = False
-            prev_ty = type_of(node, sig)
-            if self.state.tag_all or _has_tyvar(_strip_arrows(decl.ty, i)):
-                out = self._wrap(prev_ty, out)
-                tagged = True
-        return out, tagged, prev_ty
+                out = self._wrap(ty, out)
+            out = FofApp("ap", (out, self.term(args[i], env, None)))
+            ty = type_of(spine[i], sig)
+            tagged = self.state.tag_all or (
+                general is not None and _has_tyvar(_strip_arrows(general, i + 1))
+            )
+            if tagged:
+                out = self._wrap(ty, out)
+        return out, tagged, ty
 
     def formula(self, t: HolTerm, env: Mapping[Var, str]) -> FofFormula:
         sig = self.state.sig
@@ -696,10 +653,9 @@ def _drain_pending(state: TranslationState) -> list[tuple[str, FofFormula, bool]
     out: list[tuple[str, FofFormula, bool]] = []
     while state.pending_defs or state.pending_proxy_axioms:
         if state.pending_defs:
-            name, arity, axiom = state.pending_defs.pop(0)
+            name, axiom = state.pending_defs.pop(0)
             axiom = remove_bool_args(beta_normalize(axiom), state.sig)
             f = _Translator(state).statement(axiom)
-            state.lifted.append(LiftedDef(state.symbol(name), arity, f))
             out.append((state.symbol(name) + "_def", f, True))
             continue
         pname, axiom = state.pending_proxy_axioms.pop(0)
@@ -840,33 +796,3 @@ def check_problem(problem: FofProblem) -> dict[str, int]:
     formula(problem.conjecture[1])
     return {**fun_arity, **pred_arity}
 
-
-def formula_vars(f: FofFormula) -> set[str]:
-    """Free and bound variable names, for well-formedness checks."""
-    out: set[str] = set()
-
-    def term(t: FofTerm) -> None:
-        if isinstance(t, FofVar):
-            out.add(t.name)
-        else:
-            for a in t.args:
-                term(a)
-
-    def walk(f: FofFormula) -> None:
-        if isinstance(f, Pred):
-            for a in f.args:
-                term(a)
-        elif isinstance(f, Eq):
-            term(f.lhs)
-            term(f.rhs)
-        elif isinstance(f, Not):
-            walk(f.body)
-        elif isinstance(f, BinOp):
-            walk(f.lhs)
-            walk(f.rhs)
-        else:
-            out.update(f.vars)
-            walk(f.body)
-
-    walk(f)
-    return out

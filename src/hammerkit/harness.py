@@ -451,11 +451,20 @@ class _Task:
     each prover's budget; exact-dependency tasks go out whole.
     """
 
-    label: str
     theory: str
     premises: tuple[tuple[str, HolTerm], ...]
     conjecture: tuple[str, HolTerm]
     ranked: bool
+
+    @property
+    def label(self) -> str:
+        return self.conjecture[0]
+
+    def cutoff(self, cfg: ProverConfig) -> int:
+        """How many of the premises the prover is given."""
+        if not self.ranked:
+            return len(self.premises)
+        return min(cfg.n_premises, len(self.premises))
 
 
 def _check_provers(provers: Sequence[ProverConfig]) -> None:
@@ -482,8 +491,7 @@ def _run_tasks(
         prepared: dict[tuple[int, int], tuple[FofProblem, Path] | Exception] = {}
         for idx, task in enumerate(tasks):
             for cfg in provers:
-                n = cfg.n_premises if task.ranked else len(task.premises)
-                n = min(n, len(task.premises))
+                n = task.cutoff(cfg)
                 key = (idx, n)
                 if key in prepared:
                     continue
@@ -500,11 +508,7 @@ def _run_tasks(
 
         def work(idx: int, cfg: ProverConfig) -> AtpResult:
             task = tasks[idx]
-            n = min(
-                cfg.n_premises if task.ranked else len(task.premises),
-                len(task.premises),
-            )
-            entry = prepared[(idx, n)]
+            entry = prepared[(idx, task.cutoff(cfg))]
             if isinstance(entry, Exception):
                 return AtpResult(
                     task.label,
@@ -539,16 +543,29 @@ def _run_tasks(
 # ------------------------------------------------------------------ reprove
 
 
-def _exact_dep_task(corpus: Corpus, tid: TheoremId) -> _Task:
-    entry = corpus.theorem(tid)
-    deps = frozenset().union(*entry.dependencies) if entry.dependencies else frozenset()
-    return _Task(
-        label=entry.name,
-        theory=tid.theory,
-        premises=tuple(conjunct_premises(corpus, deps)),
-        conjecture=(entry.name, entry.statement),
-        ranked=False,
-    )
+def _exact_dep_tasks(corpus: Corpus, split: str) -> list[_Task]:
+    """One task per non-definition theorem, or per conjunct of one, with
+    its recorded dependencies as premises."""
+    if split not in ("unsplit", "conjuncts"):
+        raise ValueError(f"split must be 'unsplit' or 'conjuncts', not {split!r}")
+    tasks: list[_Task] = []
+    for tid in corpus.order():
+        entry = corpus.theorem(tid)
+        if entry.is_definition:
+            continue
+        if split == "unsplit":
+            targets = [
+                (entry.name, frozenset().union(*entry.dependencies), entry.statement)
+            ]
+        else:
+            targets = [
+                (corpus.conjunct_label(cid), deps, corpus.conjunct_statement(cid))
+                for cid, deps in zip(entry.conjunct_ids(), entry.dependencies)
+            ]
+        for label, deps, statement in targets:
+            premises = tuple(conjunct_premises(corpus, deps))
+            tasks.append(_Task(tid.theory, premises, (label, statement), ranked=False))
+    return tasks
 
 
 def reprove(
@@ -565,28 +582,7 @@ def reprove(
     per-conjunct dependencies; ``conjuncts`` targets each conjunct with
     its own recovered dependencies.
     """
-    if split not in ("unsplit", "conjuncts"):
-        raise ValueError(f"split must be 'unsplit' or 'conjuncts', not {split!r}")
-    tasks: list[_Task] = []
-    for tid in corpus.order():
-        entry = corpus.theorem(tid)
-        if entry.is_definition:
-            continue
-        if split == "unsplit":
-            tasks.append(_exact_dep_task(corpus, tid))
-        else:
-            for cid, deps in zip(entry.conjunct_ids(), entry.dependencies):
-                label = corpus.conjunct_label(cid)
-                tasks.append(
-                    _Task(
-                        label=label,
-                        theory=tid.theory,
-                        premises=tuple(conjunct_premises(corpus, deps)),
-                        conjecture=(label, corpus.conjunct_statement(cid)),
-                        ranked=False,
-                    )
-                )
-    return _run_tasks(corpus, tasks, provers, jobs, tag_all)
+    return _run_tasks(corpus, _exact_dep_tasks(corpus, split), provers, jobs, tag_all)
 
 
 # ---------------------------------------------------------------- prediction
@@ -647,6 +643,19 @@ def suggest(
     index, deps = _pool_index(corpus, pool, feature_cache)
     neighbors = knn.k_nearest(index, extract(goal), k)
     return knn.rank_premises(index, neighbors, deps, n_premises)
+
+
+def _ranked_task(
+    corpus: Corpus,
+    theory: str,
+    conjecture: tuple[str, HolTerm],
+    ranked: Sequence[tuple[ConjunctId, float]],
+) -> _Task:
+    premises = tuple(
+        (corpus.conjunct_label(cid), corpus.conjunct_statement(cid))
+        for cid, _ in ranked
+    )
+    return _Task(theory, premises, conjecture, ranked=True)
 
 
 # ------------------------------------------------------------------- advise
@@ -711,52 +720,26 @@ def advise(
     t_predict = time.monotonic() - t0
 
     t0 = time.monotonic()
-    premises = [
-        (corpus.conjunct_label(cid), corpus.conjunct_statement(cid))
-        for cid, _ in ranked
-    ]
-    results: list[AtpResult] = []
-    with tempfile.TemporaryDirectory(prefix="hammerkit-") as td:
-        tmp = Path(td)
-        prepared: dict[int, tuple[FofProblem, Path]] = {}
-        for cfg in provers:
-            n = min(cfg.n_premises, len(premises))
-            if n not in prepared:
-                problem, text = build_problem(
-                    corpus, premises[:n], (goal_name, goal), tag_all
-                )
-                path = tmp / f"goal_{n}.p"
-                path.write_text(text, encoding="utf-8")
-                prepared[n] = (problem, path)
-
-        def work(cfg: ProverConfig) -> AtpResult:
-            problem, path = prepared[min(cfg.n_premises, len(premises))]
-            return run_prover(path, cfg, problem=problem, target=goal_name)
-
-        workers = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=workers) as pool_ex:
-            futures = [(cfg, pool_ex.submit(work, cfg)) for cfg in provers]
-            results = [fut.result() for _, fut in futures]
+    task = _ranked_task(corpus, "", (goal_name, goal), ranked)
+    results = _run_tasks(corpus, [task], provers, jobs, tag_all).results
     t_prove = time.monotonic() - t0
 
     timings = {"parse": t_parse, "predict": t_predict, "prove": t_prove}
     for cfg, result in zip(provers, results):
         if result.status.proved:
-            n = min(cfg.n_premises, len(premises))
             return Advice(
                 status=result.status,
                 prover=cfg.name,
-                premises=tuple(label for label, _ in premises[:n]),
-                core=result.core
-                or UnsatCore(tuple(label for label, _ in premises[:n]), False),
+                premises=tuple(label for label, _ in task.premises[: task.cutoff(cfg)]),
+                core=result.core,
                 suggested=suggested,
                 timings=timings,
-                results=tuple(results),
+                results=results,
             )
     attempts = ", ".join(f"{r.prover}: {r.status}" for r in results)
     raise NoProofFound(
         f"no prover proved the goal ({attempts})",
-        results=tuple(results),
+        results=results,
         timings=timings,
         suggested=suggested,
     )
@@ -834,12 +817,10 @@ def experiment(
         except ValueError:
             raise ValueError(f"unknown relation {relation!r}") from None
     _check_provers(provers)
-    tasks: list[_Task] = []
     if relation is AccessRelation.EXACT_DEPS:
-        for tid in corpus.order():
-            if not corpus.theorem(tid).is_definition:
-                tasks.append(_exact_dep_task(corpus, tid))
+        tasks = _exact_dep_tasks(corpus, "unsplit")
     else:
+        tasks = []
         if k < 1:
             raise ValueError("k must be at least 1")
         budget = max(c.n_premises for c in provers)
@@ -857,19 +838,8 @@ def experiment(
                 target=tid,
                 feature_cache=cache,
             )
-            premises = tuple(
-                (corpus.conjunct_label(cid), corpus.conjunct_statement(cid))
-                for cid, _ in ranked
-            )
-            tasks.append(
-                _Task(
-                    label=entry.name,
-                    theory=tid.theory,
-                    premises=premises,
-                    conjecture=(entry.name, entry.statement),
-                    ranked=True,
-                )
-            )
+            conjecture = (entry.name, entry.statement)
+            tasks.append(_ranked_task(corpus, tid.theory, conjecture, ranked))
     report = _run_tasks(corpus, tasks, provers, jobs, tag_all)
     if report_path is not None:
         write_report(report, report_path)

@@ -101,19 +101,6 @@ def ty_vars(ty: HolType) -> list[TyVar]:
     return out
 
 
-def ty_cons(ty: HolType) -> set[str]:
-    out: set[str] = set()
-
-    def walk(t: HolType) -> None:
-        if isinstance(t, TyApp):
-            out.add(t.con)
-            for a in t.args:
-                walk(a)
-
-    walk(ty)
-    return out
-
-
 def ty_subst(ty: HolType, mapping: dict[str, HolType]) -> HolType:
     if isinstance(ty, TyVar):
         return mapping.get(ty.name, ty)
@@ -475,14 +462,6 @@ def mk_conj(a: HolTerm, b: HolTerm) -> HolTerm:
     return mk_const_app("&", (), [a, b])
 
 
-def mk_disj(a: HolTerm, b: HolTerm) -> HolTerm:
-    return mk_const_app("|", (), [a, b])
-
-
-def mk_imp(a: HolTerm, b: HolTerm) -> HolTerm:
-    return mk_const_app("=>", (), [a, b])
-
-
 def mk_neg(a: HolTerm) -> HolTerm:
     return mk_const_app("~", (), [a])
 
@@ -517,10 +496,6 @@ def dest_forall(t: HolTerm) -> tuple[Var, HolTerm] | None:
     return dest_binder(t, "!")
 
 
-def dest_exists(t: HolTerm) -> tuple[Var, HolTerm] | None:
-    return dest_binder(t, "?")
-
-
 def strip_foralls(t: HolTerm) -> tuple[list[Var], HolTerm]:
     vs = []
     while (d := dest_forall(t)) is not None:
@@ -542,20 +517,6 @@ def dest_binop(t: HolTerm, name: str) -> tuple[HolTerm, HolTerm] | None:
 
 def dest_conj(t: HolTerm) -> tuple[HolTerm, HolTerm] | None:
     return dest_binop(t, "&")
-
-
-def dest_disj(t: HolTerm) -> tuple[HolTerm, HolTerm] | None:
-    return dest_binop(t, "|")
-
-
-def dest_imp(t: HolTerm) -> tuple[HolTerm, HolTerm] | None:
-    return dest_binop(t, "=>")
-
-
-def dest_neg(t: HolTerm) -> HolTerm | None:
-    if isinstance(t, App) and isinstance(t.fun, Const) and t.fun.name == "~":
-        return t.arg
-    return None
 
 
 def dest_eq(t: HolTerm) -> tuple[HolTerm, HolTerm] | None:

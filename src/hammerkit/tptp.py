@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
-from .corpus import ParseError
+from .corpus import ParseError, _unquote
 from .fof import (
     BinOp,
     Eq,
@@ -95,17 +94,13 @@ def print_formula(f: FofFormula) -> str:
     if isinstance(f, Not):
         if isinstance(f.body, Eq):
             return f"{print_term(f.body.lhs)} != {print_term(f.body.rhs)}"
-        return f"~ {_unitary(f.body)}"
+        return f"~ {print_formula(f.body)}"
     if isinstance(f, BinOp):
         return f"({print_formula(f.lhs)} {f.op} {print_formula(f.rhs)})"
     vs = ",".join(f.vars)
-    return f"{f.kind} [{vs}] : {_unitary(f.body)}"
-
-
-def _unitary(f: FofFormula) -> str:
     # Negation and quantifier bodies must be unitary; binary formulas
     # print their own parentheses already.
-    return print_formula(f)
+    return f"{f.kind} [{vs}] : {print_formula(f.body)}"
 
 
 def print_problem(problem: FofProblem) -> str:
@@ -173,11 +168,6 @@ class _Lexer:
     def fail(self, msg: str):
         _, val, line, col = self.peek()
         raise ParseError(msg, line, col)
-
-
-def _unquote(s: str) -> str:
-    body = s[1:-1]
-    return re.sub(r"\\(.)", r"\1", body)
 
 
 def _parse_name(lx: _Lexer) -> str:

@@ -24,7 +24,6 @@ from hammerkit.corpus import (
     print_deps,
     print_thy,
     print_tt,
-    qualify,
     rename_overwritten,
     resolve_dep_name,
     show_name,
@@ -41,7 +40,6 @@ from hammerkit.hol import (
     Var,
     alpha_equal,
     mk_eq,
-    subterms,
     type_of,
 )
 from .helpers import NAT, TOY_DECLS, random_closed_formula, toy_sig
@@ -354,21 +352,6 @@ def test_overwritten_names_in_corpus():
     c = load_corpus_files("theory(base, []).\n", {"base": (tt, None)})
     assert {c.theorem(t).name for t in c.order()} == {"T~1", "T"}
     assert c.theorem_named("T").statement != c.theorem_named("T~1").statement
-
-
-def test_qualify_rewrites_everything():
-    c = small_corpus()
-    q = qualify(c, "h4")
-    assert q.theorem_named("h4/more/M1")
-    assert "h4/base/LE" in {e.name for e in q.entries}
-    stmt = q.theorem_named("h4/base/B0").statement
-    # The statement's constants were renamed along with the declarations.
-    assert type_of(stmt, q.signature) == BOOL
-    consts = {t.name for t in subterms(stmt) if isinstance(t, Const)}
-    assert "h4/base/LE" in consts
-    # Qualifying twice changes nothing.
-    q2 = qualify(q, "h4")
-    assert {e.name for e in q2.entries} == {e.name for e in q.entries}
 
 
 def test_parse_goal_forms():

@@ -6,8 +6,6 @@ from hammerkit.features import (
     NormScheme,
     extract,
     normalize_print,
-    parse_fea,
-    print_fea,
 )
 from hammerkit.hol import (
     Abs,
@@ -22,7 +20,7 @@ from hammerkit.hol import (
     subst,
     subterms,
 )
-from .helpers import LIST_NAT, NAT, random_closed_formula, toy_sig
+from .helpers import LIST_NAT, NAT, random_closed_formula
 
 
 def hd_cons() -> tuple:
@@ -118,13 +116,3 @@ def test_extract_covers_every_subterm():
             for scheme in NormScheme:
                 assert "s:" + normalize_print(sub, scheme) in feats
 
-
-def test_fea_round_trip():
-    sig = toy_sig()
-    _, _, term = hd_cons()
-    named = [("HD0", extract(term)), ("EMPTY", frozenset())]
-    text = print_fea(named)
-    assert parse_fea(text) == named
-    assert text.startswith("fea(HD0, [")
-    # Features with punctuation survive via quoting.
-    assert "'s:(HD (CONS X X))'" in text
