@@ -6,12 +6,15 @@ One executable, one subcommand per pipeline stage: inspect a corpus
 single goal (advise, minimize).
 
 Exit codes: 0 on proof or normal completion, 1 when a proving command
-finds no proof, 2 on usage, input, or configuration errors.
+finds no proof, 2 on usage, input, or configuration errors, including
+input nested too deeply to process.  A reader that closes the output
+early (``hammerkit features | head``) ends the run normally, with 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from importlib import resources
@@ -45,7 +48,6 @@ from .harness import (
     load_prover_configs,
     minimize_core,
     reprove,
-    run_prover,
     suggest,
     experiment,
     advise,
@@ -204,8 +206,7 @@ def _cmd_translate(args: argparse.Namespace) -> int:
     if args.name:
         tid = corpus.by_name.get(args.name) or _unknown(args.name)
         entry = corpus.theorem(tid)
-        union = frozenset().union(*entry.dependencies) if entry.dependencies else frozenset()
-        premises = conjunct_premises(corpus, union)
+        premises = conjunct_premises(corpus, frozenset().union(*entry.dependencies))
         conjecture = (entry.name, entry.statement)
     else:
         if not args.goal:
@@ -464,10 +465,22 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except NoProofFound as e:
         print(f"no proof: {e}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # The reader chose to stop.  What is still buffered goes to
+        # devnull, so the flush at interpreter exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
+    except RecursionError as e:
+        print(f"error: input nested too deeply ({e})", file=sys.stderr)
+        return 2
     except _USAGE_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -1,5 +1,9 @@
 """Command line behavior: outputs and exit codes, run in process."""
 
+import io
+import os
+import sys
+
 import pytest
 
 from hammerkit import cli
@@ -61,6 +65,19 @@ def test_parse_echoes_files(tmp_path, capsys):
     assert "tt(ADD, ty, nat > nat > nat)." in out
 
 
+def test_parse_long_conjunction_is_input_error(tmp_path, capsys):
+    root = tmp_path / "deep"
+    root.mkdir()
+    (root / "corpus.thy").write_text("theory(deep, []).\n", encoding="utf-8")
+    conj = " & ".join(["P"] * 1000)
+    (root / "deep.tt").write_text(
+        f"tt(P, ty, bool).\ntt(BIG, ax, {conj}).\n", encoding="utf-8"
+    )
+    code, _, err = run(capsys, "parse", "--corpus", str(root))
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_parse_bad_file_is_usage_error(tmp_path, capsys):
     path = tmp_path / "decl.tt"
     path.write_text("tt(L, ax, NO_SUCH 0).\n", encoding="utf-8")
@@ -102,6 +119,39 @@ def test_features_table_lists_conjuncts(corpus_dir, capsys):
     code, out, _ = run(capsys, "features", "--corpus", corpus_dir)
     assert code == 0
     assert any(l.startswith("ADD_BOTH_c2\t") for l in out.splitlines())
+
+
+def test_deeply_nested_goal_is_input_error(corpus_dir, capsys):
+    goal = "SUC (" * 1200 + "0" + ")" * 1200 + " = 0"
+    code, _, err = run(capsys, "features", "--corpus", corpus_dir, "--goal", goal)
+    assert code == 2
+    assert err.startswith("error:")
+
+
+class _ClosedPipe(io.TextIOBase):
+    """Standard output whose reader has gone away."""
+
+    def __init__(self, fd: int) -> None:
+        self.fd = fd
+
+    def write(self, text: str) -> int:
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self) -> int:
+        return self.fd
+
+
+def test_closed_output_pipe_ends_quietly(corpus_dir, tmp_path, capsys, monkeypatch):
+    fd = os.open(tmp_path / "out", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        code = cli.main(["features", "--corpus", corpus_dir])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        # Whatever is flushed later goes nowhere instead of failing again.
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
 
 
 def test_predict_ranks_premises(corpus_dir, capsys):
