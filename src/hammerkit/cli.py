@@ -466,6 +466,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         code = args.func(args)
+        # A reader that has gone away shows up here, not at exit.
         sys.stdout.flush()
         return code
     except NoProofFound as e:

@@ -647,21 +647,20 @@ def translate_statement(t: HolTerm, state: TranslationState) -> FofFormula:
     return _Translator(state).statement(t)
 
 
-def _drain_pending(state: TranslationState) -> list[tuple[str, FofFormula, bool]]:
+def _drain_pending(state: TranslationState) -> list[tuple[str, FofFormula]]:
     """Translate queued lifted definitions and proxy axioms (which may in
     turn queue more proxies) until the state settles."""
-    out: list[tuple[str, FofFormula, bool]] = []
+    out: list[tuple[str, FofFormula]] = []
     while state.pending_defs or state.pending_proxy_axioms:
         if state.pending_defs:
             name, axiom = state.pending_defs.pop(0)
-            axiom = remove_bool_args(beta_normalize(axiom), state.sig)
-            f = _Translator(state).statement(axiom)
-            out.append((state.symbol(name) + "_def", f, True))
-            continue
-        pname, axiom = state.pending_proxy_axioms.pop(0)
+            suffix = "_def"
+        else:
+            name, axiom = state.pending_proxy_axioms.pop(0)
+            suffix = "_ax"
         axiom = remove_bool_args(beta_normalize(axiom), state.sig)
         f = _Translator(state).statement(axiom)
-        out.append((state.symbol(pname) + "_ax", f, True))
+        out.append((state.symbol(name) + suffix, f))
     return out
 
 
@@ -722,7 +721,7 @@ def translate_problem(
         axioms.append((state.mangler.axiom_name(name), f))
     goal_name, goal = conjecture
     goal_f = translate_statement(goal, state)
-    for hname, f, _ in _drain_pending(state):
+    for hname, f in _drain_pending(state):
         n = state.mangler.axiom_name(hname)
         axioms.append((n, f))
         helpers.add(n)

@@ -91,6 +91,8 @@ def print_formula(f: FofFormula) -> str:
         return f"{_atom_name(f.sym)}({','.join(print_term(a) for a in f.args)})"
     if isinstance(f, Eq):
         return f"{print_term(f.lhs)} = {print_term(f.rhs)}"
+    # Negation and quantifier bodies must be unitary; binary formulas
+    # print their own parentheses already.
     if isinstance(f, Not):
         if isinstance(f.body, Eq):
             return f"{print_term(f.body.lhs)} != {print_term(f.body.rhs)}"
@@ -98,8 +100,6 @@ def print_formula(f: FofFormula) -> str:
     if isinstance(f, BinOp):
         return f"({print_formula(f.lhs)} {f.op} {print_formula(f.rhs)})"
     vs = ",".join(f.vars)
-    # Negation and quantifier bodies must be unitary; binary formulas
-    # print their own parentheses already.
     return f"{f.kind} [{vs}] : {print_formula(f.body)}"
 
 
