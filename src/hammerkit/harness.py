@@ -2,29 +2,40 @@
 
 Everything downstream of the corpus composes here: pick the accessible
 theorems for a target, rank premises with the learner, translate to FOF,
-run external provers in parallel, read unsat cores back, and aggregate
+run the provers in parallel, read unsat cores back, and aggregate
 reports.  Problem construction is deterministic, so files are
 byte-identical across runs; only wall-clock times vary.
 
-Provers are external processes described by ProverConfig.  A small
-resolution prover ships with the package and is always available; the
-well-known first-order provers are picked up from PATH or from
-HAMMER_PROVER_<NAME> environment variables when installed.
+Provers are described by ProverConfig.  A small resolution prover ships
+with the package and is always available; the well-known first-order
+provers are picked up from PATH or from HAMMER_PROVER_<NAME> environment
+variables when installed.  An external prover runs as one process per
+problem.  The bundled prover, with its stock arguments, runs in worker
+processes that each take problem after problem, so a batch pays one
+interpreter start-up per worker instead of one per problem.  Every prover
+process is a direct child in a process group of its own, and the whole
+group is killed when it overruns.
 """
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import io
+import json
 import os
+import selectors
 import shlex
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from configparser import ConfigParser, Error as ConfigError
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -86,7 +97,7 @@ def _fmt_seconds(x: float) -> str:
 
 @dataclass(frozen=True)
 class ProverConfig:
-    """One external prover: how to run it and how many premises it gets.
+    """One prover: how to run it and how many premises it gets.
 
     ``args`` is a template; every element goes through str.format with
     ``{problem}`` (the file path) and ``{timeout}`` (soft limit in
@@ -115,11 +126,14 @@ class ProverConfig:
             ) from None
 
 
+# How the interpreter runs the bundled prover.
+_MICRORES = ("-m", "hammerkit.provers.microres")
+
 # name -> (executable, argument template, premise budget)
 _BUILTIN: dict[str, tuple[str, tuple[str, ...], int]] = {
     "microres": (
         sys.executable,
-        ("-m", "hammerkit.provers.microres", "{problem}", "--timeout", "{timeout}"),
+        _MICRORES + ("{problem}", "--timeout", "{timeout}"),
         32,
     ),
     "vampire": (
@@ -233,37 +247,197 @@ def run_prover(
 ) -> AtpResult:
     """Run one prover on one problem file.
 
-    The process is killed shortly after the configured timeout.  A binary
+    A config with the bundled prover's stock arguments is answered by a
+    reused worker process (see ``_Workers``); any other config runs as a
+    process of its own.  Either way the prover, with every process it
+    started, is killed shortly after the configured timeout.  A binary
     that cannot be launched raises SpawnError; everything that happens
     after launch becomes a status, never an exception.  The unsat core is
     read back only when ``problem`` is supplied and the status proves.
     """
     argv = config.command(problem_path)
     start = time.monotonic()
-    timed_out = False
+    deadline = start + config.timeout + _GRACE
     try:
-        proc = subprocess.run(
-            argv,
-            capture_output=True,
-            text=True,
-            timeout=config.timeout + _GRACE,
-        )
-        output, exit_code = proc.stdout, proc.returncode
+        if config.args == _BUILTIN["microres"][1]:
+            with _worker_scope() as pool:
+                run = pool.run(config.executable, argv[1 + len(_MICRORES) :], deadline)
+        else:
+            run = _run_process(argv, deadline)
     except (FileNotFoundError, PermissionError, NotADirectoryError) as e:
         raise SpawnError(f"cannot launch prover {config.name}: {argv[0]}: {e}") from None
-    except subprocess.TimeoutExpired as e:
-        out = e.stdout or ""
-        output = out.decode("utf-8", "replace") if isinstance(out, bytes) else out
-        exit_code, timed_out = 0, True
     except OSError as e:
         wall = time.monotonic() - start
         return AtpResult(target, config.name, error_status(str(e)), wall)
     wall = time.monotonic() - start
-    status = parse_szs(output, exit_code=exit_code, timed_out=timed_out)
+    status = parse_szs(run.output, exit_code=run.exit_code, timed_out=run.timed_out)
     core = None
     if status.proved and problem is not None:
-        core = extract_core(output, problem)
+        core = extract_core(run.output, problem)
     return AtpResult(target, config.name, status, wall, core)
+
+
+@dataclass(frozen=True)
+class _Run:
+    """What one prover call printed, and how it ended."""
+
+    output: str
+    exit_code: int = 0
+    timed_out: bool = False
+
+
+def _popen(argv: Sequence[str], stdin: int | None = None) -> subprocess.Popen:
+    """A prover process leading a new process group, so that a kill
+    reaches whatever it starts."""
+    return subprocess.Popen(
+        argv, stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        start_new_session=True,
+    )
+
+
+def _kill_group(proc: subprocess.Popen) -> None:
+    with suppress(ProcessLookupError):
+        os.killpg(proc.pid, signal.SIGKILL)
+
+
+def _text(data: bytes | None) -> str:
+    return (data or b"").decode("utf-8", "replace")
+
+
+def _run_process(argv: Sequence[str], deadline: float) -> _Run:
+    proc = _popen(argv)
+    try:
+        out, _ = proc.communicate(timeout=max(0.0, deadline - time.monotonic()))
+        return _Run(_text(out), proc.returncode)
+    except subprocess.TimeoutExpired:
+        _kill_group(proc)
+    try:
+        out, _ = proc.communicate(timeout=_GRACE)
+    except subprocess.TimeoutExpired as e:
+        # A process that left the group still holds the pipe open.
+        out = e.stdout
+        proc.stdout.close()
+        proc.wait()
+    return _Run(_text(out), timed_out=True)
+
+
+class _Worker:
+    """One ``microres --serve`` process (see the microres docstring)."""
+
+    def __init__(self, executable: str) -> None:
+        self.executable = executable
+        self.proc = _popen([executable, *_MICRORES, "--serve"], stdin=subprocess.PIPE)
+        # Set only while the worker is idle between answered calls.
+        self.usable = False
+
+    def ask(self, request: Sequence[str], deadline: float) -> _Run:
+        """One prover call.  A worker that does not answer with a reply
+        line is read like a one-shot prover: its output is what it
+        writes until it exits or the deadline passes."""
+        self.usable = False
+        with suppress(BrokenPipeError):
+            self.proc.stdin.write(json.dumps(list(request)).encode() + b"\n")
+            self.proc.stdin.flush()
+        fd = self.proc.stdout.fileno()
+        data = b""
+        raw = False
+        with selectors.DefaultSelector() as sel:
+            sel.register(fd, selectors.EVENT_READ)
+            while True:
+                left = deadline - time.monotonic()
+                if left <= 0 or not sel.select(left):
+                    return _Run(_text(data), timed_out=True)
+                chunk = os.read(fd, 1 << 16)
+                if not chunk:
+                    try:
+                        code = self.proc.wait(max(0.0, deadline - time.monotonic()))
+                    except subprocess.TimeoutExpired:
+                        return _Run(_text(data), timed_out=True)
+                    return _Run(_text(data), code)
+                data += chunk
+                if not raw and data.endswith(b"\n"):
+                    try:
+                        code, output = json.loads(data)
+                        run = _Run(str(output), int(code))
+                    except (ValueError, TypeError):
+                        raw = True
+                        continue
+                    self.usable = True
+                    return run
+
+    def stop(self) -> None:
+        """Kill the worker and anything it started, and reap it."""
+        if self.proc.returncode is None:  # not reaped: its group id is still ours
+            _kill_group(self.proc)
+        self.proc.wait()
+        with suppress(OSError):
+            self.proc.stdin.close()
+        self.proc.stdout.close()
+
+
+class _Workers:
+    """The bundled prover's worker processes for one batch of calls.
+
+    A call takes an idle worker for its executable or starts one, and
+    gives it back only when it answered.  Starting a worker stops an idle
+    one of another executable, so there are never more workers than
+    calls in flight.  A worker that overruns is stopped like any prover
+    process, and the next call starts a fresh one.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._idle: list[_Worker] = []
+
+    def run(self, executable: str, request: Sequence[str], deadline: float) -> _Run:
+        with self._lock:
+            worker = next((w for w in self._idle if w.executable == executable), None)
+            if worker is not None:
+                self._idle.remove(worker)
+            spare = self._idle.pop() if worker is None and self._idle else None
+        if spare is not None:
+            spare.stop()
+        if worker is None:
+            worker = _Worker(executable)
+        try:
+            return worker.ask(request, deadline)
+        finally:
+            if worker.usable:
+                with self._lock:
+                    self._idle.append(worker)
+            else:
+                worker.stop()
+
+    def close(self) -> None:
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for worker in idle:
+            worker.stop()
+
+
+# The worker pool of the batch a prover call belongs to.  It travels in
+# the context, not as an argument, so that run_prover keeps the
+# signature of a single call and callers can wrap it.
+_WORKERS: contextvars.ContextVar[_Workers | None] = contextvars.ContextVar(
+    "hammerkit_workers", default=None
+)
+
+
+@contextmanager
+def _worker_scope():
+    """The worker pool of the enclosing scope, or else a new one for the
+    calls made inside, whose workers are stopped and reaped on exit."""
+    pool = _WORKERS.get()
+    if pool is not None:
+        yield pool
+        return
+    pool = _Workers()
+    token = _WORKERS.set(pool)
+    try:
+        yield pool
+    finally:
+        _WORKERS.reset(token)
+        pool.close()
 
 
 # ------------------------------------------------------------------ reports
@@ -483,8 +657,10 @@ def _run_tasks(
     tag_all: bool,
 ) -> ExperimentReport:
     """Translate every task once per premise cutoff, then run all
-    (task, prover) pairs on a worker pool.  Results are keyed, so the
-    report does not depend on completion order."""
+    (task, prover) pairs on ``jobs`` threads, which share the bundled
+    prover's worker processes; those are reaped before this returns.
+    Results are keyed, so the report does not depend on completion
+    order."""
     _check_provers(provers)
     with tempfile.TemporaryDirectory(prefix="hammerkit-") as td:
         tmp = Path(td)
@@ -521,9 +697,9 @@ def _run_tasks(
 
         workers = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
         results: dict[tuple[int, str], AtpResult] = {}
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with _worker_scope(), ThreadPoolExecutor(max_workers=workers) as pool:
             futures = {
-                pool.submit(work, idx, cfg): (idx, cfg.name)
+                pool.submit(contextvars.copy_context().run, work, idx, cfg): (idx, cfg.name)
                 for idx in range(len(tasks))
                 for cfg in provers
             }
@@ -776,7 +952,7 @@ def minimize_core(
     """
     current = tuple(core.premises)
     confirmed = False
-    with tempfile.TemporaryDirectory(prefix="hammerkit-min-") as td:
+    with tempfile.TemporaryDirectory(prefix="hammerkit-min-") as td, _worker_scope():
         path = Path(td) / "minimize.p"
         while True:
             sub = restrict_problem(problem, current)

@@ -11,15 +11,29 @@ treats it uniformly.
 Terms are tuples: ("v", name) or ("f", sym, args).  A literal is
 (positive, predicate, args); equality is the predicate "=".  A clause is
 a tuple of literals with canonically numbered variables.
+
+Run as ``python -m hammerkit.provers.microres FILE --timeout T`` it
+proves one problem and prints the verdict.  Run with ``--serve`` alone it
+is a worker that answers such calls one after another: each line on
+stdin is a JSON list of the arguments that would follow the module name,
+and each answer is one line on stdout, the JSON list ``[exit code,
+output]`` with exactly what the one-problem command would have printed
+and returned.  The harness keeps such workers for a batch of problems,
+so it pays the interpreter start-up once per worker, not per problem.
 """
 
 from __future__ import annotations
 
 import argparse
 import heapq
+import io
+import json
 import sys
 import time
+import traceback
+from contextlib import redirect_stdout
 from dataclasses import dataclass
+from typing import Iterator
 
 from ..corpus import ParseError
 from ..fof import BinOp, Eq, FofFormula, FofProblem, FofVar, Not, Pred
@@ -33,10 +47,22 @@ Clause = tuple  # of Literal
 # ------------------------------------------------------------ clausification
 
 
+class _OutOfTime(Exception):
+    """The deadline passed before clausification finished."""
+
+
 class _Clausifier:
-    def __init__(self) -> None:
+    """Clausal normal form.  The CNF of nested equivalences grows
+    exponentially, so the products check the deadline as they go."""
+
+    def __init__(self, deadline: float | None = None) -> None:
         self.counter = 0
         self.skolems = 0
+        self.deadline = deadline
+
+    def check_clock(self) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise _OutOfTime
 
     def fresh_var(self) -> str:
         self.counter += 1
@@ -99,9 +125,9 @@ class _Clausifier:
             return env[t.name]
         return ("f", t.sym, tuple(self.term(a, env) for a in t.args))
 
-    def clauses(self, f: FofFormula, negate: bool) -> list[list[Literal]]:
+    def clauses(self, f: FofFormula, negate: bool) -> Iterator[list[Literal]]:
         tree = self.nnf(f, not negate, {}, ())
-        return [self._strip(c) for c in self._cnf(tree)]
+        return (self._strip(c) for c in self._cnf(tree))
 
     def _cnf(self, tree) -> list[list]:
         if tree[0] == "lit":
@@ -110,7 +136,11 @@ class _Clausifier:
             return self._cnf(tree[1]) + self._cnf(tree[2])
         left = self._cnf(tree[1])
         right = self._cnf(tree[2])
-        return [l + r for l in left for r in right]
+        out = []
+        for l in left:
+            self.check_clock()
+            out.extend(l + r for r in right)
+        return out
 
     @staticmethod
     def _strip(lits: list) -> list[Literal]:
@@ -594,17 +624,22 @@ def prove(
     problem: FofProblem, timeout: float | None = None, max_clauses: int = 100000
 ) -> tuple[str, Result]:
     """Run the prover on a parsed problem; returns the SZS-formatted
-    output text and the raw result."""
-    cl = _Clausifier()
-    inputs: list[tuple[Clause, str | None]] = []
-    for name, f in problem.axioms:
-        for lits in cl.clauses(f, negate=False):
-            inputs.append((_canon(lits), name))
-    gname, gf = problem.conjecture
-    for lits in cl.clauses(gf, negate=True):
-        inputs.append((_canon(lits), gname))
+    output text and the raw result.  The timeout covers clausification
+    as well as the search."""
     deadline = time.monotonic() + timeout if timeout is not None else None
-    res = saturate(inputs, deadline, max_clauses)
+    cl = _Clausifier(deadline)
+    gname, gf = problem.conjecture
+    formulas = [(name, f, False) for name, f in problem.axioms] + [(gname, gf, True)]
+    inputs: list[tuple[Clause, str | None]] = []
+    try:
+        for name, f, negate in formulas:
+            for lits in cl.clauses(f, negate):
+                cl.check_clock()
+                inputs.append((_canon(lits), name))
+    except _OutOfTime:
+        res = Result("Timeout", [], 0)
+    else:
+        res = saturate(inputs, deadline, max_clauses)
 
     lines = [f"% SZS status {res.status}"]
     if res.status == "Theorem":
@@ -626,7 +661,10 @@ def _q(name: str) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(
-        prog="hammer-microres", description="small resolution prover"
+        prog="hammer-microres",
+        description="small resolution prover",
+        epilog="With --serve as the only argument it answers calls on stdin "
+        "instead (see the module docstring).",
     )
     ap.add_argument("file", help="TPTP problem file, or - for stdin")
     ap.add_argument("--timeout", type=float, default=30.0, help="seconds")
@@ -648,5 +686,26 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def serve() -> int:
+    """Answer one-problem calls read from stdin until it closes (the
+    ``--serve`` mode described in the module docstring)."""
+    requests, replies = sys.stdin, sys.stdout
+    # A problem file named "-" reads nothing, not the request stream.
+    sys.stdin = io.StringIO()
+    for line in requests:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            try:
+                code = main(json.loads(line))
+            except SystemExit as e:
+                code = e.code if isinstance(e.code, int) else int(e.code is not None)
+            except Exception:
+                traceback.print_exc()
+                code = 1
+        replies.write(json.dumps([code, out.getvalue()]) + "\n")
+        replies.flush()
+    return 0
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(serve() if sys.argv[1:] == ["--serve"] else main())

@@ -1,10 +1,21 @@
 """Prover configs, process runs, reports, advice, and core shrinking."""
 
+import os
+import shlex
+import shutil
+import signal
 import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
-from hammerkit.corpus import AccessRelation, load_corpus_files
+from hammerkit import harness
+from hammerkit.corpus import AccessRelation, load_corpus, load_corpus_files
 from hammerkit.fof import translate_problem
 from hammerkit.harness import (
     NoProofFound,
@@ -188,6 +199,169 @@ def test_run_prover_kills_overtime_process(tmp_path):
     result = run_prover(path, cfg)
     assert result.status.kind == "Timeout"
     assert result.wall_time < 30
+
+
+def _gone(pid, wait=5.0):
+    """Whether the process has exited, waiting up to ``wait`` seconds.
+    A zombie counts as exited: nothing of ours reaps a grandchild."""
+    end = time.monotonic() + wait
+    while True:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+            if stat.rsplit(")", 1)[1].split()[0] == "Z":
+                return True
+        except OSError:
+            pass
+        if time.monotonic() > end:
+            return False
+        time.sleep(0.05)
+
+
+def test_run_prover_kills_the_whole_process_group(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "_GRACE", 0.5)
+    path = write_problem(tmp_path, trivial_problem())
+    pidfile = tmp_path / "child.pid"
+    script = f"sleep 30 & echo $! > {shlex.quote(str(pidfile))}; wait"
+    cfg = ProverConfig("forking", "sh", ("-c", script), timeout=0.2)
+    result = run_prover(path, cfg)
+    assert result.status.kind == "Timeout"
+    assert _gone(int(pidfile.read_text()))
+
+
+@pytest.mark.skipif(shutil.which("setsid") is None, reason="needs setsid(1)")
+def test_run_prover_returns_when_a_child_leaves_the_group(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "_GRACE", 0.5)
+    path = write_problem(tmp_path, trivial_problem())
+    pidfile = tmp_path / "child.pid"
+    # The child starts a session of its own, out of reach of the group
+    # kill, and keeps the output pipe open.
+    script = f"setsid sleep 30 & echo $! > {shlex.quote(str(pidfile))}; wait"
+    cfg = ProverConfig("escaping", "sh", ("-c", script), timeout=0.2)
+    start = time.monotonic()
+    try:
+        result = run_prover(path, cfg)
+        assert result.status.kind == "Timeout"
+        assert time.monotonic() - start < 0.2 + 2 * 0.5 + 1
+    finally:
+        os.kill(int(pidfile.read_text()), signal.SIGKILL)
+
+
+def test_worker_missing_binary(tmp_path):
+    path = write_problem(tmp_path, trivial_problem())
+    with pytest.raises(SpawnError):
+        run_prover(path, replace(micro(), executable="/no/such/binary"))
+
+
+def test_unanswering_worker_is_replaced_and_reaped(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "_GRACE", 0.5)
+    pids, hung = tmp_path / "pids", tmp_path / "hung"
+    # The first worker started never answers; later ones are the prover.
+    fake = tmp_path / "worker"
+    fake.write_text(
+        "#!/bin/sh\n"
+        f"echo $$ >> {shlex.quote(str(pids))}\n"
+        f"if [ ! -e {shlex.quote(str(hung))} ]; then\n"
+        f"  touch {shlex.quote(str(hung))}; exec sleep 60\n"
+        "fi\n"
+        f'exec {shlex.quote(sys.executable)} "$@"\n',
+        encoding="utf-8",
+    )
+    fake.chmod(0o755)
+    cfg = replace(micro(timeout=1.0), executable=str(fake))
+    path = write_problem(tmp_path, trivial_problem())
+    start = time.monotonic()
+    result = run_prover(path, cfg)
+    assert result.status.kind == "Timeout"
+    assert time.monotonic() - start < 1.0 + 0.5 + 1
+
+    hung.unlink()
+    report = reprove(tiny_corpus(), [cfg], jobs=1)
+    kinds = {r.target: r.status.kind for r in report.results}
+    assert kinds == {"ADD_0": "Timeout", "ADD_1": "Theorem", "ADD_BOTH": "Theorem"}
+    # One worker for the single call; in reprove, the one that hung and
+    # the one that replaced it.
+    started = [int(pid) for pid in pids.read_text().split()]
+    assert len(started) == 3
+    assert all(_gone(pid, wait=0) for pid in started)
+
+
+def test_worker_pool_lends_each_worker_to_one_call_at_a_time(monkeypatch):
+    jobs = 8
+    lock = threading.Lock()
+    made, live, busy, faults = [], set(), set(), []
+
+    class FakeWorker:
+        def __init__(self, executable):
+            self.executable = executable
+            self.usable = False
+            with lock:
+                made.append(self)
+                live.add(self)
+                if len(live) > jobs:
+                    faults.append(f"{len(live)} workers alive")
+
+        def ask(self, request, deadline):
+            with lock:
+                if self in busy or self not in live:
+                    faults.append("worker lent twice or after it stopped")
+                busy.add(self)
+            time.sleep(0)
+            with lock:
+                busy.discard(self)
+            self.usable = request[0] == self.executable
+            return harness._Run("% SZS status Theorem\n")
+
+        def stop(self):
+            with lock:
+                live.discard(self)
+
+    monkeypatch.setattr(harness, "_Worker", FakeWorker)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with harness._worker_scope() as pool, ThreadPoolExecutor(jobs) as threads:
+            deadline = time.monotonic() + 60
+            calls = []
+            for i in range(3000):
+                # Three executables make the pool stop spare workers; a
+                # request that names another executable marks its worker
+                # unusable, as a worker that did not answer.
+                exe = "abc"[i % 3]
+                request = [exe if i % 7 else "x"]
+                calls.append(threads.submit(pool.run, exe, request, deadline))
+            runs = [c.result(timeout=60) for c in calls]
+    finally:
+        sys.setswitchinterval(switch)
+    assert all(r.output == "% SZS status Theorem\n" for r in runs)
+    assert faults == []
+    assert live == set()
+
+
+def test_worker_and_process_paths_agree(monkeypatch):
+    corpus = load_corpus(Path(str(resources.files("hammerkit") / "data" / "toy")))
+    spawned = []
+    run_process = harness._run_process
+    monkeypatch.setattr(
+        harness, "_run_process", lambda *a: spawned.append(a) or run_process(*a)
+    )
+    workers = reprove(corpus, [micro()], jobs=2)
+    assert spawned == []
+    # The default clause limit spelled out: the same prover, one process
+    # per problem.
+    one_shot = replace(micro(), args=micro().args + ("--max-clauses", "100000"))
+    processes = reprove(corpus, [one_shot], jobs=2)
+    assert len(spawned) == len(workers.targets) == 59
+
+    def outcome(r):
+        return r.target, r.status.kind, r.core.premises if r.core else None
+
+    assert [outcome(r) for r in workers.results] == [
+        outcome(r) for r in processes.results
+    ]
 
 
 # ------------------------------------------------------------------ reprove

@@ -1,5 +1,10 @@
 """The bundled saturation prover: unification, ordering, proofs, verdicts."""
 
+import json
+import subprocess
+import sys
+import time
+
 import pytest
 
 from hammerkit.provers.microres import (
@@ -220,6 +225,20 @@ def test_timeout_status():
     assert res.status == "Timeout"
 
 
+def test_timeout_covers_clausification():
+    # Six atoms chained by <=>: the naive CNF has some 333k clauses, and
+    # the search used to start its clock only after building them all
+    # (12.8 s at timeout 0.5).
+    body = "p0"
+    for i in range(1, 6):
+        body = f"(p{i} <=> {body})"
+    problem = parse_problem(f"fof(goal, conjecture, {body}).\n")
+    start = time.monotonic()
+    _, res = prove(problem, timeout=0.5)
+    assert res.status == "Timeout"
+    assert time.monotonic() - start < 1.5
+
+
 def test_gave_up_on_clause_budget():
     problem = parse_problem(
         "fof(a1, axiom, p(a)).\n"
@@ -276,3 +295,28 @@ def test_main_reports_input_error(tmp_path, capsys):
     path = problem_file(tmp_path, "fof(goal, conjecture, p.\n")
     assert main([path]) == 1
     assert "% SZS status InputError" in capsys.readouterr().out
+
+
+def test_serve_answers_exactly_as_main(tmp_path, capsys):
+    good = problem_file(tmp_path, "fof(a1, axiom, p).\nfof(goal, conjecture, p).\n")
+    bad = str(tmp_path / "bad.p")
+    with open(bad, "w", encoding="utf-8") as fh:
+        fh.write("fof(goal, conjecture, p.\n")
+    calls = [[good, "--timeout", "5"], [bad], ["--no-such-flag"], [good]]
+    expected = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        expected.append([code, capsys.readouterr().out])
+    proc = subprocess.run(
+        [sys.executable, "-m", "hammerkit.provers.microres", "--serve"],
+        input="".join(json.dumps(argv) + "\n" for argv in calls),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert [json.loads(line) for line in proc.stdout.splitlines()] == expected
+    assert expected[0][0] == 0 and expected[1][0] == 1 and expected[2][0] == 2
