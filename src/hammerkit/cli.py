@@ -7,8 +7,10 @@ single goal (advise, minimize).
 
 Exit codes: 0 on proof or normal completion, 1 when a proving command
 finds no proof, 2 on usage, input, or configuration errors, including
-input nested too deeply to process.  A reader that closes the output
-early (``hammerkit features | head``) ends the run normally, with 0.
+input nested too deeply to process, and 130 when interrupted (Ctrl-C),
+after stopping every prover it started.  A reader that closes the
+output early (``hammerkit features | head``) ends the run normally,
+with 0.
 """
 
 from __future__ import annotations
@@ -479,6 +481,9 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 0
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
     except RecursionError as e:
         print(f"error: input nested too deeply ({e})", file=sys.stderr)
         return 2

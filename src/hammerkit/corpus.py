@@ -818,6 +818,9 @@ class Corpus:
         self.conjectures: list[ObjectEntry] = []
         self._order: list[TheoremId] | None = None
         self._pos: dict[TheoremId, int] | None = None
+        # The learner's conjunct numbering and feature index for this
+        # corpus, built by ``harness`` on the first ranking.
+        self.learner: object | None = None
 
     def theorem(self, tid: TheoremId) -> TheoremEntry:
         try:
@@ -914,15 +917,12 @@ def accessible_set(
             todo.extend(corpus.exact_deps(tid))
         return out
     if relation is AccessRelation.LOADED_THEORIES:
-        loaded = set()
-        for anc in corpus.theory_closure(target.theory) - {target.theory}:
-            loaded.update(t for t in corpus.theorems if t.theory == anc)
-        loaded.update(
+        closure = corpus.theory_closure(target.theory)
+        return {
             t
             for t in corpus.theorems
-            if t.theory == target.theory and t.seq < target.seq
-        )
-        return loaded
+            if t.theory in closure and (t.theory != target.theory or t.seq < target.seq)
+        }
     order = corpus.order()
     return set(order[: corpus.position(target)])
 

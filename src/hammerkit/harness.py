@@ -33,6 +33,7 @@ import sys
 import tempfile
 import threading
 import time
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from configparser import ConfigParser, Error as ConfigError
 from contextlib import contextmanager, suppress
@@ -660,7 +661,8 @@ def _run_tasks(
     (task, prover) pairs on ``jobs`` threads, which share the bundled
     prover's worker processes; those are reaped before this returns.
     Results are keyed, so the report does not depend on completion
-    order."""
+    order.  On any exception, an interrupt included, no queued pair is
+    started; the calls in flight end before it propagates."""
     _check_provers(provers)
     with tempfile.TemporaryDirectory(prefix="hammerkit-") as td:
         tmp = Path(td)
@@ -698,13 +700,18 @@ def _run_tasks(
         workers = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
         results: dict[tuple[int, str], AtpResult] = {}
         with _worker_scope(), ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(contextvars.copy_context().run, work, idx, cfg): (idx, cfg.name)
-                for idx in range(len(tasks))
-                for cfg in provers
-            }
-            for fut, key in futures.items():
-                results[key] = fut.result()
+            try:
+                futures = {
+                    pool.submit(contextvars.copy_context().run, work, idx, cfg): (idx, cfg.name)
+                    for idx in range(len(tasks))
+                    for cfg in provers
+                }
+                for fut, key in futures.items():
+                    results[key] = fut.result()
+            except BaseException:
+                # An interrupt or a failed call: start no queued pair.
+                pool.shutdown(wait=False, cancel_futures=True)
+                raise
     ordered = tuple(
         results[(idx, cfg.name)] for idx in range(len(tasks)) for cfg in provers
     )
@@ -764,41 +771,105 @@ def reprove(
 # ---------------------------------------------------------------- prediction
 
 
-def _learning_pool(
-    corpus: Corpus, target: TheoremId | None, relation: AccessRelation
-) -> list[ConjunctId]:
-    """Accessible conjuncts in linear order.  A fresh goal (no target)
-    sits past the end of the corpus: everything is accessible."""
-    if target is None:
-        tids = list(corpus.order())
-    else:
-        tids = sorted(
-            accessible_set(corpus, target, relation) - {target},
-            key=corpus.position,
-        )
-    return [cid for tid in tids for cid in corpus.theorem(tid).conjunct_ids()]
+class _Learner:
+    """The learner's state for one corpus: every conjunct numbered in
+    linear order, its numbered dependencies, and one feature index over
+    all of them.
+
+    Accessibility is a list of spans of that numbering, since a theory's
+    theorems and a theorem's conjuncts are each one stretch of the
+    linear order: ``linear`` is everything before the target's first
+    conjunct, ``loaded`` that prefix cut down to the target's ancestor
+    theories and its own, and ``transitive`` and ``exact`` the stretches
+    of the theorems ``accessible_set`` names.
+    """
+
+    def __init__(self, corpus: Corpus) -> None:
+        self.ids: list[ConjunctId] = []
+        # TheoremId -> (first conjunct number, one past its last)
+        self.span: dict[TheoremId, tuple[int, int]] = {}
+        # theory -> the same for its theorems
+        self.theory_span: dict[str, tuple[int, int]] = {}
+        for tid in corpus.order():
+            start = len(self.ids)
+            self.ids.extend(corpus.theorem(tid).conjunct_ids())
+            self.span[tid] = (start, len(self.ids))
+            lo, _ = self.theory_span.setdefault(tid.theory, (start, start))
+            self.theory_span[tid.theory] = (lo, len(self.ids))
+        number = {cid: i for i, cid in enumerate(self.ids)}
+        self.deps = [
+            sorted(number[d] for d in corpus.theorem(cid.theorem).dependencies[cid.index - 1])
+            for cid in self.ids
+        ]
+        features = [extract(corpus.conjunct_statement(cid)) for cid in self.ids]
+        self.index = knn.build_index(features, range(len(self.ids)))
+        # theory -> the spans of its strict ancestors
+        self.ancestors = {
+            theory: _merge(
+                self.theory_span[t] for t in corpus.theory_closure(theory) - {theory}
+                if t in self.theory_span
+            )
+            for theory in corpus.theories
+        }
+
+    def accessible(
+        self, corpus: Corpus, target: TheoremId | None, relation: AccessRelation
+    ) -> list[tuple[int, int]]:
+        """The conjuncts ``target`` may use, as sorted, disjoint spans.  A
+        fresh goal (no target) sits past the end of the corpus:
+        everything is accessible."""
+        if target is None:
+            return [(0, len(self.ids))]
+        corpus.theorem(target)  # an unknown target is an error
+        first = self.span[target][0]
+        if relation is AccessRelation.LINEAR_ORDER:
+            return [(0, first)]
+        if relation is AccessRelation.LOADED_THEORIES:
+            own = (self.theory_span[target.theory][0], first)
+            return _merge([*self.ancestors[target.theory], own])
+        tids = accessible_set(corpus, target, relation) - {target}
+        return _merge(self.span[t] for t in tids)
+
+    def rank(
+        self,
+        corpus: Corpus,
+        query: frozenset[str],
+        k: int,
+        n_premises: int,
+        relation: AccessRelation,
+        target: TheoremId | None,
+    ) -> list[tuple[ConjunctId, float]]:
+        spans = self.accessible(corpus, target, relation)
+        neighbors = knn.k_nearest(self.index, query, k, spans=spans)
+        starts = [lo for lo, _ in spans]
+
+        def inside(i: int) -> bool:
+            j = bisect_right(starts, i) - 1
+            return j >= 0 and i < spans[j][1]
+
+        deps = {nb.id: [d for d in self.deps[nb.id] if inside(d)] for nb in neighbors}
+        ranked = knn.rank_premises(self.index, neighbors, deps, n_premises)
+        return [(self.ids[i], weight) for i, weight in ranked]
 
 
-def _pool_index(
-    corpus: Corpus,
-    pool: Sequence[ConjunctId],
-    feature_cache: dict[ConjunctId, frozenset[str]] | None = None,
-):
-    feats: dict[ConjunctId, frozenset[str]] = {}
-    for cid in pool:
-        if feature_cache is not None and cid in feature_cache:
-            feats[cid] = feature_cache[cid]
+def _merge(spans: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Spans sorted, with empty ones dropped and touching ones joined."""
+    out: list[tuple[int, int]] = []
+    for lo, hi in sorted(spans):
+        if lo >= hi:
+            continue
+        if out and out[-1][1] == lo:
+            out[-1] = (out[-1][0], hi)
         else:
-            feats[cid] = extract(corpus.conjunct_statement(cid))
-            if feature_cache is not None:
-                feature_cache[cid] = feats[cid]
-    index = knn.build_index(feats, list(pool))
-    members = set(pool)
-    deps: dict[ConjunctId, frozenset[ConjunctId]] = {}
-    for cid in pool:
-        entry = corpus.theorem(cid.theorem)
-        deps[cid] = entry.dependencies[cid.index - 1] & members
-    return index, deps
+            out.append((lo, hi))
+    return out
+
+
+def _learner(corpus: Corpus) -> _Learner:
+    """The corpus's learner, built on first use."""
+    if corpus.learner is None:
+        corpus.learner = _Learner(corpus)
+    return corpus.learner
 
 
 def suggest(
@@ -810,15 +881,16 @@ def suggest(
     target: TheoremId | None = None,
     feature_cache: dict[ConjunctId, frozenset[str]] | None = None,
 ) -> list[tuple[ConjunctId, float]]:
-    """Conjuncts ranked by predicted relevance to the goal."""
+    """Conjuncts ranked by predicted relevance to the goal.
+
+    The first call on a corpus builds its learner (features and index for
+    every conjunct); later calls only filter and rank.  ``feature_cache``
+    is accepted for existing callers and has no effect: the learner's
+    index already holds every conjunct's features.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
-    pool = _learning_pool(corpus, target, relation)
-    if not pool:
-        return []
-    index, deps = _pool_index(corpus, pool, feature_cache)
-    neighbors = knn.k_nearest(index, extract(goal), k)
-    return knn.rank_premises(index, neighbors, deps, n_premises)
+    return _learner(corpus).rank(corpus, extract(goal), k, n_premises, relation, target)
 
 
 def _ranked_task(
@@ -863,8 +935,9 @@ def advise(
 ) -> Advice:
     """Premise selection plus parallel prover runs for one goal.
 
-    Stages are timed separately: ``parse`` covers turning the accessible
-    corpus slice and the goal into feature vectors, ``predict`` the
+    Stages are timed separately: ``parse`` covers building the corpus's
+    learner when no ranking has built it yet (features and index for
+    every conjunct) and the goal's features, ``predict`` the
     nearest-neighbour ranking, ``prove`` translation and the prover
     processes.  The first proving prover (in the order given) wins; its
     unsat core is the advice.  Raises NoProofFound with full diagnostics
@@ -875,21 +948,13 @@ def advise(
         raise ValueError("k must be at least 1")
 
     t0 = time.monotonic()
-    pool = _learning_pool(corpus, target, relation)
-    feats: dict[ConjunctId, frozenset[str]] = {
-        cid: extract(corpus.conjunct_statement(cid)) for cid in pool
-    }
+    learner = _learner(corpus)
     query = extract(goal)
     t_parse = time.monotonic() - t0
 
     t0 = time.monotonic()
     budget = max(c.n_premises for c in provers)
-    if pool:
-        index, deps = _pool_index(corpus, pool, feats)
-        neighbors = knn.k_nearest(index, query, k)
-        ranked = knn.rank_premises(index, neighbors, deps, budget)
-    else:
-        ranked = []
+    ranked = learner.rank(corpus, query, k, budget, relation, target)
     suggested = tuple(
         (corpus.conjunct_label(cid), weight) for cid, weight in ranked
     )
@@ -1000,7 +1065,6 @@ def experiment(
         if k < 1:
             raise ValueError("k must be at least 1")
         budget = max(c.n_premises for c in provers)
-        cache: dict[ConjunctId, frozenset[str]] = {}
         for tid in corpus.order():
             entry = corpus.theorem(tid)
             if entry.is_definition:
@@ -1012,7 +1076,6 @@ def experiment(
                 n_premises=budget,
                 relation=relation,
                 target=tid,
-                feature_cache=cache,
             )
             conjecture = (entry.name, entry.statement)
             tasks.append(_ranked_task(corpus, tid.theory, conjecture, ranked))

@@ -154,6 +154,17 @@ def test_closed_output_pipe_ends_quietly(corpus_dir, tmp_path, capsys, monkeypat
         os.close(fd)
 
 
+def test_interrupt_exits_130_without_traceback(corpus_dir, capsys, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "reprove", interrupted)
+    code, out, err = run(capsys, "reprove", "--corpus", corpus_dir, "--provers", "microres")
+    assert code == 130
+    assert out == ""
+    assert err == "interrupted\n"
+
+
 def test_predict_ranks_premises(corpus_dir, capsys):
     code, out, _ = run(
         capsys,

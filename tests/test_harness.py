@@ -14,8 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from hammerkit import harness
-from hammerkit.corpus import AccessRelation, load_corpus, load_corpus_files
+from hammerkit import harness, knn
+from hammerkit.corpus import AccessRelation, accessible_set, load_corpus, load_corpus_files
+from hammerkit.features import extract
 from hammerkit.fof import translate_problem
 from hammerkit.harness import (
     NoProofFound,
@@ -289,6 +290,39 @@ def test_unanswering_worker_is_replaced_and_reaped(tmp_path, monkeypatch):
     assert all(_gone(pid, wait=0) for pid in started)
 
 
+def test_interrupt_starts_no_queued_call_and_reaps_workers(monkeypatch):
+    real_run, real_worker = harness.run_prover, harness._Worker
+    lock = threading.Lock()
+    calls, pids = [], []
+
+    class Recorded(real_worker):
+        def __init__(self, executable):
+            super().__init__(executable)
+            pids.append(self.proc.pid)
+
+    def interrupted(*args, **kwargs):
+        with lock:
+            calls.append(args[0])
+            first = len(calls) == 1
+        if first:
+            raise KeyboardInterrupt
+        time.sleep(0.2)  # still running when the interrupt arrives
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "_Worker", Recorded)
+    monkeypatch.setattr(harness, "run_prover", interrupted)
+    corpus = load_corpus(Path(str(resources.files("hammerkit") / "data" / "toy")))
+    with pytest.raises(KeyboardInterrupt):
+        reprove(corpus, [micro()], jobs=2)
+    started = len(calls)
+    time.sleep(0.5)
+    # The interrupted call, the one running beside it, and at most one
+    # more that the freed thread took before the interrupt reached the
+    # caller; the other 56 never start.
+    assert len(calls) == started <= 3
+    assert all(_gone(pid) for pid in pids)
+
+
 def test_worker_pool_lends_each_worker_to_one_call_at_a_time(monkeypatch):
     jobs = 8
     lock = threading.Lock()
@@ -462,6 +496,116 @@ def test_suggest_validates_k():
     c = tiny_corpus()
     with pytest.raises(ValueError):
         suggest(c, c.theorem_named("ADD_0").statement, k=0)
+
+
+# Two sibling theories under a common parent, and a theory below one of
+# them.  Some dependencies reach into the sibling built earlier, which the
+# loaded relation does not offer.
+SIBLINGS = {
+    "corpus.thy": (
+        "theory(base, []).\ntheory(left, [base]).\n"
+        "theory(right, [base]).\ntheory(top, [right]).\n"
+    ),
+    "base.tt": TOY_DECLS + """\
+tt(ADD_DEF, ax, (![n:nat]: (ADD 0 n = n)) & (![m:nat, n:nat]: (ADD (SUC m) n = SUC (ADD m n)))).
+tt(ADD_0, ax, ADD 0 0 = 0).
+tt(LE_REFL, ax, ![n:nat]: LE n n).
+""",
+    "base.deps": "deps(ADD_0_c1, [ADD_DEF_c1]).\n",
+    "left.tt": """\
+tt(ADD_1, ax, ADD (SUC 0) 0 = SUC 0).
+tt(ADD_BOTH, ax, (ADD 0 0 = 0) & (ADD 0 (SUC 0) = SUC 0)).
+tt(LE_0, ax, LE 0 0).
+""",
+    "left.deps": """\
+deps(ADD_1, [ADD_DEF]).
+deps(ADD_BOTH_c1, [ADD_DEF_c1]).
+deps(ADD_BOTH_c2, [ADD_DEF_c1]).
+deps(LE_0, [LE_REFL]).
+""",
+    "right.tt": """\
+tt(ADD_2, ax, ADD (SUC (SUC 0)) 0 = SUC (SUC 0)).
+tt(LE_1, ax, LE (SUC 0) (SUC 0)).
+tt(HD_CONS, ax, ![x:nat, l:(list nat)]: ((HD nat) ((CONS nat) x l) = x)).
+""",
+    "right.deps": """\
+deps(ADD_2, [ADD_DEF, ADD_1]).
+deps(LE_1, [LE_REFL, LE_0]).
+""",
+    "top.tt": """\
+tt(ADD_3, ax, ADD (SUC (SUC (SUC 0))) 0 = SUC (SUC (SUC 0))).
+tt(LE_2, ax, (LE (SUC (SUC 0)) (SUC (SUC 0))) & (ADD 0 0 = 0)).
+""",
+    "top.deps": """\
+deps(ADD_3, [ADD_2, ADD_DEF]).
+deps(LE_2_c1, [LE_1]).
+deps(LE_2_c2, [ADD_0, ADD_BOTH_c1]).
+""",
+}
+
+
+def sibling_corpus(tmp_path):
+    root = tmp_path / "siblings"
+    root.mkdir()
+    for name, text in SIBLINGS.items():
+        (root / name).write_text(text, encoding="utf-8")
+    return load_corpus(root)
+
+
+def rebuilt_suggest(corpus, goal, k, n_premises, relation, target):
+    """The ranking as the learner computed it before it kept one index
+    per corpus: the accessible pool and its features built afresh for the
+    target, every pool member sharing a feature with the goal scored."""
+    tids = sorted(accessible_set(corpus, target, relation) - {target}, key=corpus.position)
+    pool = [cid for tid in tids for cid in corpus.theorem(tid).conjunct_ids()]
+    feats = [extract(corpus.conjunct_statement(cid)) for cid in pool]
+    query = extract(goal)
+    scored = sorted((len(f ^ query), i) for i, f in enumerate(feats) if f & query)
+    relevance: dict[int, float] = {}
+    for d2, i in scored[:k]:
+        deps = corpus.theorem(pool[i].theorem).dependencies[pool[i].index - 1]
+        for voted in {i} | {j for j, cid in enumerate(pool) if cid in deps}:
+            relevance[voted] = relevance.get(voted, 0.0) + 1.0 / (1 + d2)
+    ranked = sorted(relevance.items(), key=lambda kv: (-kv[1], kv[0]))
+    return [(pool[i], w) for i, w in ranked[:n_premises]]
+
+
+def test_learner_filters_and_ranks_like_a_per_target_rebuild(tmp_path):
+    c = sibling_corpus(tmp_path)
+    loaded = AccessRelation.LOADED_THEORIES
+    add2 = c.by_name["ADD_2"]
+    # The case the theory filter exists for: a loaded target misses
+    # the sibling theory, although it is earlier in the linear order.
+    assert c.by_name["ADD_1"] not in accessible_set(c, add2, loaded)
+    assert c.position(c.by_name["ADD_1"]) < c.position(add2)
+    learner = harness._learner(c)
+    for relation in AccessRelation:
+        for tid in c.order():
+            spans = learner.accessible(c, tid, relation)
+            ids = {learner.ids[i] for lo, hi in spans for i in range(lo, hi)}
+            want = accessible_set(c, tid, relation) - {tid}
+            assert ids == {cid for t in want for cid in c.theorem(t).conjunct_ids()}
+            statement = c.theorem(tid).statement
+            for k, n in ((40, 32), (2, 3)):
+                got = suggest(c, statement, k=k, n_premises=n, relation=relation, target=tid)
+                assert got == rebuilt_suggest(c, statement, k, n, relation, tid)
+
+
+def test_one_index_serves_every_ranking(tmp_path, monkeypatch):
+    built = []
+    build_index = knn.build_index
+
+    def counted(features, order):
+        built.append(len(order))
+        return build_index(features, order)
+
+    monkeypatch.setattr(knn, "build_index", counted)
+    c = sibling_corpus(tmp_path)
+    for relation in AccessRelation:
+        for tid in c.order():
+            suggest(c, c.theorem(tid).statement, relation=relation, target=tid)
+    suggest(c, c.theorem_named("ADD_3").statement)
+    assert built == [sum(len(c.theorem(t).conjuncts) for t in c.order())]
 
 
 # ------------------------------------------------------------------- advise

@@ -67,9 +67,9 @@ def test_rank_premises_is_deterministic_under_ties():
 # ------------------------------------------------------------------ oracle
 
 
-def naive_k_nearest(rows, order, query, k):
+def naive_k_nearest(rows, order, query, k, allowed):
     pos = {t: i for i, t in enumerate(order)}
-    cands = [t for t in order if rows[t] & query]
+    cands = [t for t in order if rows[t] & query and t in allowed]
     scored = sorted(
         (len(rows[t]) + len(query) - 2 * len(rows[t] & query), pos[t], t)
         for t in cands
@@ -102,17 +102,26 @@ def random_instance(rng):
     }
     query = set(rng.sample(feats, rng.randrange(1, min(8, len(feats)) + 1)))
     k = rng.randrange(1, n + 2)
-    return rows, order, deps, query, k
+    # What the target may use: everything, or sorted disjoint position
+    # spans, empty ones included.
+    spans = None
+    if rng.random() < 0.75:
+        cuts = sorted(rng.choices(range(n + 1), k=2 * rng.randrange(1, 4)))
+        spans = list(zip(cuts[::2], cuts[1::2]))
+    return rows, order, deps, query, k, spans
 
 
 def test_matches_naive_oracle_on_random_instances():
     rng = random.Random(77)
     for _ in range(200):
-        rows, order, deps, query, k = random_instance(rng)
+        rows, order, deps, query, k, spans = random_instance(rng)
+        allowed = set(order) if spans is None else {
+            order[i] for lo, hi in spans for i in range(lo, hi)
+        }
         idx = build_index(rows, order)
-        got = [(n.id, n.d2) for n in k_nearest(idx, query, k)]
-        assert got == naive_k_nearest(rows, order, query, k)
-        neighbors = k_nearest(idx, query, k)
+        got = [(n.id, n.d2) for n in k_nearest(idx, query, k, spans=spans)]
+        assert got == naive_k_nearest(rows, order, query, k, allowed)
+        neighbors = k_nearest(idx, query, k, spans=spans)
         mine = rank_premises(idx, neighbors, deps, 10)
         theirs = naive_rank(rows, order, got, deps, 10)
         assert [p for p, _ in mine] == [p for p, _ in theirs]
