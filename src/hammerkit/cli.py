@@ -5,6 +5,10 @@ One executable, one subcommand per pipeline stage: inspect a corpus
 (translate), and run provers at scale (reprove, experiment) or for a
 single goal (advise, minimize).
 
+Every problem is emitted in one encoding, with every term tagged by its
+type.  No option chooses the encoding: the old flag that asked for all
+tags is gone, and passing it is a usage error (exit 2).
+
 Exit codes: 0 on proof or normal completion, 1 when a proving command
 finds no proof, 2 on usage, input, or configuration errors, including
 input nested too deeply to process, and 130 when interrupted (Ctrl-C),
@@ -223,7 +227,7 @@ def _cmd_translate(args: argparse.Namespace) -> int:
             for cid, _ in ranked
         ]
         conjecture = (gname, term)
-    _, text = build_problem(corpus, premises, conjecture, args.tag_all)
+    _, text = build_problem(corpus, premises, conjecture)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
     else:
@@ -234,9 +238,7 @@ def _cmd_translate(args: argparse.Namespace) -> int:
 def _cmd_reprove(args: argparse.Namespace) -> int:
     corpus = _load(args)
     provers = _provers(args)
-    report = reprove(
-        corpus, provers, split=args.split, jobs=args.jobs, tag_all=args.tag_all
-    )
+    report = reprove(corpus, provers, split=args.split, jobs=args.jobs)
     print(report.summary_text())
     if args.report:
         csv_path, txt_path = write_report(report, args.report)
@@ -253,7 +255,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         provers,
         k=args.k,
         jobs=args.jobs,
-        tag_all=args.tag_all,
         report_path=args.report,
     )
     print(report.summary_text())
@@ -275,7 +276,6 @@ def _cmd_advise(args: argparse.Namespace) -> int:
             relation=relation,
             k=args.k,
             jobs=args.jobs,
-            tag_all=args.tag_all,
             goal_name=gname,
         )
     except NoProofFound as e:
@@ -367,13 +367,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="premise budget override per prover (repeatable)",
     )
 
-    tag_opt = argparse.ArgumentParser(add_help=False)
-    tag_opt.add_argument(
-        "--tag-all",
-        action="store_true",
-        help="tag every term position (sound for finite types, slower)",
-    )
-
     p = sub.add_parser(
         "parse",
         parents=[corpus_opt],
@@ -408,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "translate",
-        parents=[corpus_opt, learn_opt, tag_opt],
+        parents=[corpus_opt, learn_opt],
         help="emit a first-order problem file",
     )
     p.add_argument(
@@ -425,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "reprove",
-        parents=[corpus_opt, prover_opt, tag_opt],
+        parents=[corpus_opt, prover_opt],
         help="re-prove every theorem from its exact dependencies",
     )
     p.add_argument(
@@ -439,7 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "experiment",
-        parents=[corpus_opt, learn_opt, prover_opt, tag_opt],
+        parents=[corpus_opt, learn_opt, prover_opt],
         help="prove everything under one accessibility relation",
     )
     p.add_argument("--report", metavar="PATH", help="write CSV and text reports here")
@@ -447,7 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "advise",
-        parents=[corpus_opt, learn_opt, prover_opt, tag_opt],
+        parents=[corpus_opt, learn_opt, prover_opt],
         help="select premises for a goal and try to prove it",
     )
     p.add_argument("--goal", required=True, metavar="FILE|TEXT")

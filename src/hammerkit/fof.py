@@ -5,10 +5,16 @@ function symbols, pull boolean-typed arguments out through existentials,
 then map the result onto first-order terms.  A constant applied to its
 full declared arity becomes a direct application; variables, partial
 applications and extra arguments go through the binary apply functor
-``ap``, with arity-0 proxy constants bridging the two views.  Type
-information otherwise erased is kept by wrapping terms in the tag
-``s(flattened type, term)``; the distinguished predicate ``bool`` turns
-boolean terms into formulas.
+``ap``, with arity-0 proxy constants bridging the two views.  The
+distinguished predicate ``bool`` turns boolean terms into formulas.
+
+Every term position is wrapped in the tag ``s(flattened type, term)``,
+the sound tagged encoding of Blanchette et al., "Encoding Monomorphic and
+Polymorphic Types" (TACAS 2013).  Leaving a position bare would let an
+untyped prover equate terms of different types: a bare encoding turns a
+singleton type's axiom ``![x:one]: x = c`` into ``! [X] : X = c``, which
+equates every term with ``c``, so ``0 = SUC 0`` follows.  Tagged, the
+axiom speaks only of terms tagged ``one``.
 
 The reserved symbols are ``s``, ``ap``, ``bool`` and ``fn`` (the arrow in
 flattened types).  Everything else is mangled to prover-friendly names,
@@ -409,7 +415,6 @@ class TranslationState:
 
     sig: Signature
     mangler: NameMangler = field(default_factory=NameMangler)
-    tag_all: bool = False
     arity: dict[str, int] = field(default_factory=dict)
     symbol_kind: dict[str, str] = field(default_factory=dict)
     proxies: dict[str, str] = field(default_factory=dict)  # const -> proxy const
@@ -469,7 +474,7 @@ class TranslationState:
 
 def _strip_arrows(ty: HolType, n: int) -> HolType | None:
     """The general type after n more arguments; None when a type variable
-    stands in the way (maximal information loss, so always tag)."""
+    stands in the way."""
     for _ in range(n):
         if not is_fun(ty):
             return None
@@ -477,20 +482,12 @@ def _strip_arrows(ty: HolType, n: int) -> HolType | None:
     return ty
 
 
-def _has_tyvar(ty: HolType | None) -> bool:
-    return ty is None or bool(ty_vars(ty))
-
-
 class _Translator:
     """HOL to FOF for one statement, sharing per-problem state.
 
-    Tag placement is positional, so both sides of any possible
-    instantiation agree: an argument slot is tagged iff the head symbol's
-    general type at that slot contains a type variable (both slots of
-    ``ap`` and both sides of ``=`` always qualify), and an application is
-    additionally tagged when the head constant's general result type at
-    the consumed arity contains one.  In tag-all mode everything is
-    wrapped."""
+    Every term, and every application inside it, is wrapped in the tag of
+    its instance type: arguments of functions, predicates and ``ap``,
+    both sides of ``=``, and the argument of ``bool``."""
 
     def __init__(self, state: TranslationState):
         self.state = state
@@ -511,71 +508,41 @@ class _Translator:
         spine.reverse()
         return t, args, spine
 
-    def term(
-        self, t: HolTerm, env: Mapping[Var, str], slot: HolType | None
-    ) -> FofTerm:
-        """Encode t for a slot whose general type is `slot`; None means
-        the slot always carries a tag."""
-        core, tagged, inst = self._core(t, env)
-        need = self.state.tag_all or slot is None or _has_tyvar(slot)
-        if need and not tagged:
-            return self._wrap(inst, core)
-        return core
-
-    def _core(
-        self, t: HolTerm, env: Mapping[Var, str]
-    ) -> tuple[FofTerm, bool, HolType]:
-        """(encoded term, whether already tag-wrapped, instance type)."""
+    def term(self, t: HolTerm, env: Mapping[Var, str]) -> FofTerm:
+        """t encoded and tagged with its type."""
         sig = self.state.sig
         if isinstance(t, Var):
-            return FofVar(env[t]), False, t.ty
+            return self._wrap(t.ty, FofVar(env[t]))
         if isinstance(t, Abs):
             raise TranslateError("abstraction survived lambda lifting")
         head, args, spine = self._chain(t) if isinstance(t, App) else (t, [], [])
         if isinstance(head, Abs):
             raise TranslateError("abstraction survived lambda lifting")
-        # The head consumes the first `done` arguments; `general` is its
-        # declared type, None for a variable head, whose applications are
-        # tagged only in tag-all mode.
-        general: HolType | None = None
+        # The head consumes the first `done` arguments, the rest go
+        # through ``ap`` one at a time.
         done = 0
-        tagged = False
         if isinstance(head, Var):
             out: FofTerm = FofVar(env[head])
             ty = head.ty
         else:
             name = head.name
-            general = sig.const_decl(name).ty
             k = self.state.const_arity(name)
-            if self.state.is_pred(name):
-                k = None  # the saturated form is a predicate; terms use the proxy
-            if k is not None and len(args) >= k:
-                gargs, _ = strip_fun(general)
+            # A predicate's saturated form is a formula; terms use its proxy.
+            if not self.state.is_pred(name) and len(args) >= k:
                 out = FofApp(
                     self.state.symbol(name),
-                    tuple(
-                        self.term(a, env, gargs[i]) for i, a in enumerate(args[:k])
-                    ),
+                    tuple(self.term(a, env) for a in args[:k]),
                 )
                 ty = type_of(spine[k - 1] if k else head, sig)
                 done = k
-                if self.state.tag_all or _has_tyvar(_strip_arrows(general, k)):
-                    out = self._wrap(ty, out)
-                    tagged = True
             else:
                 out = FofApp(self.state.symbol(self.state.proxy_for(name)))
                 ty = sig.const_type(head)
+        out = self._wrap(ty, out)
         for i in range(done, len(args)):
-            if not tagged:
-                out = self._wrap(ty, out)
-            out = FofApp("ap", (out, self.term(args[i], env, None)))
-            ty = type_of(spine[i], sig)
-            tagged = self.state.tag_all or (
-                general is not None and _has_tyvar(_strip_arrows(general, i + 1))
-            )
-            if tagged:
-                out = self._wrap(ty, out)
-        return out, tagged, ty
+            out = FofApp("ap", (out, self.term(args[i], env)))
+            out = self._wrap(type_of(spine[i], sig), out)
+        return out
 
     def formula(self, t: HolTerm, env: Mapping[Var, str]) -> FofFormula:
         sig = self.state.sig
@@ -600,19 +567,13 @@ class _Translator:
             inner = self.formula(body.body, {**env, body.var: name})
             return Quant(kind, (name,), inner)
         # Equality over non-boolean types is the remaining binary atom.
-        # Its slots are tagged by the equation's instance type: a ground
-        # equation stays bare (nothing to protect, and unit rewriting
-        # needs the naked sides), a type-variable one keeps its guard.
         if (
             isinstance(t, App)
             and isinstance(t.fun, App)
             and isinstance(t.fun.fun, Const)
             and t.fun.fun.name == "="
         ):
-            ety = t.fun.fun.inst[0]
-            return Eq(
-                self.term(t.fun.arg, env, ety), self.term(t.arg, env, ety)
-            )
+            return Eq(self.term(t.fun.arg, env), self.term(t.arg, env))
         head, args, _ = self._chain(t) if isinstance(t, App) else (t, [], [])
         if (
             isinstance(head, Const)
@@ -620,12 +581,11 @@ class _Translator:
             and self.state.is_pred(head.name)
             and len(args) == self.state.const_arity(head.name)
         ):
-            gargs, _ = strip_fun(self.state.sig.const_decl(head.name).ty)
             return Pred(
                 self.state.symbol(head.name),
-                tuple(self.term(a, env, gargs[i]) for i, a in enumerate(args)),
+                tuple(self.term(a, env) for a in args),
             )
-        return Pred("bool", (self.term(t, env, BOOL),))
+        return Pred("bool", (self.term(t, env),))
 
     def statement(self, t: HolTerm) -> FofFormula:
         for tv in term_ty_vars(t):
@@ -664,56 +624,17 @@ def _drain_pending(state: TranslationState) -> list[tuple[str, FofFormula]]:
     return out
 
 
-def _term_key(t: FofTerm) -> object:
-    if isinstance(t, FofVar):
-        return ("", (t.name,))
-    return (t.sym, tuple(_term_key(a) for a in t.args))
-
-
-def _ground_tag_types(f: FofFormula, out: dict[object, FofTerm]) -> None:
-    """Collect tag type arguments that contain no type variables."""
-
-    def ground(t: FofTerm) -> bool:
-        return isinstance(t, FofApp) and all(ground(a) for a in t.args)
-
-    def term(t: FofTerm) -> None:
-        if isinstance(t, FofVar):
-            return
-        if t.sym == "s" and len(t.args) == 2 and ground(t.args[0]):
-            out.setdefault(_term_key(t.args[0]), t.args[0])
-        for a in t.args:
-            term(a)
-
-    if isinstance(f, Pred):
-        for a in f.args:
-            term(a)
-    elif isinstance(f, Eq):
-        term(f.lhs)
-        term(f.rhs)
-    elif isinstance(f, Not):
-        _ground_tag_types(f.body, out)
-    elif isinstance(f, BinOp):
-        _ground_tag_types(f.lhs, out)
-        _ground_tag_types(f.rhs, out)
-    elif isinstance(f, Quant):
-        _ground_tag_types(f.body, out)
-
-
 def translate_problem(
     premises: Iterable[tuple[str, HolTerm]],
     conjecture: tuple[str, HolTerm],
     sig: Signature,
-    tag_all: bool = False,
 ) -> FofProblem:
     """A full problem: encoded premises, the encoded conjecture, lifted
-    definitions and proxy bridges, with deterministic naming.
-
-    Tags over a type without type variables are semantically inert, so
-    each such type found in the encoded problem gets a collapse axiom
-    s(ty, X) = X.  These bridge a polymorphic statement instantiated at a
-    ground type to the bare terms of monomorphic statements.  Tag-all
-    mode keeps every tag firmly in place instead."""
-    state = TranslationState(sig=sig.copy(), tag_all=tag_all)
+    definitions and proxy bridges, with deterministic naming.  Every term
+    is tagged with its type, so a polymorphic statement instantiated at a
+    type meets a monomorphic one on the same tagged terms, and no axiom
+    ever removes a tag."""
+    state = TranslationState(sig=sig.copy())
     axioms: list[tuple[str, FofFormula]] = []
     helpers: set[str] = set()
     for name, stmt in premises:
@@ -725,17 +646,6 @@ def translate_problem(
         n = state.mangler.axiom_name(hname)
         axioms.append((n, f))
         helpers.add(n)
-    if not tag_all:
-        tag_types: dict[object, FofTerm] = {}
-        for _, f in axioms:
-            _ground_tag_types(f, tag_types)
-        _ground_tag_types(goal_f, tag_types)
-        x = FofVar("X")
-        for i, key in enumerate(sorted(tag_types, key=repr)):
-            ty = tag_types[key]
-            n = state.mangler.axiom_name(f"tag_collapse{i + 1}")
-            axioms.append((n, Quant("!", ("X",), Eq(FofApp("s", (ty, x)), x))))
-            helpers.add(n)
     return FofProblem(
         axioms=tuple(axioms),
         conjecture=(state.mangler.axiom_name(goal_name), goal_f),

@@ -612,9 +612,8 @@ def build_problem(
     corpus: Corpus,
     premises: Sequence[tuple[str, HolTerm]],
     conjecture: tuple[str, HolTerm],
-    tag_all: bool = False,
 ) -> tuple[FofProblem, str]:
-    problem = translate_problem(premises, conjecture, corpus.signature, tag_all)
+    problem = translate_problem(premises, conjecture, corpus.signature)
     return problem, print_problem(problem)
 
 
@@ -655,7 +654,6 @@ def _run_tasks(
     tasks: Sequence[_Task],
     provers: Sequence[ProverConfig],
     jobs: int | None,
-    tag_all: bool,
 ) -> ExperimentReport:
     """Translate every task once per premise cutoff, then run all
     (task, prover) pairs on ``jobs`` threads, which share the bundled
@@ -675,7 +673,7 @@ def _run_tasks(
                     continue
                 try:
                     problem, text = build_problem(
-                        corpus, task.premises[:n], task.conjecture, tag_all
+                        corpus, task.premises[:n], task.conjecture
                     )
                 except TranslateError as e:
                     prepared[key] = e
@@ -756,7 +754,6 @@ def reprove(
     provers: Sequence[ProverConfig],
     split: str = "unsplit",
     jobs: int | None = None,
-    tag_all: bool = False,
 ) -> ExperimentReport:
     """Re-prove every non-definition theorem from its exact dependencies.
 
@@ -765,7 +762,7 @@ def reprove(
     per-conjunct dependencies; ``conjuncts`` targets each conjunct with
     its own recovered dependencies.
     """
-    return _run_tasks(corpus, _exact_dep_tasks(corpus, split), provers, jobs, tag_all)
+    return _run_tasks(corpus, _exact_dep_tasks(corpus, split), provers, jobs)
 
 
 # ---------------------------------------------------------------- prediction
@@ -930,7 +927,6 @@ def advise(
     k: int = DEFAULT_K,
     target: TheoremId | None = None,
     jobs: int | None = None,
-    tag_all: bool = False,
     goal_name: str = "goal",
 ) -> Advice:
     """Premise selection plus parallel prover runs for one goal.
@@ -962,7 +958,7 @@ def advise(
 
     t0 = time.monotonic()
     task = _ranked_task(corpus, "", (goal_name, goal), ranked)
-    results = _run_tasks(corpus, [task], provers, jobs, tag_all).results
+    results = _run_tasks(corpus, [task], provers, jobs).results
     t_prove = time.monotonic() - t0
 
     timings = {"parse": t_parse, "predict": t_predict, "prove": t_prove}
@@ -1042,7 +1038,6 @@ def experiment(
     provers: Sequence[ProverConfig],
     k: int = DEFAULT_K,
     jobs: int | None = None,
-    tag_all: bool = False,
     report_path: str | Path | None = None,
 ) -> ExperimentReport:
     """Prove every non-definition theorem under one accessibility relation.
@@ -1079,7 +1074,7 @@ def experiment(
             )
             conjecture = (entry.name, entry.statement)
             tasks.append(_ranked_task(corpus, tid.theory, conjecture, ranked))
-    report = _run_tasks(corpus, tasks, provers, jobs, tag_all)
+    report = _run_tasks(corpus, tasks, provers, jobs)
     if report_path is not None:
         write_report(report, report_path)
     return report

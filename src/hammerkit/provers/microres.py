@@ -129,21 +129,28 @@ class _Clausifier:
         tree = self.nnf(f, not negate, {}, ())
         return (self._strip(c) for c in self._cnf(tree))
 
-    def _cnf(self, tree) -> list[list]:
+    def _cnf(self, tree) -> list[tuple]:
+        """Clauses as tuples of literals.  Each product keeps the first
+        occurrence of every literal and clause and drops tautologies;
+        multiplied out blindly, nested equivalences repeat their clauses
+        exponentially often."""
         if tree[0] == "lit":
-            return [[tree]]
+            return [(tree,)]
         if tree[0] == "and":
             return self._cnf(tree[1]) + self._cnf(tree[2])
         left = self._cnf(tree[1])
         right = self._cnf(tree[2])
-        out = []
+        out: dict[tuple, None] = {}
         for l in left:
-            self.check_clock()
-            out.extend(l + r for r in right)
-        return out
+            for r in right:
+                self.check_clock()
+                lits = dict.fromkeys(l + r)
+                if not any(("lit", not x[1], x[2], x[3]) in lits for x in lits):
+                    out[tuple(lits)] = None
+        return list(out)
 
     @staticmethod
-    def _strip(lits: list) -> list[Literal]:
+    def _strip(lits: tuple) -> list[Literal]:
         return [(l[1], l[2], l[3]) for l in lits]
 
 
@@ -600,6 +607,11 @@ def saturate(
         active.append(gi)
 
     if empty_idx is None:
+        # Paramodulation never rewrites from a variable side and there is
+        # no equality factoring, so a saturated set with equality is not
+        # known to be satisfiable.
+        if any(lit[1] == "=" for e in entries for lit in e.clause):
+            return Result("GaveUp", [], len(entries))
         return Result("CounterSatisfiable", [], len(entries))
 
     used: list[str] = []

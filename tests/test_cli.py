@@ -219,6 +219,12 @@ def test_translate_needs_name_or_goal(corpus_dir, capsys):
     assert "error:" in err
 
 
+def test_tag_all_is_a_usage_error(corpus_dir):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["translate", "--corpus", corpus_dir, "--tag-all", "ADD_1"])
+    assert exc.value.code == 2
+
+
 def test_translate_rejects_malformed_goal(corpus_dir, capsys):
     code, _, err = run(
         capsys, "translate", "--corpus", corpus_dir, "--goal", "ADD 0 ("

@@ -37,46 +37,19 @@ def text_of(problem) -> str:
     return print_problem(problem)
 
 
-def translate_goal(goal, sig=None, tag_all=False):
-    return translate_problem([], ("goal", goal), sig or toy_sig(), tag_all)
+def translate_goal(goal, sig=None):
+    return translate_problem([], ("goal", goal), sig or toy_sig())
 
 
 # --------------------------------------------------------------------- tags
 
 
-def test_monomorphic_statement_has_no_tags():
+def test_monomorphic_statement_is_tagged():
     goal = mk_eq(App(App(ADD, ZERO), ZERO), ZERO, NAT)
     text = text_of(translate_goal(goal))
-    assert "s(" not in text
-    assert "fof(goal, conjecture, aDD(x0,x0) = x0)." in text
-
-
-def test_polymorphic_instance_tags_and_collapse_axioms():
-    nil = Const("NIL", (NAT,))
-    cons = Const("CONS", (NAT,))
-    hd = Const("HD", (NAT,))
-    goal = mk_eq(App(hd, App(App(cons, ZERO), nil)), ZERO, NAT)
-    p = translate_goal(goal)
-    text = text_of(p)
-    # Slots whose general type is a type variable stay tagged; the fully
-    # ground right-hand side does not.
     assert (
-        "s(nat,hD(s(list(nat),cONS(s(nat,x0),s(list(nat),nIL))))) = x0" in text
+        "fof(goal, conjecture, s(nat,aDD(s(nat,x0),s(nat,x0))) = s(nat,x0))." in text
     )
-    # One collapse axiom per ground tag type, all registered as helpers.
-    assert "fof(tag_collapse1, axiom, ! [X] : s(list(nat),X) = X)." in text
-    assert "fof(tag_collapse2, axiom, ! [X] : s(nat,X) = X)." in text
-    assert p.helpers == frozenset({"tag_collapse1", "tag_collapse2"})
-
-
-def test_collapse_axiom_names_are_unique():
-    nil = Const("NIL", (NAT,))
-    cons = Const("CONS", (NAT,))
-    hd = Const("HD", (NAT,))
-    goal = mk_eq(App(hd, App(App(cons, ZERO), nil)), ZERO, NAT)
-    p = translate_goal(goal)
-    names = [n for n, _ in p.axioms]
-    assert len(names) == len(set(names))
 
 
 def test_tag_all_keeps_every_tag_and_no_collapse():
@@ -84,12 +57,16 @@ def test_tag_all_keeps_every_tag_and_no_collapse():
     cons = Const("CONS", (NAT,))
     hd = Const("HD", (NAT,))
     goal = mk_eq(App(hd, App(App(cons, ZERO), nil)), ZERO, NAT)
-    p = translate_goal(goal, tag_all=True)
+    p = translate_goal(goal)
     text = text_of(p)
-    assert "tag_collapse" not in text
+    # No axiom strips a tag, so the goal stands alone.
+    assert p.axioms == ()
     assert p.helpers == frozenset()
     # Both equation sides carry their type.
-    assert text.strip().endswith("= s(nat,x0)).")
+    assert (
+        "s(nat,hD(s(list(nat),cONS(s(nat,x0),s(list(nat),nIL))))) = s(nat,x0))."
+        in text
+    )
 
 
 # ----------------------------------------------------------- lambda lifting
@@ -107,7 +84,10 @@ def test_alpha_equivalent_lambdas_share_one_lifted_constant():
     text = text_of(p)
     assert text.count("lam1_def") == 1
     assert "lam2" not in text
-    assert "fof(lam1_def, axiom, ! [Y] : ap(s(fn(nat,nat),lam1),s(nat,Y)) = sUC(Y))." in text
+    assert (
+        "fof(lam1_def, axiom, ! [Y] : s(nat,ap(s(fn(nat,nat),lam1),s(nat,Y)))"
+        " = s(nat,sUC(s(nat,Y))))." in text
+    )
     assert "lam1_def" in p.helpers
     # Premise and conjecture now mention the same constant.
     assert text_of(p).count("mAP(s(fn(nat,nat),lam1)") == 2
@@ -122,10 +102,11 @@ def test_lifted_constant_applied_to_captured_variables():
     lam = Abs(x, App(App(ADD, n), x))
     goal = mk_forall(n, mk_eq(App(App(mp, lam), nil), nil, LIST_NAT))
     text = text_of(translate_goal(goal, sig))
-    assert "lam1(N)" in text
+    assert "lam1(s(nat,N))" in text
     assert (
         "fof(lam1_def, axiom, ! [N] : ! [X] : "
-        "ap(s(fn(nat,nat),lam1(N)),s(nat,X)) = aDD(N,X))." in text
+        "s(nat,ap(s(fn(nat,nat),lam1(s(nat,N))),s(nat,X)))"
+        " = s(nat,aDD(s(nat,N),s(nat,X))))." in text
     )
 
 
@@ -145,8 +126,8 @@ def test_compound_bool_argument_is_extracted():
     )
     text = text_of(translate_goal(goal, bool_sig()))
     assert (
-        "fof(goal, conjecture, ? [B] : ((bool(B) <=> lE(x0,x0)) & iF0(B) = x0))."
-        in text
+        "fof(goal, conjecture, ? [B] : ((bool(s(bool0,B)) <=> "
+        "lE(s(nat,x0),s(nat,x0))) & s(nat,iF0(s(bool0,B))) = s(nat,x0)))." in text
     )
 
 
@@ -154,8 +135,8 @@ def test_bool_constant_argument_uses_proxy_twin():
     goal = mk_eq(App(Const("IF0"), Const("T")), ZERO, NAT)
     p = translate_goal(goal, bool_sig())
     text = text_of(p)
-    assert "fof(t_p_ax, axiom, (bool(t_p) <=> t))." in text
-    assert "fof(goal, conjecture, iF0(t_p) = x0)." in text
+    assert "fof(t_p_ax, axiom, (bool(s(bool0,t_p)) <=> t))." in text
+    assert "fof(goal, conjecture, s(nat,iF0(s(bool0,t_p))) = s(nat,x0))." in text
     assert "t_p_ax" in p.helpers
 
 
@@ -163,7 +144,7 @@ def test_bool_variable_argument_passes_through():
     b = Var("b", BOOL)
     goal = mk_forall(b, mk_eq(App(Const("IF0"), b), ZERO, NAT))
     text = text_of(translate_goal(goal, bool_sig()))
-    assert "fof(goal, conjecture, ! [B] : iF0(B) = x0)." in text
+    assert "fof(goal, conjecture, ! [B] : s(nat,iF0(s(bool0,B))) = s(nat,x0))." in text
 
 
 def test_partially_applied_predicate_gets_proxy_and_bridge():
@@ -176,7 +157,7 @@ def test_partially_applied_predicate_gets_proxy_and_bridge():
     text = text_of(p)
     assert "lE_p_ax" in p.helpers
     # The bridge relates the proxy applied through ap to the predicate.
-    assert "<=> lE(X0,X1)" in text
+    assert "<=> lE(s(nat,X0),s(nat,X1))" in text
     # Every first-order invariant still holds on the mixed problem.
     check_problem(p)
 
@@ -190,7 +171,7 @@ def test_reserved_symbols_are_avoided():
     sig.declare_const("ap", (), NAT)
     goal = mk_eq(App(Const("s"), Const("ap")), ZERO, NAT)
     text = text_of(translate_goal(goal, sig))
-    assert "fof(goal, conjecture, s0(ap0) = x0)." in text
+    assert "fof(goal, conjecture, s(nat,s0(s(nat,ap0))) = s(nat,x0))." in text
     check_problem(translate_goal(goal, sig))
 
 
@@ -295,14 +276,13 @@ def test_toy_corpus_problems_are_clean_first_order():
 def test_random_statements_translate_and_round_trip():
     rng = random.Random(802)
     sig = toy_sig()
-    for trial in range(300):
+    for _ in range(300):
         n_prem = rng.randint(0, 3)
         stmts = [
             (f"p{i}", random_closed_formula(rng, depth=3)) for i in range(n_prem)
         ]
         goal = ("goal", random_closed_formula(rng, depth=4))
-        tag_all = trial % 7 == 0
-        p = translate_problem(stmts, goal, sig, tag_all=tag_all)
+        p = translate_problem(stmts, goal, sig)
         arities = check_problem(p)
         assert all(a >= 0 for a in arities.values())
         text = text_of(p)

@@ -20,14 +20,13 @@ TOY = Path(str(resources.files("hammerkit") / "data" / "toy"))
 GOLDEN = {
     "echo": "11c149446e00cd16fabacdae195a351ce6ab896ad7edf33e06cde2064f1033b2",
     "deps": "76a15b4ba64b1d95e7a87445ea4f5306158c2c42a18d7c6048daef4ba55af97a",
-    "exact": "3e597e4cf5e67f9a2f5480b8665860c2128e524ff8315f530467498bcb73280e",
-    "exact_tag_all": "9bf801db2233cfe27fa72680cbca6a9f5e0b4dea3d9738b6adb19fcda42a9e55",
+    "exact": "9bf801db2233cfe27fa72680cbca6a9f5e0b4dea3d9738b6adb19fcda42a9e55",
     "ranked_linear": "fb1928d756e585fe0eef35ff9ed2547f4adb6832079c6bd5b819f0db1001c6a5",
     "ranked_loaded": "fb1928d756e585fe0eef35ff9ed2547f4adb6832079c6bd5b819f0db1001c6a5",
     "ranked_transitive": "b47a475273034df4403784f7e3b1f884a4519480b8baebcb70a3260e683576b3",
-    "problems_linear": "ae22de54fc7047d8e98288ddbcc9b8b00b25abf04151b1a6e7740792a996b0bf",
-    "problems_loaded": "ae22de54fc7047d8e98288ddbcc9b8b00b25abf04151b1a6e7740792a996b0bf",
-    "problems_transitive": "ed8131fcc8f93ddc4bd484767b00f1ce23345ea70e8782a08734f949ac73edc0",
+    "problems_linear": "2c4e3df5b95969676a7ee0c583b8db2b72a3d30b561a9a1c0dbb7d77eafad76b",
+    "problems_loaded": "2c4e3df5b95969676a7ee0c583b8db2b72a3d30b561a9a1c0dbb7d77eafad76b",
+    "problems_transitive": "84fd451f94468c0e9f555e714edac3fbaafe75f3bb0da6dfd3f630ba3bff6666",
 }
 
 
@@ -55,15 +54,12 @@ def golden_digests() -> dict[str, str]:
 
     targets = [tid for tid in corpus.order() if not corpus.theorem(tid).is_definition]
     assert len(targets) == 59
-    out["exact"], out["exact_tag_all"] = [], []
+    out["exact"] = []
     for tid in targets:
         entry = corpus.theorem(tid)
         premises = conjunct_premises(corpus, frozenset().union(*entry.dependencies))
-        for key, tag_all in (("exact", False), ("exact_tag_all", True)):
-            _, text = build_problem(
-                corpus, premises, (entry.name, entry.statement), tag_all
-            )
-            out[key].append(text)
+        _, text = build_problem(corpus, premises, (entry.name, entry.statement))
+        out["exact"].append(text)
 
     # The toy theories form one ancestry chain, so linear and loaded
     # accessibility coincide there and their digests agree.

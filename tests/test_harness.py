@@ -25,6 +25,7 @@ from hammerkit.harness import (
     UnsatCore,
     advise,
     builtin_config,
+    conjunct_premises,
     default_provers,
     experiment,
     load_prover_configs,
@@ -424,6 +425,52 @@ def test_reprove_conjunct_split():
     assert report.percent() == 100.0
     with pytest.raises(ValueError):
         reprove(c, [micro()], split="both")
+
+
+# Copied from the benchmark's canary theory, with the toy corpus's 0 and
+# SUC filled in.
+CANARY_TT = """\
+tt(one, ty, $t).
+tt(one_c, ty, one).
+tt(ONE_SING_def, ax, ![x:one]: (x = one_c)).
+tt(BOGUS, ax, 0 = SUC 0).
+tt(u, ty, $t).
+tt(ua, ty, u).
+tt(ub, ty, u).
+tt(uc, ty, u).
+tt(UP, ty, u > bool).
+tt(U_SING_def, ax, ![x:u]: (x = ua)).
+tt(UP_B_def, ax, UP ub).
+tt(UP_C, ax, UP uc).
+"""
+CANARY_DEPS = """\
+deps(BOGUS, [ONE_SING_def]).
+deps(UP_C, [U_SING_def, UP_B_def]).
+"""
+
+
+def test_reprove_canaries_get_true_verdicts(tmp_path):
+    # BOGUS does not follow from a singleton type's axiom, which an
+    # encoding without tags lets equate every term with one_c.  UP_C does
+    # follow from its singleton type's axiom and UP ub.
+    files = {
+        "corpus.thy": "theory(arith, []).\ntheory(canary, [arith]).\n",
+        "arith.tt": TOY_DECLS,
+        "canary.tt": CANARY_TT,
+        "canary.deps": CANARY_DEPS,
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    c = load_corpus(tmp_path)
+    report = reprove(c, [micro()], jobs=1)
+    verdicts = {r.target: r for r in report.results}
+    assert set(verdicts) == {"BOGUS", "UP_C"}
+    assert not verdicts["BOGUS"].status.proved
+    up_c = verdicts["UP_C"]
+    assert up_c.status.proved
+    deps = frozenset().union(*c.theorem_named("UP_C").dependencies)
+    given = {label for label, _ in conjunct_premises(c, deps)}
+    assert given and set(up_c.core.premises) <= given
 
 
 def test_parallel_and_sequential_reports_agree():

@@ -215,6 +215,29 @@ def test_countersatisfiable_maps_to_disproved():
     assert status.kind == "CounterSatisfiable"
 
 
+def test_saturation_with_equality_gives_up():
+    # Theorem: X = a makes b and c equal.  Paramodulation never rewrites
+    # from the bare variable side, so the search saturates without a
+    # proof; that is no evidence of a model.
+    out, res = proved(
+        "fof(a1, axiom, ! [X] : X = a).\n"
+        "fof(a2, axiom, p(b)).\n"
+        "fof(goal, conjecture, p(c)).\n"
+    )
+    assert res.status == "GaveUp"
+    assert "% SZS status GaveUp" in out
+
+
+def test_equivalence_chain_is_decided():
+    # Multiplied out blindly, its CNF repeats 32 distinct clauses some
+    # 333k times and the search times out before it starts.
+    problem = parse_problem(
+        "fof(goal, conjecture, (p1 <=> (p2 <=> (p3 <=> (p4 <=> (p5 <=> p6)))))).\n"
+    )
+    _, res = prove(problem, timeout=3)
+    assert res.status == "CounterSatisfiable"
+
+
 def test_timeout_status():
     # An unsatisfiable-looking but hard pure-equality search with no time.
     problem = parse_problem(
@@ -226,13 +249,10 @@ def test_timeout_status():
 
 
 def test_timeout_covers_clausification():
-    # Six atoms chained by <=>: the naive CNF has some 333k clauses, and
-    # the search used to start its clock only after building them all
-    # (12.8 s at timeout 0.5).
-    body = "p0"
-    for i in range(1, 6):
-        body = f"(p{i} <=> {body})"
-    problem = parse_problem(f"fof(goal, conjecture, {body}).\n")
+    # A disjunction of 18 conjunctions has 2^18 distinct clauses, which
+    # take seconds to build; the clock must stop that, not only the search.
+    body = " | ".join(f"(a{i} & b{i})" for i in range(18))
+    problem = parse_problem(f"fof(a, axiom, {body}).\nfof(goal, conjecture, q).\n")
     start = time.monotonic()
     _, res = prove(problem, timeout=0.5)
     assert res.status == "Timeout"
