@@ -13,6 +13,16 @@ Roles are ``ty`` (type constructor or constant declaration), ``ax``
 (theorem) and ``conj`` (conjecture).  Application is juxtaposition, the
 type arguments of polymorphic constants are explicit, `` > `` is the
 right-associative type arrow, and ``![A:$t]:`` binds a type variable.
+
+Every text format hammerkit reads (``.thy``, ``.tt``, ``.deps``, proof
+traces, goals and TPTP problems) goes through the one lexer ``_lex`` and
+the one token cursor ``_Parser`` defined here; ``_Parser.entries`` reads
+``head( ... ).`` entries to the end of input.  A format passes in only its
+token regex, whose groups come from one vocabulary: ``ws`` (skipped,
+comments included), ``name``, ``qname`` and ``op``, plus ``tyt`` (``$t``)
+for HOL and ``var`` for TPTP variables.  Tokens are ``(kind, text,
+offset)`` tuples; a ParseError's line and column are computed from the
+offset when it is raised.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ import re
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .hol import (
     Abs,
@@ -84,23 +94,14 @@ class CycleDetected(Exception):
 _BARE_NAME = re.compile(r"[A-Za-z0-9_](?:[A-Za-z0-9_~/.']*[A-Za-z0-9_~/'])?")
 
 _TOKEN = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>%[^\n]*)
+    rf"""(?P<ws>\s+|%[^\n]*)
       | (?P<tyt>\$t)
-      | (?P<name>[A-Za-z0-9_](?:[A-Za-z0-9_~/.']*[A-Za-z0-9_~/'])?)
+      | (?P<name>{_BARE_NAME.pattern})
       | (?P<qname>'(?:[^'\\\n]|\\.)*')
       | (?P<op>=>|[=>!?^~&|()\[\],:.])
     """,
     re.VERBOSE,
 )
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # name | qname | tyt | op | eof
-    value: str
-    line: int
-    col: int
 
 
 def _unquote(text: str) -> str:
@@ -119,26 +120,25 @@ def show_name(name: str) -> str:
     return _quote(name)
 
 
-def _lex(text: str) -> list[Token]:
-    toks: list[Token] = []
-    line, start = 1, 0
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of an offset."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _lex(text: str, pattern: re.Pattern) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) tokens, ending with an ("eof", "", len) token."""
+    toks = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}", line, pos - start + 1
-            )
+    for m in pattern.finditer(text):
+        if m.start() != pos:
+            break
         kind = m.lastgroup
-        value = m.group()
-        if kind not in ("ws", "comment"):
-            toks.append(Token(kind, value, line, pos - start + 1))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            start = pos + value.rindex("\n") + 1
+        if kind != "ws":
+            toks.append((kind, m.group(), pos))
         pos = m.end()
-    toks.append(Token("eof", "", line, len(text) - start + 1))
+    if pos != len(text):
+        raise ParseError(f"unexpected character {text[pos]!r}", *_position(text, pos))
+    toks.append(("eof", "", pos))
     return toks
 
 
@@ -187,139 +187,160 @@ _Raw = Union[_RName, _RKind, _RApp, _ROp, _RNot, _RBinder]
 
 
 class _Parser:
-    def __init__(self, toks: list[Token]):
-        self.toks = toks
+    """A cursor over the tokens of one text.  Grammars read through it;
+    the only thing a format passes in is its token regex."""
+
+    def __init__(self, text: str, pattern: re.Pattern = _TOKEN):
+        self.text = text
+        self.toks = _lex(text, pattern)
         self.pos = 0
 
-    def peek(self) -> Token:
+    def peek(self) -> tuple[str, str, int]:
         return self.toks[self.pos]
 
-    def take(self) -> Token:
+    def take(self) -> tuple[str, str, int]:
         t = self.toks[self.pos]
-        if t.kind != "eof":
+        if t[0] != "eof":
             self.pos += 1
         return t
 
-    def fail(self, msg: str) -> ParseError:
-        t = self.peek()
-        return ParseError(msg, t.line, t.col)
+    def fail(self, msg: str, tok: tuple[str, str, int] | None = None) -> ParseError:
+        """An error at ``tok``, by default the next token."""
+        return ParseError(msg, *_position(self.text, (tok or self.peek())[2]))
+
+    # Operators are punctuation and names are words or quoted, so a token's
+    # text alone tells an operator apart.
+    def at_op(self, op: str) -> bool:
+        return self.toks[self.pos][1] == op
 
     def expect(self, op: str) -> None:
         t = self.take()
-        if t.kind != "op" or t.value != op:
-            raise ParseError(f"expected {op!r}, found {t.value!r}", t.line, t.col)
-
-    def at_op(self, op: str) -> bool:
-        t = self.peek()
-        return t.kind == "op" and t.value == op
+        if t[1] != op:
+            raise self.fail(f"expected {op!r}, found {t[1] or 'end of input'!r}", t)
 
     def name(self) -> str:
         t = self.take()
-        if t.kind == "name":
-            return t.value
-        if t.kind == "qname":
-            return _unquote(t.value)
-        raise ParseError(f"expected a name, found {t.value!r}", t.line, t.col)
+        if t[0] == "name":
+            return t[1]
+        if t[0] == "qname":
+            return _unquote(t[1])
+        raise self.fail(f"expected a name, found {t[1]!r}", t)
 
-    # precedence ladder, loosest first
-    def expr(self) -> _Raw:
-        return self._imp()
-
-    def _imp(self) -> _Raw:
-        l = self._disj()
-        if self.at_op("=>"):
-            self.take()
-            return _ROp("=>", l, self._imp())
-        return l
-
-    def _disj(self) -> _Raw:
-        l = self._conj()
-        if self.at_op("|"):
-            self.take()
-            return _ROp("|", l, self._disj())
-        return l
-
-    def _conj(self) -> _Raw:
-        l = self._neg()
-        if self.at_op("&"):
-            self.take()
-            return _ROp("&", l, self._conj())
-        return l
-
-    def _neg(self) -> _Raw:
-        t = self.peek()
-        if t.kind == "op" and t.value == "~":
-            self.take()
-            return _RNot(self._neg())
-        if t.kind == "op" and t.value in "!?^":
-            return self._binder()
-        return self._eq()
-
-    def _binder(self) -> _Raw:
-        kind = self.take().value
-        self.expect("[")
-        binds = [self._bind()]
+    def commas(self, item) -> list:
+        """``item (, item)*``, each read by ``item(self)``."""
+        out = [item(self)]
         while self.at_op(","):
             self.take()
-            binds.append(self._bind())
-        self.expect("]")
-        self.expect(":")
-        return _RBinder(kind, tuple(binds), self._neg())
+            out.append(item(self))
+        return out
 
-    def _bind(self) -> tuple[str, _Raw]:
-        name = self.name()
-        self.expect(":")
-        if self.peek().kind == "tyt":
-            self.take()
-            return name, _RKind()
-        return name, self._arrow()
-
-    def _eq(self) -> _Raw:
-        l = self._arrow()
-        if self.at_op("="):
-            self.take()
-            r = self._arrow()
-            if self.at_op("="):
-                raise self.fail("chained = needs parentheses")
-            return _ROp("=", l, r)
-        return l
-
-    def _arrow(self) -> _Raw:
-        l = self._chain()
-        if self.at_op(">"):
-            self.take()
-            return _ROp(">", l, self._arrow())
-        return l
-
-    def _chain(self) -> _Raw:
-        parts = [self._atom()]
-        while True:
+    def entries(self, *heads: str):
+        """Read ``head( ... ).`` entries to the end of input, yielding each
+        head after its opening parenthesis; the caller reads the arguments."""
+        while self.toks[self.pos][0] != "eof":
             t = self.peek()
-            if t.kind in ("name", "qname", "tyt") or (
-                t.kind == "op" and t.value == "("
-            ):
-                parts.append(self._atom())
-            else:
-                break
-        return parts[0] if len(parts) == 1 else _RApp(tuple(parts))
-
-    def _atom(self) -> _Raw:
-        t = self.peek()
-        if t.kind == "name":
-            self.take()
-            return _RName(t.value)
-        if t.kind == "qname":
-            self.take()
-            return _RName(_unquote(t.value))
-        if t.kind == "tyt":
-            self.take()
-            return _RKind()
-        if t.kind == "op" and t.value == "(":
-            self.take()
-            e = self.expr()
+            head = self.name()
+            if head not in heads:
+                raise self.fail(f"expected a {' or '.join(heads)} entry, found {head!r}", t)
+            self.expect("(")
+            yield head
             self.expect(")")
-            return e
-        raise self.fail(f"unexpected {t.value!r}")
+            self.expect(".")
+
+
+# The HOL grammar: a precedence ladder, loosest first.
+
+
+def _right(p: _Parser, op: str, operand) -> _Raw:
+    """operand (op operand)*, folded to the right."""
+    parts = [operand(p)]
+    while p.at_op(op):
+        p.take()
+        parts.append(operand(p))
+    out = parts.pop()
+    while parts:
+        out = _ROp(op, parts.pop(), out)
+    return out
+
+
+def _expr(p: _Parser) -> _Raw:
+    return _right(p, "=>", _disj)
+
+
+def _disj(p: _Parser) -> _Raw:
+    return _right(p, "|", _conj)
+
+
+def _conj(p: _Parser) -> _Raw:
+    return _right(p, "&", _neg)
+
+
+def _neg(p: _Parser) -> _Raw:
+    kind, value, _ = p.peek()
+    if kind == "op" and value == "~":
+        p.take()
+        return _RNot(_neg(p))
+    if kind == "op" and value in "!?^":
+        return _binder(p)
+    return _eq(p)
+
+
+def _binder(p: _Parser) -> _Raw:
+    kind = p.take()[1]
+    p.expect("[")
+    binds = p.commas(_bind)
+    p.expect("]")
+    p.expect(":")
+    return _RBinder(kind, tuple(binds), _neg(p))
+
+
+def _bind(p: _Parser) -> tuple[str, _Raw]:
+    name = p.name()
+    p.expect(":")
+    if p.peek()[0] == "tyt":
+        p.take()
+        return name, _RKind()
+    return name, _arrow(p)
+
+
+def _eq(p: _Parser) -> _Raw:
+    l = _arrow(p)
+    if p.at_op("="):
+        p.take()
+        r = _arrow(p)
+        if p.at_op("="):
+            raise p.fail("chained = needs parentheses")
+        return _ROp("=", l, r)
+    return l
+
+
+def _arrow(p: _Parser) -> _Raw:
+    return _right(p, ">", _chain)
+
+
+def _chain(p: _Parser) -> _Raw:
+    parts = [_atom(p)]
+    while True:
+        kind, value, _ = p.peek()
+        if kind not in ("name", "qname", "tyt") and value != "(":
+            break
+        parts.append(_atom(p))
+    return parts[0] if len(parts) == 1 else _RApp(tuple(parts))
+
+
+def _atom(p: _Parser) -> _Raw:
+    kind, value, _ = t = p.take()
+    if kind == "name":
+        return _RName(value)
+    if kind == "qname":
+        return _RName(_unquote(value))
+    if kind == "tyt":
+        return _RKind()
+    if value == "(":
+        e = _expr(p)
+        p.expect(")")
+        return e
+    raise p.fail(f"unexpected {value!r}", t)
 
 
 # -------------------------------------------------------------- elaboration
@@ -529,21 +550,14 @@ def _elaborate_ty_entry(name: str, raw: _Raw, sig: Signature) -> ObjectEntry:
 def parse_tt(text: str, signature: Signature | None = None, theory: str = "") -> list[ObjectEntry]:
     """Parse a .tt file.  Declarations are added to ``signature`` in place."""
     sig = signature if signature is not None else Signature()
-    p = _Parser(_lex(text))
+    p = _Parser(text)
     entries: list[ObjectEntry] = []
-    seq = 0
-    while p.peek().kind != "eof":
-        head = p.name()
-        if head != "tt":
-            raise ParseError(f"expected a tt entry, found {head!r}")
-        p.expect("(")
+    for seq, _ in enumerate(p.entries("tt")):
         name = p.name()
         p.expect(",")
         role = p.name()
         p.expect(",")
-        raw = p.expr()
-        p.expect(")")
-        p.expect(".")
+        raw = _expr(p)
         try:
             if role == "ty":
                 entry = _elaborate_ty_entry(name, raw, sig)
@@ -560,7 +574,6 @@ def parse_tt(text: str, signature: Signature | None = None, theory: str = "") ->
                 raise ParseError(f"in entry {name}: {e}") from None
             raise
         entries.append(replace(entry, theory=theory, seq=seq))
-        seq += 1
     return entries
 
 
@@ -954,18 +967,12 @@ def rename_overwritten(
 
 def parse_thy(text: str) -> list[tuple[str, tuple[str, ...]]]:
     """theory(NAME, [ANCESTOR, ...]). lines, in build order."""
-    p = _Parser(_lex(text))
+    p = _Parser(text)
     out = []
-    while p.peek().kind != "eof":
-        head = p.name()
-        if head != "theory":
-            raise ParseError(f"expected a theory entry, found {head!r}")
-        p.expect("(")
+    for _ in p.entries("theory"):
         name = p.name()
         p.expect(",")
         out.append((name, tuple(_parse_name_list(p))))
-        p.expect(")")
-        p.expect(".")
     return out
 
 
@@ -979,46 +986,40 @@ def print_thy(theories: Sequence[tuple[str, Sequence[str]]]) -> str:
 
 def _parse_name_list(p: _Parser) -> list[str]:
     p.expect("[")
-    names: list[str] = []
-    if not p.at_op("]"):
-        names.append(p.name())
-        while p.at_op(","):
-            p.take()
-            names.append(p.name())
+    names = [] if p.at_op("]") else p.commas(_Parser.name)
     p.expect("]")
     return names
 
 
 def parse_deps(text: str) -> list[tuple[str, list[str]]]:
     """deps(NAME_cK, [DEP, ...]). lines; names are unresolved strings."""
-    p = _Parser(_lex(text))
+    p = _Parser(text)
     out = []
-    while p.peek().kind != "eof":
-        head = p.name()
-        if head != "deps":
-            raise ParseError(f"expected a deps entry, found {head!r}")
-        p.expect("(")
+    for _ in p.entries("deps"):
         key = p.name()
         p.expect(",")
-        vals = _parse_name_list(p)
-        p.expect(")")
-        p.expect(".")
-        out.append((key, vals))
+        out.append((key, _parse_name_list(p)))
     return out
+
+
+def deps_lines(rows: Iterable[tuple[str, Sequence[str]]]) -> str:
+    """.deps text: one deps(LABEL, [DEP, ...]). line per (label, deps) row."""
+    lines = [
+        f"deps({show_name(label)}, [{', '.join(show_name(d) for d in deps)}])."
+        for label, deps in rows
+    ]
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def print_deps(corpus: Corpus) -> str:
     """One line per conjunct of every theorem, in linear order."""
-    lines = []
+    rows = []
     for tid in corpus.order():
         entry = corpus.theorem(tid)
         for k, deps in enumerate(entry.dependencies, start=1):
             ordered = sorted(deps, key=lambda c: (corpus.position(c.theorem), c.index))
-            names = ", ".join(show_name(corpus.conjunct_label(c)) for c in ordered)
-            lines.append(
-                f"deps({show_name(f'{entry.name}_c{k}')}, [{names}])."
-            )
-    return "\n".join(lines) + ("\n" if lines else "")
+            rows.append((f"{entry.name}_c{k}", [corpus.conjunct_label(c) for c in ordered]))
+    return deps_lines(rows)
 
 
 _CONJ_SUFFIX = re.compile(r"^(.*)_c([0-9]+)$")
@@ -1155,10 +1156,10 @@ def parse_goal(text: str, sig: Signature) -> tuple[str, HolTerm]:
         ):
             raise ParseError("goal file must hold exactly one ax/conj entry")
         return entries[0].name, entries[0].formula
-    p = _Parser(_lex(stripped))
-    raw = p.expr()
+    p = _Parser(stripped)
+    raw = _expr(p)
     if p.at_op("."):
         p.take()
-    if p.peek().kind != "eof":
+    if p.peek()[0] != "eof":
         raise p.fail("trailing input after the goal formula")
     return "goal", _elaborate_statement(raw, sig, "goal")

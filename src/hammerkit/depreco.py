@@ -25,10 +25,10 @@ from .corpus import (
     ParseError,
     TheoremId,
     _elaborate_statement,
-    _lex,
+    _expr,
     _parse_name_list,
     _Parser,
-    show_name,
+    deps_lines,
 )
 from .hol import HolTerm, Signature, split_conjuncts
 
@@ -279,19 +279,12 @@ class TraceStep:
 
 def parse_trace(text: str, sig: Signature) -> list[tuple[str, object]]:
     """A trace as a list of ("theory", name) and ("step", TraceStep) items."""
-    p = _Parser(_lex(text))
+    p = _Parser(text)
     out: list[tuple[str, object]] = []
-    while p.peek().kind != "eof":
-        head = p.name()
+    for head in p.entries("theory", "step"):
         if head == "theory":
-            p.expect("(")
             out.append(("theory", p.name()))
-            p.expect(")")
-            p.expect(".")
             continue
-        if head != "step":
-            raise ParseError(f"expected a step entry, found {head!r}")
-        p.expect("(")
         label = p.name()
         p.expect(",")
         rule_name = p.name()
@@ -317,9 +310,7 @@ def parse_trace(text: str, sig: Signature) -> list[tuple[str, object]]:
             p.take()
             name = p.name()
             p.expect(",")
-            statement = _elaborate_statement(p.expr(), sig, f"statement of {name}")
-        p.expect(")")
-        p.expect(".")
+            statement = _elaborate_statement(_expr(p), sig, f"statement of {name}")
         out.append(("step", TraceStep(label, rule, tuple(premises), payload, name, statement)))
     return out
 
@@ -350,9 +341,8 @@ def replay(text: str, sig: Signature) -> dict[str, tuple[frozenset[str], ...]]:
 
 def deps_text(recovered: dict[str, tuple[frozenset[str], ...]]) -> str:
     """Recovered dependencies rendered in the .deps sidecar format."""
-    lines = []
-    for name, per_conj in recovered.items():
-        for k, deps in enumerate(per_conj, start=1):
-            body = ", ".join(show_name(d) for d in sorted(deps))
-            lines.append(f"deps({show_name(f'{name}_c{k}')}, [{body}]).")
-    return "\n".join(lines) + ("\n" if lines else "")
+    return deps_lines(
+        (f"{name}_c{k}", sorted(deps))
+        for name, per_conj in recovered.items()
+        for k, deps in enumerate(per_conj, start=1)
+    )

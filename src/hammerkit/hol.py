@@ -519,10 +519,6 @@ def dest_conj(t: HolTerm) -> tuple[HolTerm, HolTerm] | None:
     return dest_binop(t, "&")
 
 
-def dest_eq(t: HolTerm) -> tuple[HolTerm, HolTerm] | None:
-    return dest_binop(t, "=")
-
-
 # ---------------------------------------------------------- conjunct splits
 
 
@@ -559,7 +555,3 @@ def split_conjuncts(formula: HolTerm, sig: Signature) -> list[tuple[ConjunctAddr
 
     flat = walk(formula)
     return [(ConjunctAddress(path, i + 1), c) for i, (path, c) in enumerate(flat)]
-
-
-def conjunct_paths(formula: HolTerm, sig: Signature) -> list[tuple[str, ...]]:
-    return [addr.path for addr, _ in split_conjuncts(formula, sig)]

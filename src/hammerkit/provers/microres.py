@@ -90,7 +90,10 @@ class _Clausifier:
                 if sign:
                     return ("or", self.nnf(f.lhs, False, env, scope), self.nnf(f.rhs, True, env, scope))
                 return ("and", self.nnf(f.lhs, True, env, scope), self.nnf(f.rhs, False, env, scope))
-            # <=> expands by cases; both polarities of both sides.
+            # <=> expands by cases; both polarities of both sides.  This is
+            # the one place a subformula is duplicated, so the clock is
+            # checked here and the work between two checks stays linear.
+            self.check_clock()
             if sign:
                 return (
                     "and",
@@ -659,16 +662,12 @@ def prove(
         lines.append("% SZS output start Proof")
         for name in res.used:
             if name in by_name:
-                lines.append(f"fof({_q(name)}, axiom, {print_formula(by_name[name])}).")
+                lines.append(f"fof({_atom_name(name)}, axiom, {print_formula(by_name[name])}).")
             elif name == gname:
-                lines.append(f"fof({_q(name)}, conjecture, {print_formula(gf)}).")
+                lines.append(f"fof({_atom_name(name)}, conjecture, {print_formula(gf)}).")
         lines.append("% SZS output end Proof")
     lines.append(f"% clauses generated: {res.generated}")
     return "\n".join(lines) + "\n", res
-
-
-def _q(name: str) -> str:
-    return _atom_name(name)
 
 
 def main(argv: list[str] | None = None) -> int:

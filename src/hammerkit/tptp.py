@@ -1,7 +1,10 @@
 """TPTP first-order format: printing, parsing, prover-output handling.
 
 Problems are printed one annotated formula per line, fully parenthesized,
-so that parsing a printed problem reconstructs the exact same tree.
+so that parsing a printed problem reconstructs the exact same tree.  The
+reader has no lexer or cursor of its own: it passes its token regex (with
+``var`` for upper-case variables) to the shared ``corpus._Parser`` and reads
+``fof( ... ).`` entries through its entry loop.
 Prover verdicts are read from SZS status lines and unsatisfiable cores
 from derivation output, both tolerantly: any output maps to a verdict.
 """
@@ -11,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .corpus import ParseError, _unquote
+from .corpus import ParseError, _Parser, _quote, _unquote
 from .fof import (
     BinOp,
     Eq,
@@ -70,10 +73,7 @@ class UnsatCore:
 
 
 def _atom_name(name: str) -> str:
-    if needs_quotes(name):
-        escaped = name.replace("\\", "\\\\").replace("'", "\\'")
-        return f"'{escaped}'"
-    return name
+    return _quote(name) if needs_quotes(name) else name
 
 
 def print_term(t: FofTerm) -> str:
@@ -115,181 +115,112 @@ def print_problem(problem: FofProblem) -> str:
 # ------------------------------------------------------------------ parsing
 
 _TOKEN = re.compile(
-    r"""
-      (?P<ws>\s+|%[^\n]*)
-    | (?P<punct><=>|=>|!=|[()\[\],.:!?~&|=])
-    | (?P<lower>[a-z][A-Za-z0-9_]*)
-    | (?P<upper>[A-Z_][A-Za-z0-9_]*)
-    | (?P<quoted>'(?:[^'\\]|\\.)*')
+    r"""(?P<ws>\s+|%[^\n]*)
+      | (?P<op><=>|=>|!=|[()\[\],.:!?~&|=])
+      | (?P<name>[a-z][A-Za-z0-9_]*)
+      | (?P<var>[A-Z_][A-Za-z0-9_]*)
+      | (?P<qname>'(?:[^'\\]|\\.)*')
     """,
     re.VERBOSE,
 )
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.toks: list[tuple[str, str, int, int]] = []
-        line, bol = 1, 0
-        while self.pos < len(text):
-            m = _TOKEN.match(text, self.pos)
-            if not m:
-                raise ParseError(
-                    f"unexpected character {text[self.pos]!r}",
-                    line,
-                    self.pos - bol + 1,
-                )
-            chunk = m.group(0)
-            kind = m.lastgroup
-            if kind != "ws":
-                self.toks.append((kind, chunk, line, self.pos - bol + 1))
-            nl = chunk.count("\n")
-            if nl:
-                line += nl
-                bol = self.pos + chunk.rindex("\n") + 1
-            self.pos = m.end()
-        self.toks.append(("eof", "", line, self.pos - bol + 1))
-        self.i = 0
-
-    def peek(self) -> tuple[str, str, int, int]:
-        return self.toks[self.i]
-
-    def next(self) -> tuple[str, str, int, int]:
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def expect(self, text: str) -> None:
-        kind, val, line, col = self.next()
-        if val != text:
-            raise ParseError(f"expected {text!r}, found {val or 'end of input'!r}", line, col)
-
-    def fail(self, msg: str):
-        _, val, line, col = self.peek()
-        raise ParseError(msg, line, col)
-
-
-def _parse_name(lx: _Lexer) -> str:
-    kind, val, line, col = lx.next()
-    if kind == "lower":
-        return val
-    if kind == "quoted":
-        return _unquote(val)
-    raise ParseError(f"expected a name, found {val!r}", line, col)
-
-
-def _parse_term(lx: _Lexer) -> FofTerm:
-    kind, val, line, col = lx.next()
-    if kind == "upper":
+def _parse_term(p: _Parser) -> FofTerm:
+    kind, val, _ = t = p.peek()
+    if kind == "var":
+        p.take()
         return FofVar(val)
-    if kind in ("lower", "quoted"):
-        sym = _unquote(val) if kind == "quoted" else val
-        if lx.peek()[1] == "(":
-            lx.next()
-            args = [_parse_term(lx)]
-            while lx.peek()[1] == ",":
-                lx.next()
-                args.append(_parse_term(lx))
-            lx.expect(")")
-            return FofApp(sym, tuple(args))
+    if kind not in ("name", "qname"):
+        raise p.fail(f"expected a term, found {val or 'end of input'!r}", t)
+    sym = p.name()
+    if not p.at_op("("):
         return FofApp(sym)
-    raise ParseError(f"expected a term, found {val or 'end of input'!r}", line, col)
+    p.take()
+    args = p.commas(_parse_term)
+    p.expect(")")
+    return FofApp(sym, tuple(args))
 
 
-def _parse_unitary(lx: _Lexer) -> FofFormula:
-    kind, val, line, col = lx.peek()
+def _parse_var(p: _Parser) -> str:
+    kind, val, _ = t = p.take()
+    if kind != "var":
+        raise p.fail(f"expected a variable, found {val!r}", t)
+    return val
+
+
+def _parse_unitary(p: _Parser) -> FofFormula:
+    t = p.peek()
+    val = t[1]
     if val == "~":
-        lx.next()
-        return Not(_parse_unitary(lx))
+        p.take()
+        return Not(_parse_unitary(p))
     if val in ("!", "?"):
-        lx.next()
-        lx.expect("[")
-        vs = []
-        k, v, ln, c = lx.next()
-        if k != "upper":
-            raise ParseError(f"expected a variable, found {v!r}", ln, c)
-        vs.append(v)
-        while lx.peek()[1] == ",":
-            lx.next()
-            k, v, ln, c = lx.next()
-            if k != "upper":
-                raise ParseError(f"expected a variable, found {v!r}", ln, c)
-            vs.append(v)
-        lx.expect("]")
-        lx.expect(":")
-        return Quant(val, tuple(vs), _parse_unitary(lx))
+        p.take()
+        p.expect("[")
+        vs = p.commas(_parse_var)
+        p.expect("]")
+        p.expect(":")
+        return Quant(val, tuple(vs), _parse_unitary(p))
     if val == "(":
-        lx.next()
-        f = _parse_formula(lx)
-        lx.expect(")")
+        p.take()
+        f = _parse_formula(p)
+        p.expect(")")
         return f
     # An atom: a term possibly followed by = or !=.
-    t = _parse_term(lx)
-    nxt = lx.peek()[1]
+    lhs = _parse_term(p)
+    nxt = p.peek()[1]
     if nxt == "=":
-        lx.next()
-        return Eq(t, _parse_term(lx))
+        p.take()
+        return Eq(lhs, _parse_term(p))
     if nxt == "!=":
-        lx.next()
-        return Not(Eq(t, _parse_term(lx)))
-    if isinstance(t, FofVar):
-        raise ParseError(f"variable {t.name} cannot stand as a formula", line, col)
-    return Pred(t.sym, t.args)
+        p.take()
+        return Not(Eq(lhs, _parse_term(p)))
+    if isinstance(lhs, FofVar):
+        raise p.fail(f"variable {lhs.name} cannot stand as a formula", t)
+    return Pred(lhs.sym, lhs.args)
 
 
 _BINOPS = ("&", "|", "=>", "<=>")
 
 
-def _parse_formula(lx: _Lexer) -> FofFormula:
-    first = _parse_unitary(lx)
-    op = lx.peek()[1]
+def _parse_formula(p: _Parser) -> FofFormula:
+    first = _parse_unitary(p)
+    op = p.peek()[1]
     if op not in _BINOPS:
         return first
     parts = [first]
-    while lx.peek()[1] == op:
-        lx.next()
-        parts.append(_parse_unitary(lx))
-        nxt = lx.peek()[1]
+    while p.at_op(op):
+        p.take()
+        parts.append(_parse_unitary(p))
+        nxt = p.peek()[1]
         if nxt in _BINOPS and nxt != op:
-            lx.fail(f"cannot mix {op!r} and {nxt!r} without parentheses")
+            raise p.fail(f"cannot mix {op!r} and {nxt!r} without parentheses")
         if op in ("=>", "<=>") and nxt == op:
-            lx.fail(f"{op!r} is not associative; add parentheses")
+            raise p.fail(f"{op!r} is not associative; add parentheses")
     out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = BinOp(op, p, out)
+    for q in reversed(parts[:-1]):
+        out = BinOp(op, q, out)
     return out
 
 
 def parse_problem(text: str) -> FofProblem:
     """Parse a printed problem back; reverse mapping and helper markers
     are not part of the syntax and come back empty."""
-    lx = _Lexer(text)
+    p = _Parser(text, _TOKEN)
     axioms: list[tuple[str, FofFormula]] = []
     conjectures: list[tuple[str, FofFormula]] = []
-    while lx.peek()[0] != "eof":
-        kind, val, line, col = lx.next()
-        if val != "fof":
-            raise ParseError(f"expected 'fof', found {val!r}", line, col)
-        lx.expect("(")
-        name = _parse_name(lx)
-        lx.expect(",")
-        rkind, role, rline, rcol = lx.next()
+    for _ in p.entries("fof"):
+        name = p.name()
+        p.expect(",")
+        t = p.take()
+        role = t[1]
         if role not in ("axiom", "hypothesis", "definition", "lemma", "conjecture"):
-            raise ParseError(f"unsupported role {role!r}", rline, rcol)
-        lx.expect(",")
-        f = _parse_formula(lx)
-        lx.expect(")")
-        lx.expect(".")
-        if role == "conjecture":
-            conjectures.append((name, f))
-        else:
-            axioms.append((name, f))
+            raise p.fail(f"unsupported role {role!r}", t)
+        p.expect(",")
+        f = _parse_formula(p)
+        (conjectures if role == "conjecture" else axioms).append((name, f))
     if len(conjectures) != 1:
-        _, _, line, col = lx.peek()
-        raise ParseError(
-            f"expected exactly one conjecture, found {len(conjectures)}", line, col
-        )
+        raise p.fail(f"expected exactly one conjecture, found {len(conjectures)}")
     return FofProblem(
         axioms=tuple(axioms),
         conjecture=conjectures[0],
@@ -343,11 +274,8 @@ def extract_core(output: str, problem: FofProblem) -> UnsatCore:
     prover's output and mapped back to source names.  Helper axioms
     (lifted definitions, proxy bridges) are dropped.  If the output shows
     no usable derivation, all premises are returned with complete=False."""
-    mentioned: set[str] = set()
-    for m in _CORE_FOF.finditer(output):
-        mentioned.add(_unquote(m.group(1)) if m.group(1).startswith("'") else m.group(1))
-    for m in _CORE_FILE.finditer(output):
-        mentioned.add(_unquote(m.group(1)) if m.group(1).startswith("'") else m.group(1))
+    found = [m.group(1) for rx in (_CORE_FOF, _CORE_FILE) for m in rx.finditer(output)]
+    mentioned = {_unquote(n) if n.startswith("'") else n for n in found}
     axiom_names = [name for name, _ in problem.axioms]
     if not mentioned:
         premises = tuple(

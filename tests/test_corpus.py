@@ -29,6 +29,7 @@ from hammerkit.corpus import (
     show_name,
     term_text,
 )
+from hammerkit.depreco import parse_trace
 from hammerkit.hol import (
     App,
     BOOL,
@@ -42,6 +43,7 @@ from hammerkit.hol import (
     mk_eq,
     type_of,
 )
+from hammerkit.tptp import parse_problem
 from .helpers import NAT, TOY_DECLS, random_closed_formula, toy_sig
 
 CANONICAL_LINES = [
@@ -122,6 +124,23 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError) as info:
         parse_tt("tt(x, ty, $t).\ntt(y, ty, ($t).", Signature())
     assert info.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "read, text",
+    [
+        (lambda t: parse_tt(t, Signature()), "tt(x, ty, $t).\nxx(y, ty, $t).\n"),
+        (parse_thy, "theory(a, []).\nxx(b, [a]).\n"),
+        (parse_deps, "deps(a_c1, []).\nxx(b_c1, [a]).\n"),
+        (lambda t: parse_trace(t, Signature()), "theory(t).\nxx(l0, other, [], none).\n"),
+        (parse_problem, "fof(a, axiom, p).\ncnf(b, axiom, p).\n"),
+    ],
+    ids=["tt", "thy", "deps", "trace", "tptp"],
+)
+def test_wrong_entry_head_reports_its_position(read, text):
+    with pytest.raises(ParseError, match="entry, found") as info:
+        read(text)
+    assert (info.value.line, info.value.col) == (2, 1)
 
 
 def test_chained_equality_is_rejected():

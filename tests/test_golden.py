@@ -1,9 +1,11 @@
 """Golden outputs on the bundled toy corpus, pinned by sha256.
 
 Every canonical echo, dependency listing, emitted problem and ranking the
-pipeline produces on the toy corpus is hashed per kind.  A refactor must
-leave all of them byte-identical; a change that means to alter one of
-these outputs recomputes its digest and says why.
+pipeline produces on the toy corpus is hashed per kind, and so is the
+bundled prover's answer to each exact-dependency problem read back from
+its TPTP text.  A refactor must leave all of them byte-identical; a change
+that means to alter one of these outputs recomputes its digest and says
+why.
 """
 
 import hashlib
@@ -14,6 +16,8 @@ import pytest
 
 from hammerkit.corpus import AccessRelation, Signature, load_corpus, parse_tt, print_tt
 from hammerkit.harness import build_problem, conjunct_premises, suggest
+from hammerkit.provers import microres
+from hammerkit.tptp import parse_problem, print_problem
 
 TOY = Path(str(resources.files("hammerkit") / "data" / "toy"))
 
@@ -27,6 +31,7 @@ GOLDEN = {
     "problems_linear": "2c4e3df5b95969676a7ee0c583b8db2b72a3d30b561a9a1c0dbb7d77eafad76b",
     "problems_loaded": "2c4e3df5b95969676a7ee0c583b8db2b72a3d30b561a9a1c0dbb7d77eafad76b",
     "problems_transitive": "84fd451f94468c0e9f555e714edac3fbaafe75f3bb0da6dfd3f630ba3bff6666",
+    "verdicts": "3baa128ad233a7bef4d3e5a081a826c37cbd8f0f9a5e01ed6c742a6512b147be",
 }
 
 
@@ -34,7 +39,7 @@ def _digest(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
-def golden_digests() -> dict[str, str]:
+def golden_outputs() -> dict[str, list[str]]:
     corpus = load_corpus(TOY)
     out: dict[str, list[str]] = {}
 
@@ -60,6 +65,9 @@ def golden_digests() -> dict[str, str]:
         premises = conjunct_premises(corpus, frozenset().union(*entry.dependencies))
         _, text = build_problem(corpus, premises, (entry.name, entry.statement))
         out["exact"].append(text)
+    out["verdicts"] = [
+        microres.prove(parse_problem(text), timeout=None)[0] for text in out["exact"]
+    ]
 
     # The toy theories form one ancestry chain, so linear and loaded
     # accessibility coincide there and their digests agree.
@@ -91,14 +99,26 @@ def golden_digests() -> dict[str, str]:
                 problems.append(text)
         out[f"ranked_{relation}"] = ranked_lines
         out[f"problems_{relation}"] = problems
-    return {key: _digest(lines) for key, lines in out.items()}
+    return out
 
 
 @pytest.fixture(scope="module")
-def digests():
-    return golden_digests()
+def outputs():
+    return golden_outputs()
 
 
 @pytest.mark.parametrize("kind", sorted(GOLDEN))
-def test_golden_output_is_unchanged(digests, kind):
-    assert digests[kind] == GOLDEN[kind]
+def test_golden_output_is_unchanged(outputs, kind):
+    assert _digest(outputs[kind]) == GOLDEN[kind]
+
+
+def test_problem_texts_read_back_unchanged(outputs):
+    texts = [
+        text
+        for kind, lines in outputs.items()
+        if kind == "exact" or kind.startswith("problems_")
+        for text in lines
+    ]
+    assert len(texts) > 59
+    for text in texts:
+        assert print_problem(parse_problem(text)) == text

@@ -259,6 +259,20 @@ def test_timeout_covers_clausification():
     assert time.monotonic() - start < 1.5
 
 
+def test_timeout_covers_equivalence_expansion():
+    # Negation normal form expands each <=> into both polarities of both
+    # sides, so a chain of 19 atoms builds some 2^19 nodes before the first
+    # clause; the clock must stop that too.
+    chain = "p0"
+    for i in range(1, 19):
+        chain = f"(p{i} <=> {chain})"
+    problem = parse_problem(f"fof(goal, conjecture, {chain}).\n")
+    start = time.monotonic()
+    _, res = prove(problem, timeout=0.5)
+    assert res.status == "Timeout"
+    assert time.monotonic() - start < 1.5
+
+
 def test_gave_up_on_clause_budget():
     problem = parse_problem(
         "fof(a1, axiom, p(a)).\n"
