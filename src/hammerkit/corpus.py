@@ -555,20 +555,21 @@ def parse_tt(text: str, signature: Signature | None = None, theory: str = "") ->
     for seq, _ in enumerate(p.entries("tt")):
         name = p.name()
         p.expect(",")
+        tok = p.peek()
         role = p.name()
+        if role not in ("ty", "ax", "conj"):
+            raise p.fail(f"in entry {name}: unknown role {role!r}", tok)
         p.expect(",")
         raw = _expr(p)
         try:
             if role == "ty":
                 entry = _elaborate_ty_entry(name, raw, sig)
-            elif role in ("ax", "conj"):
+            else:
                 entry = ObjectEntry(
                     name,
                     Role.THEOREM if role == "ax" else Role.CONJECTURE,
                     _elaborate_statement(raw, sig, name),
                 )
-            else:
-                raise ParseError(f"unknown role {role!r}")
         except ParseError as e:
             if e.line is None:
                 raise ParseError(f"in entry {name}: {e}") from None
@@ -1103,8 +1104,17 @@ def load_corpus_files(
     ``theory_files`` maps a theory name to its .tt text and an optional
     .deps text; ``thy_text`` fixes the build order.
     """
+    return _build_corpus(parse_thy(thy_text), theory_files)
+
+
+def _build_corpus(
+    theories: list[tuple[str, tuple[str, ...]]],
+    theory_files: dict[str, tuple[str, str | None]],
+) -> Corpus:
+    """A corpus from the parsed theory list, in build order, and the
+    texts ``load_corpus_files`` takes."""
     corpus = Corpus()
-    for theory, ancs in parse_thy(thy_text):
+    for theory, ancs in theories:
         if theory in corpus.ancestors:
             raise ParseError(f"duplicate theory {theory}")
         for a in ancs:
@@ -1131,9 +1141,9 @@ def load_corpus(root: str | Path) -> Corpus:
     thy_path = root / "corpus.thy"
     if not thy_path.exists():
         raise ParseError(f"no corpus.thy in {root}")
-    thy_text = thy_path.read_text(encoding="utf-8")
+    theories = parse_thy(thy_path.read_text(encoding="utf-8"))
     files: dict[str, tuple[str, str | None]] = {}
-    for theory, _ in parse_thy(thy_text):
+    for theory, _ in theories:
         tt = root / f"{theory}.tt"
         if not tt.exists():
             raise ParseError(f"missing {tt}")
@@ -1142,7 +1152,7 @@ def load_corpus(root: str | Path) -> Corpus:
             tt.read_text(encoding="utf-8"),
             deps.read_text(encoding="utf-8") if deps.exists() else None,
         )
-    return load_corpus_files(thy_text, files)
+    return _build_corpus(theories, files)
 
 
 def parse_goal(text: str, sig: Signature) -> tuple[str, HolTerm]:

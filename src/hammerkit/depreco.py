@@ -22,7 +22,6 @@ from typing import Callable, Sequence, Union
 
 from .corpus import (
     ConjunctId,
-    ParseError,
     TheoremId,
     _elaborate_statement,
     _expr,
@@ -287,14 +286,16 @@ def parse_trace(text: str, sig: Signature) -> list[tuple[str, object]]:
             continue
         label = p.name()
         p.expect(",")
+        tok = p.peek()
         rule_name = p.name()
         try:
             rule = Rule(rule_name)
         except ValueError:
-            raise ParseError(f"unknown rule {rule_name!r}") from None
+            raise p.fail(f"unknown rule {rule_name!r}", tok) from None
         p.expect(",")
         premises = _parse_name_list(p)
         p.expect(",")
+        tok = p.peek()
         flag = p.name()
         if flag == "none":
             payload = None
@@ -303,7 +304,7 @@ def parse_trace(text: str, sig: Signature) -> list[tuple[str, object]]:
         elif flag == "nopred":
             payload = False
         else:
-            raise ParseError(f"unknown payload {flag!r}")
+            raise p.fail(f"unknown payload {flag!r}", tok)
         name = None
         statement = None
         if p.at_op(","):

@@ -3,10 +3,12 @@
 Given-clause saturation: binary resolution with factoring, equality by
 paramodulation and equality resolution, demodulation with unit equations
 oriented by a Knuth-Bendix ordering, forward subsumption, and weight/age
-clause selection.  Nowhere near a competitive system, but complete
-enough for modest problems and it reports verdicts and derivations in
-the same SZS dialect the big provers use, so the rest of the pipeline
-treats it uniformly.
+clause selection.  Every conclusion of the given clause comes from one
+generator, ``_inferences``, in a fixed order, and the search stops in one
+place, as soon as the empty clause arrives.  Nowhere near a competitive
+system, but complete enough for modest problems and it reports verdicts
+and derivations in the same SZS dialect the big provers use, so the rest
+of the pipeline treats it uniformly.
 
 Terms are tuples: ("v", name) or ("f", sym, args).  A literal is
 (positive, predicate, args); equality is the predicate "=".  A clause is
@@ -73,23 +75,17 @@ class _Clausifier:
         source variable names to terms; scope lists the universal
         variables governing fresh skolem functions."""
         if isinstance(f, Pred):
-            args = tuple(self.term(a, env) for a in f.args)
-            return ("lit", sign, f.sym, args)
+            return (sign, f.sym, tuple(self.term(a, env) for a in f.args))
         if isinstance(f, Eq):
-            return ("lit", sign, "=", (self.term(f.lhs, env), self.term(f.rhs, env)))
+            return (sign, "=", (self.term(f.lhs, env), self.term(f.rhs, env)))
         if isinstance(f, Not):
             return self.nnf(f.body, not sign, env, scope)
         if isinstance(f, BinOp):
-            if f.op == "&":
-                op = "and" if sign else "or"
-                return (op, self.nnf(f.lhs, sign, env, scope), self.nnf(f.rhs, sign, env, scope))
-            if f.op == "|":
-                op = "or" if sign else "and"
-                return (op, self.nnf(f.lhs, sign, env, scope), self.nnf(f.rhs, sign, env, scope))
-            if f.op == "=>":
-                if sign:
-                    return ("or", self.nnf(f.lhs, False, env, scope), self.nnf(f.rhs, True, env, scope))
-                return ("and", self.nnf(f.lhs, True, env, scope), self.nnf(f.rhs, False, env, scope))
+            if f.op != "<=>":
+                # a => b is ~a | b: only the left side flips its sign.
+                op = "and" if (f.op == "&") == sign else "or"
+                lsign = sign if f.op != "=>" else not sign
+                return (op, self.nnf(f.lhs, lsign, env, scope), self.nnf(f.rhs, sign, env, scope))
             # <=> expands by cases; both polarities of both sides.  This is
             # the one place a subformula is duplicated, so the clock is
             # checked here and the work between two checks stays linear.
@@ -128,19 +124,18 @@ class _Clausifier:
             return env[t.name]
         return ("f", t.sym, tuple(self.term(a, env) for a in t.args))
 
-    def clauses(self, f: FofFormula, negate: bool) -> Iterator[list[Literal]]:
-        tree = self.nnf(f, not negate, {}, ())
-        return (self._strip(c) for c in self._cnf(tree))
+    def clauses(self, f: FofFormula, negate: bool) -> list[tuple]:
+        return self._cnf(self.nnf(f, not negate, {}, ()))
 
     def _cnf(self, tree) -> list[tuple]:
         """Clauses as tuples of literals.  Each product keeps the first
         occurrence of every literal and clause and drops tautologies;
         multiplied out blindly, nested equivalences repeat their clauses
         exponentially often."""
-        if tree[0] == "lit":
-            return [(tree,)]
         if tree[0] == "and":
             return self._cnf(tree[1]) + self._cnf(tree[2])
+        if tree[0] != "or":
+            return [(tree,)]
         left = self._cnf(tree[1])
         right = self._cnf(tree[2])
         out: dict[tuple, None] = {}
@@ -148,13 +143,9 @@ class _Clausifier:
             for r in right:
                 self.check_clock()
                 lits = dict.fromkeys(l + r)
-                if not any(("lit", not x[1], x[2], x[3]) in lits for x in lits):
+                if not any((not sign, p, args) in lits for sign, p, args in lits):
                     out[tuple(lits)] = None
         return list(out)
-
-    @staticmethod
-    def _strip(lits: tuple) -> list[Literal]:
-        return [(l[1], l[2], l[3]) for l in lits]
 
 
 # --------------------------------------------------------------- clause ops
@@ -216,6 +207,14 @@ def unify(a: Term, b: Term, s: dict) -> dict | None:
     if a[1] != b[1] or len(a[2]) != len(b[2]):
         return None
     for x, y in zip(a[2], b[2]):
+        s = unify(x, y, s)
+        if s is None:
+            return None
+    return s
+
+
+def _unify_args(xs: tuple, ys: tuple, s: dict) -> dict | None:
+    for x, y in zip(xs, ys):
         s = unify(x, y, s)
         if s is None:
             return None
@@ -329,6 +328,16 @@ def _kbo_greater(l: Term, r: Term) -> bool:
     return False
 
 
+def _orient(l: Term, r: Term) -> tuple[Term, Term] | None:
+    """The equation l = r as a rewrite rule, KBO-larger side first, or
+    None if the ordering puts neither side above the other."""
+    if _kbo_greater(l, r):
+        return l, r
+    if _kbo_greater(r, l):
+        return r, l
+    return None
+
+
 def _positions(t: Term, path: tuple = ()):
     """All non-variable subterm positions, as (path, subterm)."""
     if t[0] == "v":
@@ -357,10 +366,9 @@ def _paramod_sides(c: Clause):
         if not pos or p != "=":
             continue
         l, r = args
-        if _kbo_greater(l, r):
-            yield i, l, r
-        elif _kbo_greater(r, l):
-            yield i, r, l
+        rule = _orient(l, r)
+        if rule:
+            yield i, *rule
         else:
             if l[0] != "v":
                 yield i, l, r
@@ -406,11 +414,55 @@ class _Entry:
     source: str | None  # input formula name, None for derived/equality
 
 
+@dataclass
 class Result:
-    def __init__(self, status: str, used: list[str], generated: int):
-        self.status = status
-        self.used = used
-        self.generated = generated
+    status: str
+    used: list[str]
+    generated: int
+
+
+def _inferences(
+    given_r: Clause, gi: int, active: list[int], entries: list[_Entry]
+) -> Iterator[tuple[list[Literal], tuple[int, ...]]]:
+    """Every conclusion of the given clause (renamed apart as given_r),
+    as (literals, parent indices), in a fixed order: factoring, equality
+    resolution, then for each active clause and a fresh copy of the given
+    clause itself, resolution, paramodulation from the given clause into
+    the partner and from the partner into the given clause."""
+    for i, (pi, pp, pa) in enumerate(given_r):
+        for j in range(i + 1, len(given_r)):
+            qi, qp, qa = given_r[j]
+            if pi == qi and pp == qp and len(pa) == len(qa):
+                s = _unify_args(pa, qa, {})
+                if s is not None:
+                    yield _apply_clause([l for k, l in enumerate(given_r) if k != j], s), (gi,)
+    for i, (pi, pp, pa) in enumerate(given_r):
+        if not pi and pp == "=":
+            s = unify(pa[0], pa[1], {})
+            if s is not None:
+                yield _apply_clause([l for k, l in enumerate(given_r) if k != i], s), (gi,)
+    for ai in active + [gi]:
+        other = _rename(entries[ai].clause, "a")
+        for i, (pi, pp, pa) in enumerate(given_r):
+            for j, (qi, qp, qa) in enumerate(other):
+                if pi != qi and pp == qp and len(pa) == len(qa):
+                    s = _unify_args(pa, qa, {})
+                    if s is not None:
+                        lits = [l for k, l in enumerate(given_r) if k != i]
+                        lits += [l for k, l in enumerate(other) if k != j]
+                        yield _apply_clause(lits, s), (gi, ai)
+        for src, si, dst, di in ((given_r, gi, other, ai), (other, ai, given_r, gi)):
+            for ei, l, r in _paramod_sides(src):
+                rest = [x for k, x in enumerate(src) if k != ei]
+                for lj, (qpos, qp, qargs) in enumerate(dst):
+                    for aj, arg in enumerate(qargs):
+                        for path, sub in _positions(arg):
+                            s = unify(l, sub, {})
+                            if s is None:
+                                continue
+                            new_args = qargs[:aj] + (_replace(arg, path, r),) + qargs[aj + 1 :]
+                            lits = rest + [x for k, x in enumerate(dst) if k != lj]
+                            yield _apply_clause(lits + [(qpos, qp, new_args)], s), (si, di)
 
 
 def saturate(
@@ -420,7 +472,7 @@ def saturate(
 ) -> Result:
     entries: list[_Entry] = []
     by_weight: list[tuple[int, int]] = []
-    by_age: list[int] = []
+    by_age: list[tuple[int, int]] = []
     seen: set[Clause] = set()
     active: list[int] = []
     demods: list[tuple[int, Term, Term]] = []
@@ -441,26 +493,24 @@ def saturate(
         idx = len(entries)
         entries.append(_Entry(c, parents, source))
         heapq.heappush(by_weight, (_weight(c), idx))
-        heapq.heappush(by_age, idx)
+        heapq.heappush(by_age, (idx, idx))
         if len(c) == 1 and c[0][0] and c[0][1] == "=":
             # Renamed apart so rule variables never collide with the
             # variables of the clauses being rewritten.
-            l, r = _rename(c, "_d")[0][2]
-            if _kbo_greater(l, r):
-                demods.append((idx, l, r))
-            elif _kbo_greater(r, l):
-                demods.append((idx, r, l))
+            rule = _orient(*_rename(c, "_d")[0][2])
+            if rule:
+                demods.append((idx, *rule))
         return not c  # empty clause
 
-    empty_idx = None
     for c, src in inputs:
         if push(list(c), (), src):
-            empty_idx = len(entries) - 1
             break
 
     processed: set[int] = set()
     steps = 0
-    while empty_idx is None and (by_weight or by_age):
+    # Nothing is pushed after the empty clause, so the search is over
+    # exactly when the newest entry is the empty clause.
+    while (by_weight or by_age) and entries[-1].clause:
         if deadline is not None and time.monotonic() > deadline:
             return Result("Timeout", [], len(entries))
         if len(entries) > max_clauses:
@@ -468,20 +518,12 @@ def saturate(
         steps += 1
         # Mostly lightest-first, with a periodic oldest-first pick for
         # fairness.
-        gi = None
-        if steps % 5 == 0:
-            while by_age:
-                i = heapq.heappop(by_age)
-                if i not in processed:
-                    gi = i
-                    break
+        queue = by_age if steps % 5 == 0 else by_weight
+        while queue:
+            _, gi = heapq.heappop(queue)
+            if gi not in processed:
+                break
         else:
-            while by_weight:
-                _, i = heapq.heappop(by_weight)
-                if i not in processed:
-                    gi = i
-                    break
-        if gi is None:
             continue
         processed.add(gi)
         given = entries[gi].clause
@@ -494,122 +536,17 @@ def saturate(
             list(given), [d for d in demods if d[0] != gi], used_d
         )
         if used_d:
-            if push(renorm, (gi,) + tuple(sorted(used_d)), None):
-                empty_idx = len(entries) - 1
-                break
+            push(renorm, (gi,) + tuple(sorted(used_d)), None)
             continue
         if any(subsumes(entries[a].clause, given) for a in active):
             continue
-        given_r = _rename(given, "g")
-        # Factoring on the given clause.
-        for i in range(len(given_r)):
-            for j in range(i + 1, len(given_r)):
-                pi, pp, pa = given_r[i]
-                qi, qp, qa = given_r[j]
-                if pi != qi or pp != qp or len(pa) != len(qa):
-                    continue
-                s: dict | None = {}
-                for x, y in zip(pa, qa):
-                    s = unify(x, y, s)
-                    if s is None:
-                        break
-                if s is None:
-                    continue
-                lits = _apply_clause(
-                    [l for k, l in enumerate(given_r) if k != j], s
-                )
-                if push(lits, (gi,), None):
-                    empty_idx = len(entries) - 1
-                    break
-            if empty_idx is not None:
+        for lits, parents in _inferences(_rename(given, "g"), gi, active, entries):
+            if push(lits, parents, None):
                 break
-        if empty_idx is not None:
-            break
-        # Equality resolution on the given clause.
-        for i, (pi, pp, pa) in enumerate(given_r):
-            if pi or pp != "=":
-                continue
-            s = unify(pa[0], pa[1], {})
-            if s is None:
-                continue
-            lits = _apply_clause([l for k, l in enumerate(given_r) if k != i], s)
-            if push(lits, (gi,), None):
-                empty_idx = len(entries) - 1
-                break
-        if empty_idx is not None:
-            break
-        # Resolution and paramodulation against active clauses and a
-        # fresh copy of the given clause itself.
-        partners = active + [gi]
-        for ai in partners:
-            other = _rename(entries[ai].clause, "a")
-            for i, (pi, pp, pa) in enumerate(given_r):
-                for j, (qi, qp, qa) in enumerate(other):
-                    if pi == qi or pp != qp or len(pa) != len(qa):
-                        continue
-                    s = {}
-                    for x, y in zip(pa, qa):
-                        s = unify(x, y, s)
-                        if s is None:
-                            break
-                    if s is None:
-                        continue
-                    lits = _apply_clause(
-                        [l for k, l in enumerate(given_r) if k != i]
-                        + [l for k, l in enumerate(other) if k != j],
-                        s,
-                    )
-                    if push(lits, (gi, ai), None):
-                        empty_idx = len(entries) - 1
-                        break
-                if empty_idx is not None:
-                    break
-            if empty_idx is not None:
-                break
-            # Paramodulation in both directions between the pair.
-            for src, si, dst, di in (
-                (given_r, gi, other, ai),
-                (other, ai, given_r, gi),
-            ):
-                for ei, l, r in _paramod_sides(src):
-                    rest = [x for k, x in enumerate(src) if k != ei]
-                    for lj, (qpos, qp, qargs) in enumerate(dst):
-                        for aj, arg in enumerate(qargs):
-                            for path, sub in _positions(arg):
-                                s = unify(l, sub, {})
-                                if s is None:
-                                    continue
-                                newlit = (
-                                    qpos,
-                                    qp,
-                                    qargs[:aj]
-                                    + (_replace(arg, path, r),)
-                                    + qargs[aj + 1 :],
-                                )
-                                lits = _apply_clause(
-                                    rest
-                                    + [x for k, x in enumerate(dst) if k != lj]
-                                    + [newlit],
-                                    s,
-                                )
-                                if push(lits, (si, di), None):
-                                    empty_idx = len(entries) - 1
-                                    break
-                            if empty_idx is not None:
-                                break
-                        if empty_idx is not None:
-                            break
-                    if empty_idx is not None:
-                        break
-                if empty_idx is not None:
-                    break
-            if empty_idx is not None:
-                break
-        if empty_idx is not None:
-            break
-        active.append(gi)
+        else:
+            active.append(gi)
 
-    if empty_idx is None:
+    if not entries or entries[-1].clause:
         # Paramodulation never rewrites from a variable side and there is
         # no equality factoring, so a saturated set with equality is not
         # known to be satisfiable.
@@ -618,7 +555,7 @@ def saturate(
         return Result("CounterSatisfiable", [], len(entries))
 
     used: list[str] = []
-    stack = [empty_idx]
+    stack = [len(entries) - 1]
     visited: set[int] = set()
     while stack:
         i = stack.pop()
@@ -671,6 +608,8 @@ def prove(
 
 
 def main(argv: list[str] | None = None) -> int:
+    if (sys.argv[1:] if argv is None else argv) == ["--serve"]:
+        return serve()
     ap = argparse.ArgumentParser(
         prog="hammer-microres",
         description="small resolution prover",
@@ -719,4 +658,4 @@ def serve() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(serve() if sys.argv[1:] == ["--serve"] else main())
+    sys.exit(main())

@@ -1,9 +1,12 @@
 """Export-format parsing and printing, corpus loading, accessibility."""
 
 import random
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
+from hammerkit import corpus as corpus_module
 from hammerkit.corpus import (
     AccessRelation,
     ObjectEntry,
@@ -16,6 +19,7 @@ from hammerkit.corpus import (
     TheoremId,
     UnknownTheorem,
     accessible_set,
+    load_corpus,
     load_corpus_files,
     parse_deps,
     parse_goal,
@@ -141,6 +145,32 @@ def test_wrong_entry_head_reports_its_position(read, text):
     with pytest.raises(ParseError, match="entry, found") as info:
         read(text)
     assert (info.value.line, info.value.col) == (2, 1)
+
+
+@pytest.mark.parametrize(
+    "read, line2, where",
+    [
+        (parse_trace, "step(l0, bogus, [], none).", (2, 10)),
+        (parse_trace, "step(l0, other, [], maybe).", (2, 21)),
+        (parse_tt, "tt(y, zz, $t).", (2, 7)),
+    ],
+    ids=["rule", "payload", "role"],
+)
+def test_bad_field_reports_its_position(read, line2, where):
+    line1 = "theory(t)." if read is parse_trace else "tt(x, ty, $t)."
+    with pytest.raises(ParseError, match="unknown") as info:
+        read(f"{line1}\n{line2}\n", Signature())
+    assert (info.value.line, info.value.col) == where
+
+
+def test_load_corpus_reads_the_theory_list_once(monkeypatch):
+    calls = []
+    parse_thy_once = corpus_module.parse_thy
+    monkeypatch.setattr(
+        corpus_module, "parse_thy", lambda text: calls.append(text) or parse_thy_once(text)
+    )
+    load_corpus(Path(str(resources.files("hammerkit") / "data" / "toy")))
+    assert len(calls) == 1
 
 
 def test_chained_equality_is_rejected():

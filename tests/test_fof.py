@@ -52,7 +52,7 @@ def test_monomorphic_statement_is_tagged():
     )
 
 
-def test_tag_all_keeps_every_tag_and_no_collapse():
+def test_every_term_is_tagged_and_no_axiom_strips_a_tag():
     nil = Const("NIL", (NAT,))
     cons = Const("CONS", (NAT,))
     hd = Const("HD", (NAT,))

@@ -3,7 +3,7 @@
 Every canonical echo, dependency listing, emitted problem and ranking the
 pipeline produces on the toy corpus is hashed per kind, and so is the
 bundled prover's answer to each exact-dependency problem read back from
-its TPTP text.  A refactor must leave all of them byte-identical; a change
+its TPTP text and, under a clause cap, to each ranked problem.  A refactor must leave all of them byte-identical; a change
 that means to alter one of these outputs recomputes its digest and says
 why.
 """
@@ -32,6 +32,7 @@ GOLDEN = {
     "problems_loaded": "2c4e3df5b95969676a7ee0c583b8db2b72a3d30b561a9a1c0dbb7d77eafad76b",
     "problems_transitive": "84fd451f94468c0e9f555e714edac3fbaafe75f3bb0da6dfd3f630ba3bff6666",
     "verdicts": "3baa128ad233a7bef4d3e5a081a826c37cbd8f0f9a5e01ed6c742a6512b147be",
+    "search": "069a351b1fb0260fa7d4ebc5f44b7fd0aca572664f8fe24251c35662b2ba2d5f",
 }
 
 
@@ -99,6 +100,12 @@ def golden_outputs() -> dict[str, list[str]]:
                 problems.append(text)
         out[f"ranked_{relation}"] = ranked_lines
         out[f"problems_{relation}"] = problems
+    # Ranked problems run into the clause cap, so this pins the order of
+    # the prover's search, not only its verdicts.
+    out["search"] = [
+        microres.prove(parse_problem(text), timeout=None, max_clauses=100)[0]
+        for text in out["problems_loaded"]
+    ]
     return out
 
 

@@ -331,7 +331,15 @@ def test_main_reports_input_error(tmp_path, capsys):
     assert "% SZS status InputError" in capsys.readouterr().out
 
 
-def test_serve_answers_exactly_as_main(tmp_path, capsys):
+# The second launcher is what the installed ``hammer-microres`` script runs.
+SERVE_LAUNCHERS = {
+    "module": ["-m", "hammerkit.provers.microres"],
+    "script": ["-c", "import sys; from hammerkit.provers.microres import main; sys.exit(main())"],
+}
+
+
+@pytest.mark.parametrize("launcher", sorted(SERVE_LAUNCHERS))
+def test_serve_answers_exactly_as_main(tmp_path, capsys, launcher):
     good = problem_file(tmp_path, "fof(a1, axiom, p).\nfof(goal, conjecture, p).\n")
     bad = str(tmp_path / "bad.p")
     with open(bad, "w", encoding="utf-8") as fh:
@@ -345,7 +353,7 @@ def test_serve_answers_exactly_as_main(tmp_path, capsys):
             code = e.code
         expected.append([code, capsys.readouterr().out])
     proc = subprocess.run(
-        [sys.executable, "-m", "hammerkit.provers.microres", "--serve"],
+        [sys.executable, *SERVE_LAUNCHERS[launcher], "--serve"],
         input="".join(json.dumps(argv) + "\n" for argv in calls),
         capture_output=True,
         text=True,
