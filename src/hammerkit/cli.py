@@ -161,7 +161,7 @@ def _cmd_parse(args: argparse.Namespace) -> int:
 def _cmd_deps(args: argparse.Namespace) -> int:
     corpus = _load(args)
     if args.names:
-        tids = [corpus.by_name[n] if n in corpus.by_name else _unknown(n) for n in args.names]
+        tids = [corpus.theorem_named(n).id for n in args.names]
     else:
         tids = [t for t in corpus.order() if not corpus.theorem(t).is_definition]
     for tid in tids:
@@ -172,10 +172,6 @@ def _cmd_deps(args: argparse.Namespace) -> int:
     return 0
 
 
-def _unknown(name: str):
-    raise UnknownTheorem(f"no theorem named {name}")
-
-
 def _cmd_features(args: argparse.Namespace) -> int:
     corpus = _load(args)
     if args.goal:
@@ -184,7 +180,7 @@ def _cmd_features(args: argparse.Namespace) -> int:
             print(feat)
         return 0
     if args.names:
-        tids = [corpus.by_name[n] if n in corpus.by_name else _unknown(n) for n in args.names]
+        tids = [corpus.theorem_named(n).id for n in args.names]
     else:
         tids = corpus.order()
     for tid in tids:
@@ -210,8 +206,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 def _cmd_translate(args: argparse.Namespace) -> int:
     corpus = _load(args)
     if args.name:
-        tid = corpus.by_name.get(args.name) or _unknown(args.name)
-        entry = corpus.theorem(tid)
+        entry = corpus.theorem_named(args.name)
         premises = conjunct_premises(corpus, frozenset().union(*entry.dependencies))
         conjecture = (entry.name, entry.statement)
     else:

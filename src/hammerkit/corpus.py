@@ -14,6 +14,11 @@ Roles are ``ty`` (type constructor or constant declaration), ``ax``
 type arguments of polymorphic constants are explicit, `` > `` is the
 right-associative type arrow, and ``![A:$t]:`` binds a type variable.
 
+The HOL reader is one pass over the tokens: every grammar rule returns a
+term or a type, and names resolve against the signature and the binders
+in scope as they are read.  A ``$t`` binder scopes over its own body and
+the binds after it in its group, like a term binder.
+
 Every text format hammerkit reads (``.thy``, ``.tt``, ``.deps``, proof
 traces, goals and TPTP problems) goes through the one lexer ``_lex`` and
 the one token cursor ``_Parser`` defined here; ``_Parser.entries`` reads
@@ -67,9 +72,8 @@ from .hol import (
 
 class ParseError(Exception):
     def __init__(self, msg: str, line: int | None = None, col: int | None = None):
-        if line is not None:
-            msg = f"line {line}, column {col}: {msg}"
-        super().__init__(msg)
+        super().__init__(msg if line is None else f"line {line}, column {col}: {msg}")
+        self.msg = msg  # without the position
         self.line = line
         self.col = col
 
@@ -142,50 +146,6 @@ def _lex(text: str, pattern: re.Pattern) -> list[tuple[str, str, int]]:
     return toks
 
 
-# ----------------------------------------------------------- raw expressions
-
-# Parsing happens in two phases: a precedence parser builds a raw tree, then
-# elaboration resolves names against the signature, consuming the explicit
-# type arguments of polymorphic constants.
-
-
-@dataclass(frozen=True)
-class _RName:
-    name: str
-
-
-@dataclass(frozen=True)
-class _RKind:  # the $t marker
-    pass
-
-
-@dataclass(frozen=True)
-class _RApp:
-    parts: tuple["_Raw", ...]
-
-
-@dataclass(frozen=True)
-class _ROp:
-    op: str  # => | & = >
-    lhs: "_Raw"
-    rhs: "_Raw"
-
-
-@dataclass(frozen=True)
-class _RNot:
-    body: "_Raw"
-
-
-@dataclass(frozen=True)
-class _RBinder:
-    kind: str  # ! ? ^
-    binds: tuple[tuple[str, "_Raw"], ...]
-    body: "_Raw"
-
-
-_Raw = Union[_RName, _RKind, _RApp, _ROp, _RNot, _RBinder]
-
-
 class _Parser:
     """A cursor over the tokens of one text.  Grammars read through it;
     the only thing a format passes in is its token regex."""
@@ -251,225 +211,202 @@ class _Parser:
 # The HOL grammar: a precedence ladder, loosest first.
 
 
-def _right(p: _Parser, op: str, operand) -> _Raw:
-    """operand (op operand)*, folded to the right."""
+class _Hol(_Parser):
+    """A cursor with a scope: the signature, the bound term variables and
+    the bound type variables."""
+
+    def __init__(self, text: str, sig: Signature):
+        super().__init__(text)
+        self.sig = sig
+        self.vars: dict[str, Var] = {}
+        self.tyvars: set[str] = set()
+
+    def at_atom(self, ahead: int = 0) -> bool:
+        kind, value, _ = self.toks[self.pos + ahead]
+        return kind in ("name", "qname", "tyt") or value == "("
+
+
+def _right(p: _Hol, op: str, operand, join):
+    """operand (op operand)*, folded to the right by ``join(lhs, rhs)``."""
     parts = [operand(p)]
     while p.at_op(op):
         p.take()
         parts.append(operand(p))
     out = parts.pop()
     while parts:
-        out = _ROp(op, parts.pop(), out)
+        out = join(parts.pop(), out)
     return out
 
 
-def _expr(p: _Parser) -> _Raw:
-    return _right(p, "=>", _disj)
+def _expr(p: _Hol) -> HolTerm:
+    return _right(p, "=>", _disj, lambda l, r: mk_const_app("=>", (), [l, r]))
 
 
-def _disj(p: _Parser) -> _Raw:
-    return _right(p, "|", _conj)
+def _disj(p: _Hol) -> HolTerm:
+    return _right(p, "|", _conj, lambda l, r: mk_const_app("|", (), [l, r]))
 
 
-def _conj(p: _Parser) -> _Raw:
-    return _right(p, "&", _neg)
+def _conj(p: _Hol) -> HolTerm:
+    return _right(p, "&", _neg, lambda l, r: mk_const_app("&", (), [l, r]))
 
 
-def _neg(p: _Parser) -> _Raw:
-    kind, value, _ = p.peek()
-    if kind == "op" and value == "~":
+_BINDERS = {"!": mk_forall, "?": mk_exists, "^": Abs}
+
+
+def _neg(p: _Hol) -> HolTerm:
+    if p.at_op("~"):
         p.take()
-        return _RNot(_neg(p))
-    if kind == "op" and value in "!?^":
+        return mk_const_app("~", (), [_neg(p)])
+    if p.peek()[1] in _BINDERS:
         return _binder(p)
     return _eq(p)
 
 
-def _binder(p: _Parser) -> _Raw:
+def _binder(p: _Hol) -> HolTerm:
+    """A binder group and its body; the bound names go out of scope after."""
     kind = p.take()[1]
+    scope = p.vars.copy(), p.tyvars.copy()
+    binds = _group(p, kind)
+    body = _neg(p)
+    p.vars, p.tyvars = scope
+    for v in reversed(binds):
+        if isinstance(v, Var):
+            body = _BINDERS[kind](v, body)
+    return body
+
+
+def _group(p: _Hol, kind: str, decl: str | None = None) -> list[Var | str]:
+    """``[bind, ...]:`` after the binder symbol ``kind``."""
     p.expect("[")
-    binds = p.commas(_bind)
+    binds = p.commas(lambda p: _bind(p, kind, decl))
     p.expect("]")
     p.expect(":")
-    return _RBinder(kind, tuple(binds), _neg(p))
+    return binds
 
 
-def _bind(p: _Parser) -> tuple[str, _Raw]:
+def _bind(p: _Hol, kind: str, decl: str | None) -> Var | str:
+    """``name:$t`` brings a type variable into scope and returns its name;
+    ``name:type`` brings a term variable into scope and returns it, unless
+    it is read in the declaration of the constant ``decl``."""
     name = p.name()
     p.expect(":")
-    if p.peek()[0] == "tyt":
-        p.take()
-        return name, _RKind()
-    return name, _arrow(p)
+    tok = p.peek()
+    if tok[0] != "tyt":
+        if decl is not None:
+            raise p.fail(f"constant declaration {decl} binds a term variable", tok)
+        v = p.vars[name] = Var(name, _type(p))
+        return v
+    p.take()
+    if kind != "!":
+        raise p.fail("a $t binder must use !", tok)
+    p.tyvars.add(name)
+    return name
 
 
-def _eq(p: _Parser) -> _Raw:
-    l = _arrow(p)
+def _eq(p: _Hol) -> HolTerm:
+    l = _app(p)
+    if not p.at_op("="):
+        return l
+    p.take()
+    r = _app(p)
     if p.at_op("="):
-        p.take()
-        r = _arrow(p)
-        if p.at_op("="):
-            raise p.fail("chained = needs parentheses")
-        return _ROp("=", l, r)
-    return l
+        raise p.fail("chained = needs parentheses")
+    return mk_eq(l, r, type_of(l, p.sig))
 
 
-def _arrow(p: _Parser) -> _Raw:
-    return _right(p, ">", _chain)
+def _app(p: _Hol) -> HolTerm:
+    """Application by juxtaposition."""
+    t = _atom(p, head=True)
+    while p.at_atom():
+        t = App(t, _atom(p))
+    if p.at_op(">"):
+        raise p.fail("type arrow in a term")
+    return t
 
 
-def _chain(p: _Parser) -> _Raw:
-    parts = [_atom(p)]
-    while True:
-        kind, value, _ = p.peek()
-        if kind not in ("name", "qname", "tyt") and value != "(":
-            break
-        parts.append(_atom(p))
-    return parts[0] if len(parts) == 1 else _RApp(tuple(parts))
-
-
-def _atom(p: _Parser) -> _Raw:
-    kind, value, _ = t = p.take()
-    if kind == "name":
-        return _RName(value)
-    if kind == "qname":
-        return _RName(_unquote(value))
+def _atom(p: _Hol, head: bool = False) -> HolTerm:
+    tok = kind, value, _ = p.take()
+    if kind == "name" or kind == "qname":
+        return _named(p, value if kind == "name" else _unquote(value), tok, head)
     if kind == "tyt":
-        return _RKind()
-    if value == "(":
-        e = _expr(p)
+        raise p.fail("$t outside a binder annotation", tok)
+    if value != "(":
+        raise p.fail(f"unexpected {value!r}", tok)
+    t = _expr(p)
+    p.expect(")")
+    return t
+
+
+def _named(p: _Hol, name: str, tok: tuple[str, str, int], head: bool) -> HolTerm:
+    """A bound variable or a constant.  A polymorphic constant at the head
+    of an application reads its type arguments, one type atom each."""
+    if name in p.vars:
+        return p.vars[name]
+    if not p.sig.has_const(name):
+        raise UnknownSymbol(f"undeclared name: {name}")
+    k = len(p.sig.const_decl(name).tyvars)
+    if k == 0:
+        return Const(name)
+    if not (head and p.at_atom()):
+        raise p.fail(f"polymorphic constant {name} needs {k} explicit type arguments", tok)
+    inst = []
+    for _ in range(k):
+        if not p.at_atom():
+            raise p.fail(f"constant {name} expects {k} explicit type arguments", tok)
+        try:
+            inst.append(_ty_atom(p))
+        except (ParseError, UnknownSymbol) as e:
+            why = e.msg if isinstance(e, ParseError) else e
+            raise p.fail(
+                f"constant {name} expects {k} explicit type "
+                f"arguments before its term arguments ({why})",
+                tok,
+            ) from None
+    return Const(name, tuple(inst))
+
+
+def _type(p: _Hol) -> HolType:
+    return _right(p, ">", _ty_app, mk_fun)
+
+
+def _ty_app(p: _Hol) -> HolType:
+    """A type atom, or a type constructor applied to type atoms."""
+    tok = p.peek()
+    if tok[0] not in ("name", "qname") or not p.at_atom(1):
+        ty = _ty_atom(p)
+        if p.at_atom():
+            raise p.fail("malformed type application", tok)
+        return ty
+    name = p.name()
+    if name in p.tyvars:
+        raise p.fail("malformed type application", tok)
+    arity = p.sig.type_arity(name)
+    args = []
+    while p.at_atom():
+        args.append(_ty_atom(p))
+    if len(args) != arity:
+        raise p.fail(
+            f"type constructor {name} has arity {arity}, applied to {len(args)}", tok
+        )
+    return TyApp(name, tuple(args))
+
+
+def _ty_atom(p: _Hol) -> HolType:
+    """A type variable, a nullary type constructor or a parenthesized type."""
+    tok = p.take()
+    if tok[1] == "(":
+        ty = _type(p)
         p.expect(")")
-        return e
-    raise p.fail(f"unexpected {value!r}", t)
-
-
-# -------------------------------------------------------------- elaboration
-
-
-class _Elab:
-    def __init__(self, sig: Signature):
-        self.sig = sig
-        self.tyvars: set[str] = set()
-        self.vars: dict[str, Var] = {}
-
-    def type_(self, raw: _Raw) -> HolType:
-        if isinstance(raw, _RName):
-            if raw.name in self.tyvars:
-                return TyVar(raw.name)
-            arity = self.sig.type_arity(raw.name)
-            if arity != 0:
-                raise ParseError(
-                    f"type constructor {raw.name} expects {arity} arguments"
-                )
-            return TyApp(raw.name)
-        if isinstance(raw, _ROp) and raw.op == ">":
-            return mk_fun(self.type_(raw.lhs), self.type_(raw.rhs))
-        if isinstance(raw, _RApp):
-            head = raw.parts[0]
-            if not isinstance(head, _RName) or head.name in self.tyvars:
-                raise ParseError("malformed type application")
-            arity = self.sig.type_arity(head.name)
-            args = tuple(self.type_(p) for p in raw.parts[1:])
-            if arity != len(args):
-                raise ParseError(
-                    f"type constructor {head.name} has arity {arity}, "
-                    f"applied to {len(args)}"
-                )
-            return TyApp(head.name, args)
-        raise ParseError("expected a type")
-
-    def term(self, raw: _Raw) -> HolTerm:
-        if isinstance(raw, _RName):
-            if raw.name in self.vars:
-                return self.vars[raw.name]
-            if self.sig.has_const(raw.name):
-                decl = self.sig.const_decl(raw.name)
-                if decl.tyvars:
-                    raise ParseError(
-                        f"polymorphic constant {raw.name} needs "
-                        f"{len(decl.tyvars)} explicit type arguments"
-                    )
-                return Const(raw.name)
-            raise UnknownSymbol(f"undeclared name: {raw.name}")
-        if isinstance(raw, _RApp):
-            return self._app(raw)
-        if isinstance(raw, _RNot):
-            return mk_const_app("~", (), [self.term(raw.body)])
-        if isinstance(raw, _ROp):
-            if raw.op == ">":
-                raise ParseError("type arrow in a term")
-            l, r = self.term(raw.lhs), self.term(raw.rhs)
-            if raw.op == "=":
-                return mk_eq(l, r, type_of(l, self.sig))
-            return mk_const_app(raw.op, (), [l, r])
-        if isinstance(raw, _RBinder):
-            return self._binder(raw)
-        raise ParseError("$t outside a binder annotation")
-
-    def _app(self, raw: _RApp) -> HolTerm:
-        head, rest = raw.parts[0], list(raw.parts[1:])
-        if (
-            isinstance(head, _RName)
-            and head.name not in self.vars
-            and self.sig.has_const(head.name)
-        ):
-            decl = self.sig.const_decl(head.name)
-            k = len(decl.tyvars)
-            if len(rest) < k:
-                raise ParseError(
-                    f"constant {head.name} expects {k} explicit type arguments"
-                )
-            try:
-                inst = tuple(self.type_(r) for r in rest[:k])
-            except (ParseError, UnknownSymbol) as e:
-                raise ParseError(
-                    f"constant {head.name} expects {k} explicit type "
-                    f"arguments before its term arguments ({e})"
-                ) from None
-            t: HolTerm = Const(head.name, inst)
-            rest = rest[k:]
-        else:
-            t = self.term(head)
-        for r in rest:
-            t = App(t, self.term(r))
-        return t
-
-    def _binder(self, raw: _RBinder) -> HolTerm:
-        saved_vars: dict[str, Var | None] = {}
-        added_ty: list[str] = []
-        plan: list[Var | None] = []
-        for name, annot in raw.binds:
-            if isinstance(annot, _RKind):
-                if raw.kind != "!":
-                    raise ParseError("a $t binder must use !")
-                if name not in self.tyvars:
-                    self.tyvars.add(name)
-                    added_ty.append(name)
-                plan.append(None)
-            else:
-                v = Var(name, self.type_(annot))
-                if name not in saved_vars:
-                    saved_vars[name] = self.vars.get(name)
-                self.vars[name] = v
-                plan.append(v)
-        body = self.term(raw.body)
-        for name, old in saved_vars.items():
-            if old is None:
-                del self.vars[name]
-            else:
-                self.vars[name] = old
-        for name in added_ty:
-            self.tyvars.discard(name)
-        for v in reversed(plan):
-            if v is None:
-                continue
-            if raw.kind == "!":
-                body = mk_forall(v, body)
-            elif raw.kind == "?":
-                body = mk_exists(v, body)
-            else:
-                body = Abs(v, body)
-        return body
+        return ty
+    if tok[0] not in ("name", "qname"):
+        raise p.fail("expected a type", tok)
+    name = tok[1] if tok[0] == "name" else _unquote(tok[1])
+    if name in p.tyvars:
+        return TyVar(name)
+    arity = p.sig.type_arity(name)
+    if arity != 0:
+        raise p.fail(f"type constructor {name} expects {arity} arguments", tok)
+    return TyApp(name)
 
 
 # ------------------------------------------------------------------ entries
@@ -505,98 +442,58 @@ _ROLE_TEXT = {
 }
 
 
-def _kind_arity(raw: _Raw) -> int | None:
-    """Arity if raw is a kind ($t > ... > $t), else None."""
-    if isinstance(raw, _RKind):
-        return 0
-    if isinstance(raw, _ROp) and raw.op == ">" and isinstance(raw.lhs, _RKind):
-        rest = _kind_arity(raw.rhs)
-        return None if rest is None else rest + 1
-    return None
-
-
-def _contains_kind(raw: _Raw) -> bool:
-    if isinstance(raw, _RKind):
-        return True
-    if isinstance(raw, _ROp):
-        return _contains_kind(raw.lhs) or _contains_kind(raw.rhs)
-    if isinstance(raw, _RApp):
-        return any(_contains_kind(p) for p in raw.parts)
-    return False
-
-
-def _elaborate_ty_entry(name: str, raw: _Raw, sig: Signature) -> ObjectEntry:
-    if _contains_kind(raw):
-        arity = _kind_arity(raw)
-        if arity is None:
-            raise ParseError(f"malformed kind in declaration of {name}")
-        sig.declare_type(name, arity)
-        return ObjectEntry(name, Role.TYPE_DECL, arity)
+def _declaration(p: _Hol, name: str) -> tuple[Role, int | ConstDecl]:
+    """A ``ty`` payload, declared in the signature: a kind ``$t > ... > $t``
+    for a type constructor, or ``![A:$t, ...]:`` groups and a type for a
+    constant."""
+    if p.peek()[0] == "tyt":
+        p.take()
+        arity = 0
+        while p.at_op(">"):
+            p.take()
+            tok = p.take()
+            if tok[0] != "tyt":
+                raise p.fail(f"malformed kind in declaration of {name}", tok)
+            arity += 1
+        if not p.at_op(")"):
+            raise p.fail(f"malformed kind in declaration of {name}")
+        p.sig.declare_type(name, arity)
+        return Role.TYPE_DECL, arity
     tyvars: list[str] = []
-    while isinstance(raw, _RBinder):
-        if not all(isinstance(a, _RKind) for _, a in raw.binds):
-            raise ParseError(f"constant declaration {name} binds a term variable")
-        if raw.kind != "!":
-            raise ParseError("a $t binder must use !")
-        tyvars.extend(n for n, _ in raw.binds)
-        raw = raw.body
-    el = _Elab(sig)
-    el.tyvars = set(tyvars)
-    ty = el.type_(raw)
-    sig.declare_const(name, tuple(tyvars), ty)
-    return ObjectEntry(name, Role.CONST_DECL, ConstDecl(tuple(tyvars), ty))
+    while p.peek()[1] in _BINDERS:
+        tyvars += _group(p, p.take()[1], name)
+    ty = _type(p)
+    p.tyvars.clear()
+    p.sig.declare_const(name, tuple(tyvars), ty)
+    return Role.CONST_DECL, ConstDecl(tuple(tyvars), ty)
 
 
 def parse_tt(text: str, signature: Signature | None = None, theory: str = "") -> list[ObjectEntry]:
     """Parse a .tt file.  Declarations are added to ``signature`` in place."""
-    sig = signature if signature is not None else Signature()
-    p = _Parser(text)
+    p = _Hol(text, signature if signature is not None else Signature())
     entries: list[ObjectEntry] = []
     for seq, _ in enumerate(p.entries("tt")):
         name = p.name()
         p.expect(",")
         tok = p.peek()
-        role = p.name()
-        if role not in ("ty", "ax", "conj"):
-            raise p.fail(f"in entry {name}: unknown role {role!r}", tok)
+        tag = p.name()
+        if tag not in ("ty", "ax", "conj"):
+            raise p.fail(f"in entry {name}: unknown role {tag!r}", tok)
         p.expect(",")
-        raw = _expr(p)
-        try:
-            if role == "ty":
-                entry = _elaborate_ty_entry(name, raw, sig)
-            else:
-                entry = ObjectEntry(
-                    name,
-                    Role.THEOREM if role == "ax" else Role.CONJECTURE,
-                    _elaborate_statement(raw, sig, name),
-                )
-        except ParseError as e:
-            if e.line is None:
-                raise ParseError(f"in entry {name}: {e}") from None
-            raise
-        entries.append(replace(entry, theory=theory, seq=seq))
+        if tag == "ty":
+            role, formula = _declaration(p, name)
+        else:
+            role = Role.THEOREM if tag == "ax" else Role.CONJECTURE
+            formula = _statement(p, name)
+        entries.append(ObjectEntry(name, role, formula, theory, seq))
     return entries
 
 
-def _raw_tyvars(raw: _Raw) -> list[TyVar]:
-    # Type binders scope over the whole statement; they are collected up
-    # front so annotations anywhere in the formula can mention them.
-    out: list[TyVar] = []
-    if isinstance(raw, _RBinder):
-        for n, a in raw.binds:
-            if isinstance(a, _RKind):
-                out.append(TyVar(n))
-        out.extend(_raw_tyvars(raw.body))
-    return out
-
-
-def _elaborate_statement(raw: _Raw, sig: Signature, what: str) -> HolTerm:
-    """A parsed formula as a term over ``sig``; NotBoolean unless it is a
-    statement.  ``what`` names the formula in the error."""
-    el = _Elab(sig)
-    el.tyvars = {v.name for v in _raw_tyvars(raw)}
-    term = el.term(raw)
-    if typecheck(term, sig) != BOOL:
+def _statement(p: _Hol, what: str) -> HolTerm:
+    """A formula, typechecked; NotBoolean unless it is a statement.
+    ``what`` names the formula in the error."""
+    term = _expr(p)
+    if typecheck(term, p.sig) != BOOL:
         raise NotBoolean(f"{what} is not a boolean formula")
     return term
 
@@ -826,10 +723,8 @@ class Corpus:
         self.signature = Signature()
         self.theories: list[str] = []
         self.ancestors: dict[str, tuple[str, ...]] = {}
-        self.entries: list[ObjectEntry] = []
         self.theorems: dict[TheoremId, TheoremEntry] = {}
         self.by_name: dict[str, TheoremId] = {}
-        self.conjectures: list[ObjectEntry] = []
         self._order: list[TheoremId] | None = None
         self._pos: dict[TheoremId, int] | None = None
         # The learner's conjunct numbering and feature index for this
@@ -1053,34 +948,22 @@ def _expand_dep(corpus: Corpus, name: str) -> frozenset[ConjunctId]:
 
 
 def _ingest_theory(corpus: Corpus, theory: str, entries: list[ObjectEntry]) -> None:
-    theorem_entries = [e for e in entries if e.role is Role.THEOREM]
-    events = [
-        (e.name, TheoremId(theory, i)) for i, e in enumerate(theorem_entries)
+    theorems = [
+        (TheoremId(theory, i), e)
+        for i, e in enumerate(e for e in entries if e.role is Role.THEOREM)
     ]
-    names = rename_overwritten(events)
-    renamed: dict[int, str] = {
-        e.seq: names[tid] for (_, tid), e in zip(events, theorem_entries)
-    }
-    counter = 0
-    for e in entries:
-        if e.role is Role.THEOREM:
-            tid = TheoremId(theory, counter)
-            counter += 1
-            final = renamed[e.seq]
-            conjs = tuple(split_conjuncts(e.formula, corpus.signature))
-            corpus.theorems[tid] = TheoremEntry(
-                id=tid,
-                name=final,
-                statement=e.formula,
-                conjuncts=conjs,
-                dependencies=tuple(frozenset() for _ in conjs),
-                is_definition=e.name.endswith(("_def", "_DEF")),
-            )
-            corpus.by_name[final] = tid
-            e = replace(e, name=final)
-        elif e.role is Role.CONJECTURE:
-            corpus.conjectures.append(e)
-        corpus.entries.append(e)
+    names = rename_overwritten([(e.name, tid) for tid, e in theorems])
+    for tid, e in theorems:
+        conjs = tuple(split_conjuncts(e.formula, corpus.signature))
+        corpus.theorems[tid] = TheoremEntry(
+            id=tid,
+            name=names[tid],
+            statement=e.formula,
+            conjuncts=conjs,
+            dependencies=tuple(frozenset() for _ in conjs),
+            is_definition=e.name.endswith(("_def", "_DEF")),
+        )
+        corpus.by_name[names[tid]] = tid
 
 
 def _ingest_deps(corpus: Corpus, lines: list[tuple[str, list[str]]]) -> None:
@@ -1166,10 +1049,10 @@ def parse_goal(text: str, sig: Signature) -> tuple[str, HolTerm]:
         ):
             raise ParseError("goal file must hold exactly one ax/conj entry")
         return entries[0].name, entries[0].formula
-    p = _Parser(stripped)
-    raw = _expr(p)
+    p = _Hol(stripped, sig)
+    term = _statement(p, "goal")
     if p.at_op("."):
         p.take()
     if p.peek()[0] != "eof":
         raise p.fail("trailing input after the goal formula")
-    return "goal", _elaborate_statement(raw, sig, "goal")
+    return "goal", term

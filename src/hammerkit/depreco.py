@@ -23,10 +23,9 @@ from typing import Callable, Sequence, Union
 from .corpus import (
     ConjunctId,
     TheoremId,
-    _elaborate_statement,
-    _expr,
+    _Hol,
     _parse_name_list,
-    _Parser,
+    _statement,
     deps_lines,
 )
 from .hol import HolTerm, Signature, split_conjuncts
@@ -278,7 +277,7 @@ class TraceStep:
 
 def parse_trace(text: str, sig: Signature) -> list[tuple[str, object]]:
     """A trace as a list of ("theory", name) and ("step", TraceStep) items."""
-    p = _Parser(text)
+    p = _Hol(text, sig)
     out: list[tuple[str, object]] = []
     for head in p.entries("theory", "step"):
         if head == "theory":
@@ -311,7 +310,7 @@ def parse_trace(text: str, sig: Signature) -> list[tuple[str, object]]:
             p.take()
             name = p.name()
             p.expect(",")
-            statement = _elaborate_statement(_expr(p), sig, f"statement of {name}")
+            statement = _statement(p, f"statement of {name}")
         out.append(("step", TraceStep(label, rule, tuple(premises), payload, name, statement)))
     return out
 

@@ -185,9 +185,6 @@ class NameMangler:
             self._symbols[key] = self._unique(base, self._taken_symbols)
         return self._symbols[key]
 
-    def fresh_symbol(self, base: str) -> str:
-        return self._unique(base, self._taken_symbols)
-
     def axiom_name(self, source: str) -> str:
         if source not in self._names:
             mangled = self._unique(self._candidate(source), self._taken_names)

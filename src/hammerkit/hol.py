@@ -536,9 +536,9 @@ def split_conjuncts(formula: HolTerm, sig: Signature) -> list[tuple[ConjunctAddr
 
     Each returned conjunct re-binds, in original order, exactly the stripped
     universals it uses.  A conjunction-free formula yields a singleton at the
-    root address.
+    root address.  The formula must be well typed.
     """
-    if typecheck(formula, sig) != BOOL:
+    if type_of(formula, sig) != BOOL:
         raise NotBoolean(f"not a boolean formula: {show_term(formula)}")
 
     def walk(t: HolTerm) -> list[tuple[tuple[str, ...], HolTerm]]:

@@ -96,10 +96,11 @@ def test_deps_lists_conjunct_dependencies(corpus_dir, capsys):
     assert "ADD_BOTH_c2: ADD_DEF_c1" in out
 
 
-def test_deps_unknown_name(corpus_dir, capsys):
-    code, _, err = run(capsys, "deps", "--corpus", corpus_dir, "NOPE")
+@pytest.mark.parametrize("command", ["deps", "features", "translate"])
+def test_unknown_name(corpus_dir, capsys, command):
+    code, _, err = run(capsys, command, "--corpus", corpus_dir, "NOPE")
     assert code == 2
-    assert "NOPE" in err
+    assert "no theorem named NOPE" in err
 
 
 # -------------------------------------------------------- features, predict

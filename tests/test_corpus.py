@@ -163,6 +163,21 @@ def test_bad_field_reports_its_position(read, line2, where):
     assert (info.value.line, info.value.col) == where
 
 
+@pytest.mark.parametrize(
+    "line2, where",
+    [
+        ("tt(bad, ax, HD NIL = 0).", (2, 13)),
+        ("tt(bad, ty, $t > nat).", (2, 18)),
+        ("tt(bad, ax, ?[A:$t]: 0 = 0).", (2, 17)),
+    ],
+    ids=["type-argument", "kind", "type-binder"],
+)
+def test_name_resolution_error_reports_its_position(line2, where):
+    with pytest.raises(ParseError) as info:
+        parse_tt(f"tt(x, ty, $t).\n{line2}\n", toy_sig())
+    assert (info.value.line, info.value.col) == where
+
+
 def test_load_corpus_reads_the_theory_list_once(monkeypatch):
     calls = []
     parse_thy_once = corpus_module.parse_thy
