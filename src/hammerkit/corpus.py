@@ -51,6 +51,7 @@ from .hol import (
     Signature,
     TyApp,
     TyVar,
+    TypeMismatch,
     UnknownSymbol,
     Var,
     dest_binder,
@@ -304,6 +305,7 @@ def _bind(p: _Hol, kind: str, decl: str | None) -> Var | str:
 
 
 def _eq(p: _Hol) -> HolTerm:
+    start = p.pos
     l = _app(p)
     if not p.at_op("="):
         return l
@@ -311,7 +313,11 @@ def _eq(p: _Hol) -> HolTerm:
     r = _app(p)
     if p.at_op("="):
         raise p.fail("chained = needs parentheses")
-    return mk_eq(l, r, type_of(l, p.sig))
+    try:
+        ty = type_of(l, p.sig)
+    except TypeMismatch:
+        ty = _typecheck(p, l, p.toks[start])  # raises, naming the bad application
+    return mk_eq(l, r, ty)
 
 
 def _app(p: _Hol) -> HolTerm:
@@ -492,10 +498,19 @@ def parse_tt(text: str, signature: Signature | None = None, theory: str = "") ->
 def _statement(p: _Hol, what: str) -> HolTerm:
     """A formula, typechecked; NotBoolean unless it is a statement.
     ``what`` names the formula in the error."""
+    tok = p.peek()
     term = _expr(p)
-    if typecheck(term, p.sig) != BOOL:
+    if _typecheck(p, term, tok) != BOOL:
         raise NotBoolean(f"{what} is not a boolean formula")
     return term
+
+
+def _typecheck(p: _Hol, term: HolTerm, tok: tuple[str, str, int]) -> HolType:
+    """``typecheck``, with a type error placed at ``tok``."""
+    try:
+        return typecheck(term, p.sig)
+    except TypeMismatch as e:
+        raise p.fail(str(e), tok) from None
 
 
 # ----------------------------------------------------------------- printing

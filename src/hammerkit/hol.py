@@ -423,27 +423,6 @@ def alpha_equal(s: HolTerm, t: HolTerm) -> bool:
     return alpha_key(s) == alpha_key(t)
 
 
-def subterms(t: HolTerm) -> list[HolTerm]:
-    """All subterms including the term itself, deduplicated up to alpha."""
-    out: list[HolTerm] = []
-    seen = set()
-
-    def walk(t: HolTerm) -> None:
-        k = alpha_key(t)
-        if k not in seen:
-            seen.add(k)
-            out.append(t)
-        if isinstance(t, App):
-            walk(t.fun)
-            walk(t.arg)
-        elif isinstance(t, Abs):
-            walk(t.var)
-            walk(t.body)
-
-    walk(t)
-    return out
-
-
 # ----------------------------------------------------- formula constructors
 
 

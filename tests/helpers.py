@@ -131,3 +131,72 @@ def random_formula(
 def random_closed_formula(rng: random.Random, depth: int = 4) -> HolTerm:
     f = random_formula(rng, depth)
     return mk_foralls(free_vars(f), f)
+
+
+# Type variables not named A or B, so that renaming them A, B, ... by first
+# occurrence shows; R > Q puts R first.
+_Q, _R = TyVar("Q"), TyVar("R")
+_POLY_TYPES = [
+    _Q, _R, NAT, TyApp("list", (_Q,)), TyApp("list", (_R,)), mk_fun(_Q, _R), mk_fun(_R, _Q)
+]
+
+
+def random_poly_term(
+    rng: random.Random, ty: HolType, depth: int, scope: tuple[Var, ...] = ()
+) -> HolTerm:
+    """A well-typed term of the given type over type variables and the
+    polymorphic HD, CONS, MAP and NIL."""
+    atoms: list[HolTerm] = [v for v in scope if v.ty == ty]
+    is_list = isinstance(ty, TyApp) and ty.con == "list"
+    if is_list:
+        atoms.append(Const("NIL", ty.args))
+    choices = ["atom"] * 2 if atoms else []
+    if depth > 0:
+        choices.append("hd")
+        if is_list:
+            choices += ["cons", "map"]
+        if is_fun(ty):
+            choices.append("abs")
+    if not choices:
+        return Var(f"y{rng.randrange(3)}", ty)
+    c = rng.choice(choices)
+    if c == "atom":
+        return rng.choice(atoms)
+    if c == "hd":
+        lst = random_poly_term(rng, TyApp("list", (ty,)), depth - 1, scope)
+        return App(Const("HD", (ty,)), lst)
+    if c == "cons":
+        (elem,) = ty.args
+        head = random_poly_term(rng, elem, depth - 1, scope)
+        tail = random_poly_term(rng, ty, depth - 1, scope)
+        return mk_const_app("CONS", (elem,), [head, tail])
+    if c == "map":
+        (res,) = ty.args
+        src = rng.choice(_POLY_TYPES)
+        f = random_poly_term(rng, mk_fun(src, res), depth - 1, scope)
+        lst = random_poly_term(rng, TyApp("list", (src,)), depth - 1, scope)
+        return mk_const_app("MAP", (src, res), [f, lst])
+    a, r = dest_fun(ty)
+    v = Var(f"x{rng.randrange(3)}", a)
+    return Abs(v, random_poly_term(rng, r, depth - 1, scope + (v,)))
+
+
+def random_poly_formula(rng: random.Random, depth: int = 3) -> HolTerm:
+    """A closed formula whose variables and constants are polymorphic."""
+
+    def formula(depth: int, scope: tuple[Var, ...]) -> HolTerm:
+        if depth <= 0 or rng.random() < 0.3:
+            ty = rng.choice(_POLY_TYPES)
+            lhs = random_poly_term(rng, ty, 3, scope)
+            return mk_eq(lhs, random_poly_term(rng, ty, 3, scope), ty)
+        k = rng.choice(["conj", "neg", "forall", "exists"])
+        if k == "neg":
+            return mk_neg(formula(depth - 1, scope))
+        if k == "conj":
+            return mk_const_app("&", (), [formula(depth - 1, scope), formula(depth - 1, scope)])
+        v = Var(f"z{rng.randrange(3)}", rng.choice(_POLY_TYPES))
+        body = formula(depth - 1, scope + (v,))
+        return mk_forall(v, body) if k == "forall" else mk_exists(v, body)
+
+    f = formula(depth, ())
+    return mk_foralls(free_vars(f), f)

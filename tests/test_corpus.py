@@ -178,6 +178,22 @@ def test_name_resolution_error_reports_its_position(line2, where):
     assert (info.value.line, info.value.col) == where
 
 
+@pytest.mark.parametrize(
+    "line2, where, message",
+    [
+        ("tt(bad, ax, (0 0) = 0).", (2, 13), "applying non-function 0 : nat"),
+        ("tt(bad, ax, 0 = (0 0)).", (2, 13), "applying non-function 0 : nat"),
+        ("tt(bad, ax, 0 = SUC).", (2, 13), "expected argument of type nat"),
+        ("tt(bad, ax, ~(SUC 0 0 = 0)).", (2, 15), "applying non-function SUC 0 : nat"),
+    ],
+    ids=["left-of-eq", "right-of-eq", "eq-argument", "nested"],
+)
+def test_type_error_reports_its_position(line2, where, message):
+    with pytest.raises(ParseError, match=message) as info:
+        parse_tt(f"tt(x, ty, $t).\n{line2}\n", toy_sig())
+    assert (info.value.line, info.value.col) == where
+
+
 def test_load_corpus_reads_the_theory_list_once(monkeypatch):
     calls = []
     parse_thy_once = corpus_module.parse_thy

@@ -1,12 +1,13 @@
 """Feature extraction and variable normalizations."""
 
 import random
+from importlib import resources
+from pathlib import Path
 
-from hammerkit.features import (
-    NormScheme,
-    extract,
-    normalize_print,
-)
+import pytest
+
+from hammerkit.corpus import load_corpus, parse_tt
+from hammerkit.features import extract
 from hammerkit.hol import (
     Abs,
     App,
@@ -18,9 +19,18 @@ from hammerkit.hol import (
     mk_forall,
     mk_fun,
     subst,
-    subterms,
 )
-from .helpers import LIST_NAT, NAT, random_closed_formula
+from .feature_oracle import NormScheme, normalize_print, oracle_extract, subterms
+from .helpers import (
+    LIST_NAT,
+    NAT,
+    random_closed_formula,
+    random_formula,
+    random_poly_formula,
+    toy_sig,
+)
+
+TOY = Path(str(resources.files("hammerkit") / "data" / "toy"))
 
 
 def hd_cons() -> tuple:
@@ -116,3 +126,53 @@ def test_extract_covers_every_subterm():
             for scheme in NormScheme:
                 assert "s:" + normalize_print(sub, scheme) in feats
 
+
+def toy_statements():
+    corpus = load_corpus(TOY)
+    for tid in corpus.order():
+        entry = corpus.theorem(tid)
+        yield entry.name, entry.statement
+        for cid in entry.conjunct_ids():
+            yield corpus.conjunct_label(cid), corpus.conjunct_statement(cid)
+
+
+def test_extract_equals_oracle_on_toy_corpus():
+    checked = 0
+    for name, statement in toy_statements():
+        assert extract(statement) == oracle_extract(statement), name
+        checked += 1
+    assert checked > 100
+
+
+@pytest.mark.parametrize(
+    "formula",
+    [random_closed_formula, random_poly_formula, lambda rng: random_formula(rng, 4)],
+    ids=["monomorphic", "polymorphic", "open"],
+)
+def test_extract_equals_oracle_on_random_formulas(formula):
+    rng = random.Random(17)
+    for _ in range(150):
+        f = formula(rng)
+        assert extract(f) == oracle_extract(f)
+
+
+def test_polymorphic_formulas_rename_type_variables():
+    rng = random.Random(17)
+    feats = set().union(*(extract(random_poly_formula(rng)) for _ in range(40)))
+    assert {"v:A", "v:B", "s:(fun A B)"} <= feats
+    assert not any("Q" in f or "R" in f for f in feats)
+
+
+def test_long_conjunction_gets_its_features():
+    n = 600
+    text = "tt(long, ax, " + " & ".join(["0 = 0"] * n) + ")."
+    (entry,) = parse_tt(text, toy_sig())
+    feats = extract(entry.formula)
+    whole = "(= 0 0)"
+    for _ in range(n - 1):
+        whole = f"(& (= 0 0) {whole})"
+    assert "s:" + whole in feats
+    assert {"c:&", "c:=", "c:0", "t:nat"} <= feats
+    # The n - 1 suffixes headed by &, then (= 0 0), (= 0), (& (= 0 0)),
+    # =, & and 0.
+    assert sum(f.startswith("s:") for f in feats) == (n - 1) + 6

@@ -1,7 +1,7 @@
 """Golden outputs on the bundled toy corpus, pinned by sha256.
 
-Every canonical echo, dependency listing, emitted problem and ranking the
-pipeline produces on the toy corpus is hashed per kind, and so is the
+Every canonical echo, dependency listing, feature set, emitted problem and
+ranking the pipeline produces on the toy corpus is hashed per kind, and so is the
 bundled prover's answer to each exact-dependency problem read back from
 its TPTP text and, under a clause cap, to each ranked problem.  A refactor must leave all of them byte-identical; a change
 that means to alter one of these outputs recomputes its digest and says
@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from hammerkit.corpus import AccessRelation, Signature, load_corpus, parse_tt, print_tt
+from hammerkit.features import extract
 from hammerkit.harness import build_problem, conjunct_premises, suggest
 from hammerkit.provers import microres
 from hammerkit.tptp import parse_problem, print_problem
@@ -24,6 +25,7 @@ TOY = Path(str(resources.files("hammerkit") / "data" / "toy"))
 GOLDEN = {
     "echo": "11c149446e00cd16fabacdae195a351ce6ab896ad7edf33e06cde2064f1033b2",
     "deps": "76a15b4ba64b1d95e7a87445ea4f5306158c2c42a18d7c6048daef4ba55af97a",
+    "features": "6eb2263c09cd91b669c849919e2f116f6dcdbfa8586403cfc42e0abb15f1de86",
     "exact": "9bf801db2233cfe27fa72680cbca6a9f5e0b4dea3d9738b6adb19fcda42a9e55",
     "ranked_linear": "fb1928d756e585fe0eef35ff9ed2547f4adb6832079c6bd5b819f0db1001c6a5",
     "ranked_loaded": "fb1928d756e585fe0eef35ff9ed2547f4adb6832079c6bd5b819f0db1001c6a5",
@@ -57,6 +59,14 @@ def golden_outputs() -> dict[str, list[str]]:
         for cid, deps in zip(entry.conjunct_ids(), entry.dependencies):
             labels = sorted(corpus.conjunct_label(d) for d in deps)
             out["deps"].append(f"{corpus.conjunct_label(cid)}: {' '.join(labels)}")
+
+    out["features"] = []
+    for tid in corpus.order():
+        entry = corpus.theorem(tid)
+        out["features"].append(f"{entry.name}: {' '.join(sorted(extract(entry.statement)))}")
+        for cid in entry.conjunct_ids():
+            feats = " ".join(sorted(extract(corpus.conjunct_statement(cid))))
+            out["features"].append(f"{corpus.conjunct_label(cid)}: {feats}")
 
     targets = [tid for tid in corpus.order() if not corpus.theorem(tid).is_definition]
     assert len(targets) == 59

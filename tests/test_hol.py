@@ -35,13 +35,13 @@ from hammerkit.hol import (
     split_conjuncts,
     strip_foralls,
     subst,
-    subterms,
     term_ty_vars,
     ty_subst,
     type_of,
     typecheck,
     validate_type,
 )
+from .feature_oracle import subterms
 from .helpers import LIST_NAT, NAT, random_closed_formula, random_term, toy_sig
 
 
