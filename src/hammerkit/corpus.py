@@ -887,14 +887,6 @@ def parse_thy(text: str) -> list[tuple[str, tuple[str, ...]]]:
     return out
 
 
-def print_thy(theories: Sequence[tuple[str, Sequence[str]]]) -> str:
-    lines = [
-        f"theory({show_name(n)}, [{', '.join(show_name(a) for a in ancs)}])."
-        for n, ancs in theories
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 def _parse_name_list(p: _Parser) -> list[str]:
     p.expect("[")
     names = [] if p.at_op("]") else p.commas(_Parser.name)
@@ -920,17 +912,6 @@ def deps_lines(rows: Iterable[tuple[str, Sequence[str]]]) -> str:
         for label, deps in rows
     ]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def print_deps(corpus: Corpus) -> str:
-    """One line per conjunct of every theorem, in linear order."""
-    rows = []
-    for tid in corpus.order():
-        entry = corpus.theorem(tid)
-        for k, deps in enumerate(entry.dependencies, start=1):
-            ordered = sorted(deps, key=lambda c: (corpus.position(c.theorem), c.index))
-            rows.append((f"{entry.name}_c{k}", [corpus.conjunct_label(c) for c in ordered]))
-    return deps_lines(rows)
 
 
 _CONJ_SUFFIX = re.compile(r"^(.*)_c([0-9]+)$")

@@ -650,55 +650,3 @@ def translate_problem(
         helpers=frozenset(helpers),
     )
 
-
-# ------------------------------------------------------------------- linting
-
-
-def check_problem(problem: FofProblem) -> dict[str, int]:
-    """Verify the first-order invariants: every symbol at one arity, no
-    symbol both predicate and function.  Returns the symbol-arity map."""
-    fun_arity: dict[str, int] = {}
-    pred_arity: dict[str, int] = {}
-
-    def term(t: FofTerm) -> None:
-        if isinstance(t, FofVar):
-            return
-        seen = fun_arity.setdefault(t.sym, len(t.args))
-        if seen != len(t.args):
-            raise TranslateError(
-                f"function {t.sym} used at arities {seen} and {len(t.args)}"
-            )
-        if t.sym in pred_arity:
-            raise TranslateError(f"{t.sym} used as both function and predicate")
-        for a in t.args:
-            term(a)
-
-    def formula(f: FofFormula) -> None:
-        if isinstance(f, Pred):
-            seen = pred_arity.setdefault(f.sym, len(f.args))
-            if seen != len(f.args):
-                raise TranslateError(
-                    f"predicate {f.sym} used at arities {seen} and {len(f.args)}"
-                )
-            if f.sym in fun_arity:
-                raise TranslateError(
-                    f"{f.sym} used as both function and predicate"
-                )
-            for a in f.args:
-                term(a)
-        elif isinstance(f, Eq):
-            term(f.lhs)
-            term(f.rhs)
-        elif isinstance(f, Not):
-            formula(f.body)
-        elif isinstance(f, BinOp):
-            formula(f.lhs)
-            formula(f.rhs)
-        else:
-            formula(f.body)
-
-    for _, f in problem.axioms:
-        formula(f)
-    formula(problem.conjecture[1])
-    return {**fun_arity, **pred_arity}
-

@@ -33,7 +33,6 @@ import sys
 import tempfile
 import threading
 import time
-from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from configparser import ConfigParser, Error as ConfigError
 from contextlib import contextmanager, suppress
@@ -129,6 +128,8 @@ class ProverConfig:
 
 # How the interpreter runs the bundled prover.
 _MICRORES = ("-m", "hammerkit.provers.microres")
+# The directory holding the running hammerkit package.
+_PACKAGE_ROOT = str(Path(__file__).resolve().parent.parent)
 
 # name -> (executable, argument template, premise budget)
 _BUILTIN: dict[str, tuple[str, tuple[str, ...], int]] = {
@@ -289,10 +290,17 @@ class _Run:
 
 def _popen(argv: Sequence[str], stdin: int | None = None) -> subprocess.Popen:
     """A prover process leading a new process group, so that a kill
-    reaches whatever it starts."""
+    reaches whatever it starts.  The bundled prover gets the running
+    package's directory first on its PYTHONPATH, so that it imports this
+    hammerkit wherever that was imported from; other provers get our
+    environment unchanged."""
+    env = None
+    if tuple(argv[1:3]) == _MICRORES:
+        path = (_PACKAGE_ROOT, os.environ.get("PYTHONPATH"))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
     return subprocess.Popen(
         argv, stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-        start_new_session=True,
+        start_new_session=True, env=env,
     )
 
 
@@ -486,12 +494,6 @@ class ExperimentReport:
         won = self.union_solved if prover is None else self.solved(prover)
         return 100.0 * len(won) / len(self.targets)
 
-    def result_for(self, target: str, prover: str) -> AtpResult:
-        for r in self.results:
-            if r.target == target and r.prover == prover:
-                return r
-        raise KeyError((target, prover))
-
     def per_theory(self) -> dict[str, dict[str, int]]:
         """theory -> {"total": n, <prover>: solved, "union": solved}."""
         theories: list[str] = []
@@ -512,28 +514,14 @@ class ExperimentReport:
         return out
 
     def summary_text(self) -> str:
+        total = str(len(self.targets))
         rows = [["prover", "solved", "total", "percent", "unique", "countersat"]]
         for p in self.provers:
-            rows.append(
-                [
-                    p,
-                    str(len(self.solved(p))),
-                    str(len(self.targets)),
-                    f"{self.percent(p):.2f}",
-                    str(len(self.unique(p))),
-                    str(len(self.countersat(p))),
-                ]
-            )
-        rows.append(
-            [
-                "union",
-                str(len(self.union_solved)),
-                str(len(self.targets)),
-                f"{self.percent():.2f}",
-                "",
-                "",
-            ]
-        )
+            rows.append([
+                p, str(len(self.solved(p))), total, f"{self.percent(p):.2f}",
+                str(len(self.unique(p))), str(len(self.countersat(p))),
+            ])
+        rows.append(["union", str(len(self.union_solved)), total, f"{self.percent():.2f}", "", ""])
         blocks = [_align(rows)]
         breakdown = self.per_theory()
         if breakdown:
@@ -556,17 +544,10 @@ class ExperimentReport:
         for r in self.results:
             core = "" if r.core is None else "|".join(r.core.premises)
             size = "" if r.core is None else str(len(r.core.premises))
-            w.writerow(
-                [
-                    r.target,
-                    self.theory_of.get(r.target, ""),
-                    r.prover,
-                    str(r.status),
-                    f"{r.wall_time:.3f}",
-                    size,
-                    core,
-                ]
-            )
+            w.writerow([
+                r.target, self.theory_of.get(r.target, ""), r.prover, str(r.status),
+                f"{r.wall_time:.3f}", size, core,
+            ])
         return buf.getvalue()
 
 
@@ -594,15 +575,11 @@ def write_report(report: ExperimentReport, base: str | Path) -> tuple[Path, Path
 # ------------------------------------------------------- problem preparation
 
 
-def _conjunct_key(corpus: Corpus):
-    return lambda cid: (corpus.position(cid.theorem), cid.index)
-
-
 def conjunct_premises(
     corpus: Corpus, cids: Iterable[ConjunctId]
 ) -> list[tuple[str, HolTerm]]:
     """Labelled conjunct statements in linear order."""
-    ordered = sorted(set(cids), key=_conjunct_key(corpus))
+    ordered = sorted(set(cids), key=lambda c: (corpus.position(c.theorem), c.index))
     return [
         (corpus.conjunct_label(c), corpus.conjunct_statement(c)) for c in ordered
     ]
@@ -770,8 +747,8 @@ def reprove(
 
 class _Learner:
     """The learner's state for one corpus: every conjunct numbered in
-    linear order, its numbered dependencies, and one feature index over
-    all of them.
+    linear order, its numbered dependencies and features, and one
+    feature index over all of them.
 
     Accessibility is a list of spans of that numbering, since a theory's
     theorems and a theorem's conjuncts are each one stretch of the
@@ -798,8 +775,12 @@ class _Learner:
             sorted(number[d] for d in corpus.theorem(cid.theorem).dependencies[cid.index - 1])
             for cid in self.ids
         ]
-        features = [extract(corpus.conjunct_statement(cid)) for cid in self.ids]
+        statements = [corpus.conjunct_statement(cid) for cid in self.ids]
+        features = [extract(s) for s in statements]
         self.index = knn.build_index(features, range(len(self.ids)))
+        # id(statement) -> (statement, its features).  Holding the
+        # statement keeps its id from going to another object.
+        self.known = {id(s): (s, fs) for s, fs in zip(statements, features)}
         # theory -> the spans of its strict ancestors
         self.ancestors = {
             theory: _merge(
@@ -808,6 +789,13 @@ class _Learner:
             )
             for theory in corpus.theories
         }
+
+    def features(self, goal: HolTerm) -> frozenset[str]:
+        """``extract(goal)``: stored when the goal is the very object of
+        a numbered conjunct's statement, computed otherwise.  Goals are
+        matched by identity only, since hashing a term walks it."""
+        stmt, fs = self.known.get(id(goal), (None, None))
+        return fs if stmt is goal else extract(goal)
 
     def accessible(
         self, corpus: Corpus, target: TheoremId | None, relation: AccessRelation
@@ -838,13 +826,7 @@ class _Learner:
     ) -> list[tuple[ConjunctId, float]]:
         spans = self.accessible(corpus, target, relation)
         neighbors = knn.k_nearest(self.index, query, k, spans=spans)
-        starts = [lo for lo, _ in spans]
-
-        def inside(i: int) -> bool:
-            j = bisect_right(starts, i) - 1
-            return j >= 0 and i < spans[j][1]
-
-        deps = {nb.id: [d for d in self.deps[nb.id] if inside(d)] for nb in neighbors}
+        deps = {nb.id: knn.within(self.deps[nb.id], spans) for nb in neighbors}
         ranked = knn.rank_premises(self.index, neighbors, deps, n_premises)
         return [(self.ids[i], weight) for i, weight in ranked]
 
@@ -881,13 +863,17 @@ def suggest(
     """Conjuncts ranked by predicted relevance to the goal.
 
     The first call on a corpus builds its learner (features and index for
-    every conjunct); later calls only filter and rank.  ``feature_cache``
-    is accepted for existing callers and has no effect: the learner's
-    index already holds every conjunct's features.
+    every conjunct); later calls only filter and rank.  A goal that is
+    the corpus's own statement object of a one-conjunct theorem, or of
+    one conjunct, reuses the features the learner holds; any other goal,
+    a multi-conjunct statement or an equal copy included, is extracted.
+    ``feature_cache`` has no effect and stays only because the benchmark
+    passes it.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    return _learner(corpus).rank(corpus, extract(goal), k, n_premises, relation, target)
+    learner = _learner(corpus)
+    return learner.rank(corpus, learner.features(goal), k, n_premises, relation, target)
 
 
 def _ranked_task(
@@ -933,7 +919,8 @@ def advise(
 
     Stages are timed separately: ``parse`` covers building the corpus's
     learner when no ranking has built it yet (features and index for
-    every conjunct) and the goal's features, ``predict`` the
+    every conjunct) and the goal's features, which a goal reuses as
+    ``suggest`` says, ``predict`` the
     nearest-neighbour ranking, ``prove`` translation and the prover
     processes.  The first proving prover (in the order given) wins; its
     unsat core is the advice.  Raises NoProofFound with full diagnostics
@@ -945,7 +932,7 @@ def advise(
 
     t0 = time.monotonic()
     learner = _learner(corpus)
-    query = extract(goal)
+    query = learner.features(goal)
     t_parse = time.monotonic() - t0
 
     t0 = time.monotonic()

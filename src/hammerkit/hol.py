@@ -419,10 +419,6 @@ def alpha_key(t: HolTerm):
     return walk(t, ())
 
 
-def alpha_equal(s: HolTerm, t: HolTerm) -> bool:
-    return alpha_key(s) == alpha_key(t)
-
-
 # ----------------------------------------------------- formula constructors
 
 
@@ -439,10 +435,6 @@ def mk_eq(lhs: HolTerm, rhs: HolTerm, ty: HolType) -> HolTerm:
 
 def mk_conj(a: HolTerm, b: HolTerm) -> HolTerm:
     return mk_const_app("&", (), [a, b])
-
-
-def mk_neg(a: HolTerm) -> HolTerm:
-    return mk_const_app("~", (), [a])
 
 
 def mk_forall(v: Var, body: HolTerm) -> HolTerm:

@@ -11,19 +11,24 @@ One index covers a whole corpus.  Statements are numbered in linear
 order and posting lists hold those numbers in increasing order, so what
 a target may use is given as spans of the order: each posting list is
 cut to a span by bisection, and nothing is rebuilt per target.
+
+The k nearest are the first k candidates in sorted order of distance,
+then number.  Each pair is sorted as the one int ``d2 * n + i`` (n
+statements), so one C-level sort of plain ints picks them; the pairs are
+unique, so this is what ``heapq.nsmallest`` would pick.  Each comes back
+as a ``Neighbor``, a named tuple of its id, distance and weight.
 """
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import repeat
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class Neighbor:
+class Neighbor(NamedTuple):
     id: object
     d2: int  # squared Euclidean distance = |features Δ query|
     weight: float
@@ -57,6 +62,15 @@ def build_index(features: Mapping, order: Sequence) -> FeatureIndex:
     return FeatureIndex(postings, ids, sizes, {tid: i for i, tid in enumerate(ids)})
 
 
+def within(numbers: list[int], spans: Sequence[tuple[int, int]]) -> list[int]:
+    """The members of the increasing list ``numbers`` that lie in one of
+    the sorted, disjoint ``(start, stop)`` spans, in order."""
+    out: list[int] = []
+    for lo, hi in spans:
+        out += numbers[bisect_left(numbers, lo) : bisect_left(numbers, hi)]
+    return out
+
+
 def k_nearest(
     index: FeatureIndex,
     query: Iterable[str],
@@ -75,14 +89,17 @@ def k_nearest(
     qs = frozenset(query)
     if spans is None:
         spans = ((0, len(index.ids)),)
-    overlap: Counter = Counter()
+    hits: list[int] = []
     for f in qs:
-        posting = index.postings.get(f, [])
-        for lo, hi in spans:
-            overlap.update(posting[bisect_left(posting, lo) : bisect_left(posting, hi)])
-    sizes, nq = index.sizes, len(qs)
-    nearest = heapq.nsmallest(k, [(sizes[i] + nq - 2 * c, i) for i, c in overlap.items()])
-    return [Neighbor(index.ids[i], d2, 1.0 / (1 + d2)) for d2, i in nearest]
+        hits += within(index.postings.get(f, []), spans)
+    overlap = Counter(hits)
+    # (d2, i) as the int d2 * n + i: it sorts the same way, and faster.
+    sizes, nq, n = index.sizes, len(qs), len(index.ids)
+    nearest = sorted([(sizes[i] + nq - 2 * c) * n + i for i, c in overlap.items()])[:k]
+    return [
+        Neighbor(index.ids[i], d2, 1.0 / (1 + d2))
+        for d2, i in map(divmod, nearest, repeat(n))
+    ]
 
 
 def rank_premises(
@@ -98,10 +115,10 @@ def rank_premises(
     """
     relevance: dict = {}
     for nb in neighbors:
-        votes = set(deps.get(nb.id, ())) | {nb.id}
-        for tid in votes:
+        for tid in {nb.id, *deps.get(nb.id, ())}:
             relevance[tid] = relevance.get(tid, 0.0) + nb.weight
-    ranked = sorted(
-        relevance.items(), key=lambda kv: (-kv[1], index.position[kv[0]])
-    )
-    return ranked[:n_premises]
+    # By linear order, then stably by falling relevance: two sorts whose
+    # keys are C-level lookups.
+    ranked = sorted(relevance, key=index.position.__getitem__)
+    ranked.sort(key=relevance.__getitem__, reverse=True)
+    return [(tid, relevance[tid]) for tid in ranked[:n_premises]]

@@ -1,9 +1,24 @@
-"""Shared test fixtures: a small signature and random generators."""
+"""Shared test fixtures: a small signature, random generators, and
+checks and printers that only the tests use."""
 
 from __future__ import annotations
 
 import random
+from typing import Sequence
 
+from hammerkit.corpus import Corpus, deps_lines, parse_tt, show_name
+from hammerkit.fof import (
+    BinOp,
+    Eq,
+    FofFormula,
+    FofProblem,
+    FofTerm,
+    FofVar,
+    Not,
+    Pred,
+    TranslateError,
+)
+from hammerkit.harness import AtpResult, ExperimentReport
 from hammerkit.hol import (
     Abs,
     App,
@@ -15,6 +30,7 @@ from hammerkit.hol import (
     TyApp,
     TyVar,
     Var,
+    alpha_key,
     dest_fun,
     free_vars,
     is_fun,
@@ -25,9 +41,7 @@ from hammerkit.hol import (
     mk_foralls,
     mk_fun,
     mk_fun_chain,
-    mk_neg,
 )
-from hammerkit.corpus import parse_tt
 
 NAT = TyApp("nat")
 LIST_NAT = TyApp("list", (NAT,))
@@ -200,3 +214,90 @@ def random_poly_formula(rng: random.Random, depth: int = 3) -> HolTerm:
 
     f = formula(depth, ())
     return mk_foralls(free_vars(f), f)
+
+
+# ------------------------------------------ checks and printers for tests
+
+
+def mk_neg(a: HolTerm) -> HolTerm:
+    return mk_const_app("~", (), [a])
+
+
+def alpha_equal(s: HolTerm, t: HolTerm) -> bool:
+    return alpha_key(s) == alpha_key(t)
+
+
+def print_thy(theories: Sequence[tuple[str, Sequence[str]]]) -> str:
+    """corpus.thy text for (theory, ancestors) pairs in build order."""
+    lines = [
+        f"theory({show_name(n)}, [{', '.join(show_name(a) for a in ancs)}])."
+        for n, ancs in theories
+    ]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def print_deps(corpus: Corpus) -> str:
+    """One line per conjunct of every theorem, in linear order."""
+    rows = []
+    for tid in corpus.order():
+        entry = corpus.theorem(tid)
+        for k, deps in enumerate(entry.dependencies, start=1):
+            ordered = sorted(deps, key=lambda c: (corpus.position(c.theorem), c.index))
+            rows.append((f"{entry.name}_c{k}", [corpus.conjunct_label(c) for c in ordered]))
+    return deps_lines(rows)
+
+
+def result_for(report: ExperimentReport, target: str, prover: str) -> AtpResult:
+    for r in report.results:
+        if r.target == target and r.prover == prover:
+            return r
+    raise KeyError((target, prover))
+
+
+def check_problem(problem: FofProblem) -> dict[str, int]:
+    """Verify the first-order invariants: every symbol at one arity, no
+    symbol both predicate and function.  Returns the symbol-arity map."""
+    fun_arity: dict[str, int] = {}
+    pred_arity: dict[str, int] = {}
+
+    def term(t: FofTerm) -> None:
+        if isinstance(t, FofVar):
+            return
+        seen = fun_arity.setdefault(t.sym, len(t.args))
+        if seen != len(t.args):
+            raise TranslateError(
+                f"function {t.sym} used at arities {seen} and {len(t.args)}"
+            )
+        if t.sym in pred_arity:
+            raise TranslateError(f"{t.sym} used as both function and predicate")
+        for a in t.args:
+            term(a)
+
+    def formula(f: FofFormula) -> None:
+        if isinstance(f, Pred):
+            seen = pred_arity.setdefault(f.sym, len(f.args))
+            if seen != len(f.args):
+                raise TranslateError(
+                    f"predicate {f.sym} used at arities {seen} and {len(f.args)}"
+                )
+            if f.sym in fun_arity:
+                raise TranslateError(
+                    f"{f.sym} used as both function and predicate"
+                )
+            for a in f.args:
+                term(a)
+        elif isinstance(f, Eq):
+            term(f.lhs)
+            term(f.rhs)
+        elif isinstance(f, Not):
+            formula(f.body)
+        elif isinstance(f, BinOp):
+            formula(f.lhs)
+            formula(f.rhs)
+        else:
+            formula(f.body)
+
+    for _, f in problem.axioms:
+        formula(f)
+    formula(problem.conjecture[1])
+    return {**fun_arity, **pred_arity}

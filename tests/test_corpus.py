@@ -25,8 +25,6 @@ from hammerkit.corpus import (
     parse_goal,
     parse_thy,
     parse_tt,
-    print_deps,
-    print_thy,
     print_tt,
     rename_overwritten,
     resolve_dep_name,
@@ -43,12 +41,19 @@ from hammerkit.hol import (
     TyApp,
     UnknownSymbol,
     Var,
-    alpha_equal,
     mk_eq,
     type_of,
 )
 from hammerkit.tptp import parse_problem
-from .helpers import NAT, TOY_DECLS, random_closed_formula, toy_sig
+from .helpers import (
+    NAT,
+    TOY_DECLS,
+    alpha_equal,
+    print_deps,
+    print_thy,
+    random_closed_formula,
+    toy_sig,
+)
 
 CANONICAL_LINES = [
     "tt(int, ty, $t).",

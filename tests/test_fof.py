@@ -10,7 +10,6 @@ from hammerkit.corpus import load_corpus
 from hammerkit.fof import (
     NameMangler,
     TranslateError,
-    check_problem,
     translate_problem,
 )
 from hammerkit.harness import conjunct_premises
@@ -25,7 +24,7 @@ from hammerkit.hol import (
     mk_fun,
 )
 from hammerkit.tptp import parse_problem, print_problem
-from .helpers import LIST_NAT, NAT, random_closed_formula, toy_sig
+from .helpers import LIST_NAT, NAT, check_problem, random_closed_formula, toy_sig
 
 ZERO = Const("0")
 SUC = Const("SUC")

@@ -1,9 +1,11 @@
 """Prover configs, process runs, reports, advice, and core shrinking."""
 
+import copy
 import os
 import shlex
 import shutil
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -37,7 +39,7 @@ from hammerkit.harness import (
     write_report,
 )
 from hammerkit.tptp import print_problem
-from .helpers import TOY_DECLS, toy_sig
+from .helpers import TOY_DECLS, result_for, toy_sig
 
 THY = "theory(arith, []).\ntheory(club, [arith]).\n"
 
@@ -498,7 +500,7 @@ def test_report_tables_and_files(tmp_path):
     csv_path, txt_path = write_report(report, tmp_path / "run")
     assert csv_path.read_text(encoding="utf-8") == csv_text
     assert txt_path.read_text(encoding="utf-8") == summary
-    assert report.result_for("ADD_0", "microres").status.proved
+    assert result_for(report, "ADD_0", "microres").status.proved
 
 
 # --------------------------------------------------------------- prediction
@@ -653,6 +655,82 @@ def test_one_index_serves_every_ranking(tmp_path, monkeypatch):
             suggest(c, c.theorem(tid).statement, relation=relation, target=tid)
     suggest(c, c.theorem_named("ADD_3").statement)
     assert built == [sum(len(c.theorem(t).conjuncts) for t in c.order())]
+
+
+def toy_corpus():
+    return load_corpus(Path(str(resources.files("hammerkit") / "data" / "toy")))
+
+
+@pytest.mark.parametrize("relation", list(AccessRelation))
+@pytest.mark.parametrize("name", ["MAX_SUC", "HD_TL"])
+def test_goal_features_are_reused_exactly_as_extracted(relation, name):
+    # MAX_SUC has one conjunct, so its statement is a numbered conjunct's
+    # and its stored features are used; HD_TL has two and is extracted.
+    c = toy_corpus()
+    tid = c.by_name[name]
+    statement = c.theorem(tid).statement
+
+    def ranked(goal):
+        return suggest(c, goal, k=40, n_premises=32, relation=relation, target=tid)
+
+    own = ranked(statement)
+    assert own
+    assert repr(own) == repr(ranked(copy.deepcopy(statement)))
+
+
+def test_a_numbered_statement_is_not_extracted_again(monkeypatch):
+    calls = []
+    extract_once = harness.extract
+    monkeypatch.setattr(harness, "extract", lambda t: calls.append(t) or extract_once(t))
+    c = toy_corpus()
+    harness._learner(c)
+    built = len(calls)
+    single, double = c.theorem_named("MAX_SUC"), c.theorem_named("HD_TL")
+    suggest(c, single.statement, target=c.by_name["MAX_SUC"])
+    suggest(c, double.conjuncts[1][1], target=c.by_name["HD_TL"])
+    assert len(calls) == built
+    # A multi-conjunct statement, and an equal copy of a numbered one,
+    # are extracted.
+    suggest(c, double.statement, target=c.by_name["HD_TL"])
+    suggest(c, copy.deepcopy(single.statement), target=c.by_name["MAX_SUC"])
+    assert calls[built:] == [double.statement, single.statement]
+
+
+def test_bundled_prover_imports_the_callers_hammerkit(tmp_path):
+    # The caller puts src on sys.path by hand and no PYTHONPATH is set, so
+    # the prover processes only import hammerkit through the path the
+    # harness gives them: the reused worker, and a one-shot run of the
+    # bundled prover under argument order of its own.
+    src = Path(harness.__file__).resolve().parent.parent
+    script = tmp_path / "repro.py"
+    script.write_text(
+        f"""\
+import sys
+sys.path.insert(0, {str(src)!r})
+from importlib import resources
+from pathlib import Path
+from hammerkit import harness
+from hammerkit.corpus import load_corpus
+toy = load_corpus(Path(str(resources.files("hammerkit") / "data" / "toy")))
+report = harness.reprove(toy, [harness.builtin_config("microres", timeout=10)])
+print(sum(r.status.kind == "Theorem" for r in report.results), len(report.results))
+problem = Path("p.p")
+problem.write_text("fof(a, axiom, p).\\nfof(g, conjecture, p).\\n")
+once = harness.ProverConfig(
+    "once", sys.executable,
+    ("-m", "hammerkit.provers.microres", "--timeout", "{{timeout}}", "{{problem}}"),
+)
+print(harness.run_prover(problem, once).status.kind)
+""",
+        encoding="utf-8",
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["TMPDIR"] = str(tmp_path)
+    out = subprocess.run(
+        [sys.executable, str(script)], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.stdout.split() == ["59", "59", "Theorem"], out.stderr
 
 
 # ------------------------------------------------------------------- advise

@@ -18,7 +18,6 @@ from hammerkit.hol import (
     TypeMismatch,
     UnknownSymbol,
     Var,
-    alpha_equal,
     alpha_key,
     beta_normalize,
     dest_binop,
@@ -42,7 +41,7 @@ from hammerkit.hol import (
     validate_type,
 )
 from .feature_oracle import subterms
-from .helpers import LIST_NAT, NAT, random_closed_formula, random_term, toy_sig
+from .helpers import LIST_NAT, NAT, alpha_equal, random_closed_formula, random_term, toy_sig
 
 
 def test_type_helpers():
