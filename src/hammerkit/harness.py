@@ -919,8 +919,8 @@ def advise(
 
     Stages are timed separately: ``parse`` covers building the corpus's
     learner when no ranking has built it yet (features and index for
-    every conjunct) and the goal's features, which a goal reuses as
-    ``suggest`` says, ``predict`` the
+    every conjunct) and the goal's features (the stored ones for a
+    corpus statement, as in ``suggest``), ``predict`` the
     nearest-neighbour ranking, ``prove`` translation and the prover
     processes.  The first proving prover (in the order given) wins; its
     unsat core is the advice.  Raises NoProofFound with full diagnostics
