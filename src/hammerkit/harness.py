@@ -10,17 +10,22 @@ Provers are described by ProverConfig.  A small resolution prover ships
 with the package and is always available; the well-known first-order
 provers are picked up from PATH or from HAMMER_PROVER_<NAME> environment
 variables when installed.  An external prover runs as one process per
-problem.  The bundled prover, with its stock arguments, runs in worker
-processes that each take problem after problem, so a batch pays one
-interpreter start-up per worker instead of one per problem.  Every prover
-process is a direct child in a process group of its own, and the whole
-group is killed when it overruns.
+problem.  The bundled prover, with its stock arguments and this
+interpreter as its executable, runs in workers forked from the running
+interpreter, which has every module they need imported already; each
+takes problem after problem, so a batch pays no interpreter start-up at
+all.  Run by any other executable it is one process per problem, like an
+external prover.  Every prover process is a direct child leading a
+process group of its own, and the whole group is killed when it
+overruns, or at once when the batch it belongs to fails or is
+interrupted.
 """
 
 from __future__ import annotations
 
 import contextvars
 import csv
+import gc
 import io
 import json
 import os
@@ -38,7 +43,7 @@ from configparser import ConfigParser, Error as ConfigError
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NoReturn, Sequence
 
 from . import knn
 from .corpus import (
@@ -51,6 +56,7 @@ from .corpus import (
 from .features import extract
 from .fof import FofProblem, TranslateError, translate_problem
 from .hol import HolTerm
+from .provers import microres
 from .tptp import (
     SzsStatus,
     UnsatCore,
@@ -249,23 +255,25 @@ def run_prover(
 ) -> AtpResult:
     """Run one prover on one problem file.
 
-    A config with the bundled prover's stock arguments is answered by a
-    reused worker process (see ``_Workers``); any other config runs as a
-    process of its own.  Either way the prover, with every process it
-    started, is killed shortly after the configured timeout.  A binary
-    that cannot be launched raises SpawnError; everything that happens
-    after launch becomes a status, never an exception.  The unsat core is
-    read back only when ``problem`` is supplied and the status proves.
+    A config with the bundled prover's stock arguments and this
+    interpreter as its executable is answered by a forked worker (see
+    ``_Worker``); any other config, the bundled prover under another
+    executable included, runs as a process of its own.  Either way the
+    prover, with every process it started, is killed shortly after the
+    configured timeout.  A binary that cannot be launched raises
+    SpawnError; everything that happens after launch becomes a status,
+    never an exception.  The unsat core is read back only when
+    ``problem`` is supplied and the status proves.
     """
     argv = config.command(problem_path)
     start = time.monotonic()
     deadline = start + config.timeout + _GRACE
     try:
-        if config.args == _BUILTIN["microres"][1]:
-            with _worker_scope() as pool:
-                run = pool.run(config.executable, argv[1 + len(_MICRORES) :], deadline)
-        else:
-            run = _run_process(argv, deadline)
+        with _worker_scope() as pool:
+            if config.args == _BUILTIN["microres"][1] and config.executable == sys.executable:
+                run = pool.run(argv[1 + len(_MICRORES) :], deadline)
+            else:
+                run = _run_process(argv, deadline, pool)
     except (FileNotFoundError, PermissionError, NotADirectoryError) as e:
         raise SpawnError(f"cannot launch prover {config.name}: {argv[0]}: {e}") from None
     except OSError as e:
@@ -288,7 +296,7 @@ class _Run:
     timed_out: bool = False
 
 
-def _popen(argv: Sequence[str], stdin: int | None = None) -> subprocess.Popen:
+def _popen(argv: Sequence[str]) -> subprocess.Popen:
     """A prover process leading a new process group, so that a kill
     reaches whatever it starts.  The bundled prover gets the running
     package's directory first on its PYTHONPATH, so that it imports this
@@ -299,43 +307,122 @@ def _popen(argv: Sequence[str], stdin: int | None = None) -> subprocess.Popen:
         path = (_PACKAGE_ROOT, os.environ.get("PYTHONPATH"))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
     return subprocess.Popen(
-        argv, stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
         start_new_session=True, env=env,
     )
 
 
-def _kill_group(proc: subprocess.Popen) -> None:
-    with suppress(ProcessLookupError):
+def _kill_group(proc: subprocess.Popen | _Forked) -> None:
+    """Kill a prover process that is not reaped yet, with its group.  A
+    forked worker that has not made its group yet is killed alone; it
+    has started nothing."""
+    try:
         os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        with suppress(ProcessLookupError):
+            os.kill(proc.pid, signal.SIGKILL)
 
 
 def _text(data: bytes | None) -> str:
     return (data or b"").decode("utf-8", "replace")
 
 
-def _run_process(argv: Sequence[str], deadline: float) -> _Run:
+def _run_process(argv: Sequence[str], deadline: float, pool: _Workers) -> _Run:
     proc = _popen(argv)
+    with pool.busy(proc):
+        try:
+            out, _ = proc.communicate(timeout=max(0.0, deadline - time.monotonic()))
+            return _Run(_text(out), proc.returncode)
+        except subprocess.TimeoutExpired:
+            _kill_group(proc)
+        try:
+            out, _ = proc.communicate(timeout=_GRACE)
+        except subprocess.TimeoutExpired as e:
+            # A process that left the group still holds the pipe open.
+            out = e.stdout
+            proc.stdout.close()
+            proc.wait()
+        return _Run(_text(out), timed_out=True)
+
+
+class _Forked:
+    """A forked worker as its parent sees it: the part of a Popen that
+    ``_Worker`` and ``_Workers`` use."""
+
+    def __init__(self) -> None:
+        requests, to_worker = os.pipe()
+        from_worker, replies = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (requests, to_worker, from_worker, replies):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            _worker_main(requests, replies)
+        os.close(requests)
+        os.close(replies)
+        self.stdin = open(to_worker, "wb")
+        self.stdout = open(from_worker, "rb", buffering=0)
+        self.returncode: int | None = None
+
+    def wait(self, timeout: float | None = None) -> int:
+        """Reap the worker; raise TimeoutExpired if it has not ended
+        within ``timeout`` seconds."""
+        end = None if timeout is None else time.monotonic() + timeout
+        delay = 0.0005
+        while self.returncode is None:
+            pid, status = os.waitpid(self.pid, 0 if end is None else os.WNOHANG)
+            if pid:
+                self.returncode = os.waitstatus_to_exitcode(status)
+            elif time.monotonic() >= end:
+                raise subprocess.TimeoutExpired("microres worker", timeout)
+            else:
+                time.sleep(delay)
+                delay = min(2 * delay, 0.05)
+        return self.returncode
+
+
+def _worker_main(requests: int, replies: int) -> NoReturn:
+    """The forked child's whole life (see ``_Worker``)."""
+    code = 1
+    # The parent's stdio objects are never finalized here: their buffers
+    # and file descriptors are the parent's.
+    inherited = sys.stdin, sys.stdout, sys.stderr
     try:
-        out, _ = proc.communicate(timeout=max(0.0, deadline - time.monotonic()))
-        return _Run(_text(out), proc.returncode)
-    except subprocess.TimeoutExpired:
-        _kill_group(proc)
-    try:
-        out, _ = proc.communicate(timeout=_GRACE)
-    except subprocess.TimeoutExpired as e:
-        # A process that left the group still holds the pipe open.
-        out = e.stdout
-        proc.stdout.close()
-        proc.wait()
-    return _Run(_text(out), timed_out=True)
+        os.setsid()
+        # Nor is the parent's cyclic garbage: a file object among it
+        # would close a descriptor number this process may have reused.
+        gc.freeze()
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(requests, 0)
+        os.dup2(replies, 1)
+        os.dup2(null, 2)
+        os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+        sys.stdin = open(0, encoding="utf-8", closefd=False)
+        sys.stdout = open(1, "w", encoding="utf-8", closefd=False)
+        sys.stderr = open(2, "w", encoding="utf-8", errors="backslashreplace", closefd=False)
+        code = microres.serve(sys.stdin, sys.stdout)
+    finally:
+        os._exit(code)
 
 
 class _Worker:
-    """One ``microres --serve`` process (see the microres docstring)."""
+    """A fork of the running interpreter that answers one-problem calls
+    with ``microres.serve`` (see the microres docstring) on a request
+    pipe and a reply pipe.
 
-    def __init__(self, executable: str) -> None:
-        self.executable = executable
-        self.proc = _popen([executable, *_MICRORES, "--serve"], stdin=subprocess.PIPE)
+    The child starts from this process's memory, so it imports nothing.
+    It is forked on a pool thread while other threads run, so it takes no
+    lock another thread may have held at the fork: it leads a session of
+    its own like every prover process, keeps only the two pipes (as fds 0
+    and 1, with /dev/null as fd 2) and fresh stdio objects on them, and
+    leaves only through ``os._exit``, so that no buffer, ``atexit`` hook
+    or ``with`` block of this process runs in it.
+    """
+
+    def __init__(self) -> None:
+        self.proc = _Forked()
         # Set only while the worker is idle between answered calls.
         self.usable = False
 
@@ -385,37 +472,58 @@ class _Worker:
 
 
 class _Workers:
-    """The bundled prover's worker processes for one batch of calls.
+    """The bundled prover's workers, and every prover process in flight,
+    for one batch of calls.
 
-    A call takes an idle worker for its executable or starts one, and
-    gives it back only when it answered.  Starting a worker stops an idle
-    one of another executable, so there are never more workers than
-    calls in flight.  A worker that overruns is stopped like any prover
-    process, and the next call starts a fresh one.
+    A call takes an idle worker or forks one, and gives it back only when
+    it answered, so there are never more workers than calls in flight.  A
+    worker that overruns is stopped like any prover process, and the next
+    call forks a fresh one.  ``kill`` ends every process in flight, and
+    every one started after it, without waiting for their deadlines.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._idle: list[_Worker] = []
+        self._busy: set[subprocess.Popen | _Forked] = set()
+        self._killed = False
 
-    def run(self, executable: str, request: Sequence[str], deadline: float) -> _Run:
+    def run(self, request: Sequence[str], deadline: float) -> _Run:
         with self._lock:
-            worker = next((w for w in self._idle if w.executable == executable), None)
-            if worker is not None:
-                self._idle.remove(worker)
-            spare = self._idle.pop() if worker is None and self._idle else None
-        if spare is not None:
-            spare.stop()
+            worker = self._idle.pop() if self._idle else None
         if worker is None:
-            worker = _Worker(executable)
+            worker = _Worker()
         try:
-            return worker.ask(request, deadline)
+            with self.busy(worker.proc):
+                return worker.ask(request, deadline)
         finally:
             if worker.usable:
                 with self._lock:
                     self._idle.append(worker)
             else:
                 worker.stop()
+
+    @contextmanager
+    def busy(self, proc: subprocess.Popen | _Forked):
+        """``kill`` reaches ``proc`` inside this block."""
+        with self._lock:
+            self._busy.add(proc)
+            if self._killed:
+                _kill_group(proc)
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._busy.discard(proc)
+
+    def kill(self) -> None:
+        """Kill every prover process in flight, and from now on every one
+        as soon as it starts."""
+        with self._lock:
+            self._killed = True
+            for proc in self._busy:
+                if proc.returncode is None:
+                    _kill_group(proc)
 
     def close(self) -> None:
         with self._lock:
@@ -634,10 +742,11 @@ def _run_tasks(
 ) -> ExperimentReport:
     """Translate every task once per premise cutoff, then run all
     (task, prover) pairs on ``jobs`` threads, which share the bundled
-    prover's worker processes; those are reaped before this returns.
-    Results are keyed, so the report does not depend on completion
-    order.  On any exception, an interrupt included, no queued pair is
-    started; the calls in flight end before it propagates."""
+    prover's workers; those are reaped before this returns.  Results are
+    keyed, so the report does not depend on completion order.  On any
+    exception, an interrupt included, no queued pair is started and the
+    prover processes in flight are killed; their calls end before it
+    propagates."""
     _check_provers(provers)
     with tempfile.TemporaryDirectory(prefix="hammerkit-") as td:
         tmp = Path(td)
@@ -674,7 +783,7 @@ def _run_tasks(
 
         workers = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
         results: dict[tuple[int, str], AtpResult] = {}
-        with _worker_scope(), ThreadPoolExecutor(max_workers=workers) as pool:
+        with _worker_scope() as procs, ThreadPoolExecutor(max_workers=workers) as pool:
             try:
                 futures = {
                     pool.submit(contextvars.copy_context().run, work, idx, cfg): (idx, cfg.name)
@@ -684,8 +793,10 @@ def _run_tasks(
                 for fut, key in futures.items():
                     results[key] = fut.result()
             except BaseException:
-                # An interrupt or a failed call: start no queued pair.
+                # An interrupt or a failed call: start no queued pair, and
+                # end the calls in flight now, not at their deadlines.
                 pool.shutdown(wait=False, cancel_futures=True)
+                procs.kill()
                 raise
     ordered = tuple(
         results[(idx, cfg.name)] for idx in range(len(tasks)) for cfg in provers

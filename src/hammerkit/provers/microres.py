@@ -15,13 +15,13 @@ Terms are tuples: ("v", name) or ("f", sym, args).  A literal is
 a tuple of literals with canonically numbered variables.
 
 Run as ``python -m hammerkit.provers.microres FILE --timeout T`` it
-proves one problem and prints the verdict.  Run with ``--serve`` alone it
-is a worker that answers such calls one after another: each line on
-stdin is a JSON list of the arguments that would follow the module name,
-and each answer is one line on stdout, the JSON list ``[exit code,
-output]`` with exactly what the one-problem command would have printed
-and returned.  The harness keeps such workers for a batch of problems,
-so it pays the interpreter start-up once per worker, not per problem.
+proves one problem and prints the verdict.  ``serve`` answers such calls
+one after another: each request line is a JSON list of the arguments
+that would follow the module name, and each reply is one line, the JSON
+list ``[exit code, output]`` with exactly what the one-problem command
+would have printed and returned.  The harness forks its workers from the
+running interpreter, which has this module imported already, and each
+forked worker runs ``serve`` on its pipes.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import time
 import traceback
 from contextlib import redirect_stdout
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, TextIO
 
 from ..corpus import ParseError
 from ..fof import BinOp, Eq, FofFormula, FofProblem, FofVar, Not, Pred
@@ -608,14 +608,7 @@ def prove(
 
 
 def main(argv: list[str] | None = None) -> int:
-    if (sys.argv[1:] if argv is None else argv) == ["--serve"]:
-        return serve()
-    ap = argparse.ArgumentParser(
-        prog="hammer-microres",
-        description="small resolution prover",
-        epilog="With --serve as the only argument it answers calls on stdin "
-        "instead (see the module docstring).",
-    )
+    ap = argparse.ArgumentParser(prog="hammer-microres", description="small resolution prover")
     ap.add_argument("file", help="TPTP problem file, or - for stdin")
     ap.add_argument("--timeout", type=float, default=30.0, help="seconds")
     ap.add_argument("--max-clauses", type=int, default=100000)
@@ -636,10 +629,9 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def serve() -> int:
-    """Answer one-problem calls read from stdin until it closes (the
-    ``--serve`` mode described in the module docstring)."""
-    requests, replies = sys.stdin, sys.stdout
+def serve(requests: TextIO, replies: TextIO) -> int:
+    """Answer one-problem calls read from ``requests`` until it ends,
+    each with one line on ``replies`` (see the module docstring)."""
     # A problem file named "-" reads nothing, not the request stream.
     sys.stdin = io.StringIO()
     for line in requests:

@@ -1,8 +1,12 @@
-"""Command line behavior: outputs and exit codes, run in process."""
+"""Command line behavior: outputs and exit codes, run in process except
+where a real signal must reach a real process."""
 
 import io
 import os
+import signal
+import subprocess
 import sys
+import time
 
 import pytest
 
@@ -164,6 +168,28 @@ def test_interrupt_exits_130_without_traceback(corpus_dir, capsys, monkeypatch):
     assert code == 130
     assert out == ""
     assert err == "interrupted\n"
+
+
+def test_interrupt_ends_the_provers_in_flight(corpus_dir, tmp_path):
+    # The prover leads a session of its own, out of reach of the
+    # terminal's SIGINT, so the batch itself must kill it.
+    config = tmp_path / "provers.cfg"
+    config.write_text(
+        '[sleepy]\nexecutable = sh\nargs = -c "sleep 30"\ntimeout = 4\n', encoding="utf-8"
+    )
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "hammerkit.cli", "reprove", "--corpus", corpus_dir,
+            "--prover-config", str(config), "--jobs", "1",
+        ],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    time.sleep(1.5)
+    proc.send_signal(signal.SIGINT)
+    sent = time.monotonic()
+    out, err = proc.communicate(timeout=30)
+    assert time.monotonic() - sent < 1
+    assert (proc.returncode, out, err) == (130, "", "interrupted\n")
 
 
 def test_predict_ranks_premises(corpus_dir, capsys):

@@ -1,7 +1,9 @@
 """Prover configs, process runs, reports, advice, and core shrinking."""
 
+import contextlib
 import copy
 import os
+import select
 import shlex
 import shutil
 import signal
@@ -38,6 +40,7 @@ from hammerkit.harness import (
     suggest,
     write_report,
 )
+from hammerkit.provers import microres
 from hammerkit.tptp import print_problem
 from .helpers import TOY_DECLS, result_for, toy_sig
 
@@ -263,19 +266,20 @@ def test_worker_missing_binary(tmp_path):
 def test_unanswering_worker_is_replaced_and_reaped(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "_GRACE", 0.5)
     pids, hung = tmp_path / "pids", tmp_path / "hung"
-    # The first worker started never answers; later ones are the prover.
-    fake = tmp_path / "worker"
-    fake.write_text(
-        "#!/bin/sh\n"
-        f"echo $$ >> {shlex.quote(str(pids))}\n"
-        f"if [ ! -e {shlex.quote(str(hung))} ]; then\n"
-        f"  touch {shlex.quote(str(hung))}; exec sleep 60\n"
-        "fi\n"
-        f'exec {shlex.quote(sys.executable)} "$@"\n',
-        encoding="utf-8",
-    )
-    fake.chmod(0o755)
-    cfg = replace(micro(timeout=1.0), executable=str(fake))
+    real_main = microres.main
+
+    # Forked workers inherit the patch.  Each records its pid on every
+    # call; the first call of all never answers, later ones are the prover.
+    def main(argv):
+        with open(pids, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        if not hung.exists():
+            hung.touch()
+            time.sleep(60)
+        return real_main(argv)
+
+    monkeypatch.setattr(microres, "main", main)
+    cfg = micro(timeout=1.0)
     path = write_problem(tmp_path, trivial_problem())
     start = time.monotonic()
     result = run_prover(path, cfg)
@@ -288,7 +292,7 @@ def test_unanswering_worker_is_replaced_and_reaped(tmp_path, monkeypatch):
     assert kinds == {"ADD_0": "Timeout", "ADD_1": "Theorem", "ADD_BOTH": "Theorem"}
     # One worker for the single call; in reprove, the one that hung and
     # the one that replaced it.
-    started = [int(pid) for pid in pids.read_text().split()]
+    started = {int(pid) for pid in pids.read_text().split()}
     assert len(started) == 3
     assert all(_gone(pid, wait=0) for pid in started)
 
@@ -299,8 +303,8 @@ def test_interrupt_starts_no_queued_call_and_reaps_workers(monkeypatch):
     calls, pids = [], []
 
     class Recorded(real_worker):
-        def __init__(self, executable):
-            super().__init__(executable)
+        def __init__(self):
+            super().__init__()
             pids.append(self.proc.pid)
 
     def interrupted(*args, **kwargs):
@@ -332,8 +336,8 @@ def test_worker_pool_lends_each_worker_to_one_call_at_a_time(monkeypatch):
     made, live, busy, faults = [], set(), set(), []
 
     class FakeWorker:
-        def __init__(self, executable):
-            self.executable = executable
+        def __init__(self):
+            self.proc = object()  # what the pool tracks while a call runs
             self.usable = False
             with lock:
                 made.append(self)
@@ -349,7 +353,7 @@ def test_worker_pool_lends_each_worker_to_one_call_at_a_time(monkeypatch):
             time.sleep(0)
             with lock:
                 busy.discard(self)
-            self.usable = request[0] == self.executable
+            self.usable = request[0] != "x"
             return harness._Run("% SZS status Theorem\n")
 
         def stop(self):
@@ -364,18 +368,74 @@ def test_worker_pool_lends_each_worker_to_one_call_at_a_time(monkeypatch):
             deadline = time.monotonic() + 60
             calls = []
             for i in range(3000):
-                # Three executables make the pool stop spare workers; a
-                # request that names another executable marks its worker
-                # unusable, as a worker that did not answer.
-                exe = "abc"[i % 3]
-                request = [exe if i % 7 else "x"]
-                calls.append(threads.submit(pool.run, exe, request, deadline))
+                # Request "x" marks its worker unusable, as a worker that
+                # did not answer, so the pool stops it.
+                request = ["a" if i % 7 else "x"]
+                calls.append(threads.submit(pool.run, request, deadline))
             runs = [c.result(timeout=60) for c in calls]
     finally:
         sys.setswitchinterval(switch)
     assert all(r.output == "% SZS status Theorem\n" for r in runs)
     assert faults == []
     assert live == set()
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc")
+def test_forked_workers_hold_only_their_own_pipes():
+    a, b = harness._Worker(), harness._Worker()
+    try:
+        deadline = time.monotonic() + 30
+        for w in (a, b):
+            # An answered call: the worker has set itself up.
+            assert w.ask(["--no-such-flag"], deadline).exit_code == 2
+            assert sorted(os.listdir(f"/proc/{w.proc.pid}/fd")) == ["0", "1", "2"]
+            assert os.getpgid(w.proc.pid) == w.proc.pid
+        # B holds no end of A's pipes, so killing A ends A's replies at once.
+        os.kill(a.proc.pid, signal.SIGKILL)
+        start = time.monotonic()
+        assert select.select([a.proc.stdout], [], [], 10)[0]
+        assert os.read(a.proc.stdout.fileno(), 1) == b""
+        assert time.monotonic() - start < 1
+        assert os.waitpid(b.proc.pid, os.WNOHANG) == (0, 0)
+        assert b.ask(["--no-such-flag"], deadline).exit_code == 2
+    finally:
+        a.stop()
+        b.stop()
+
+
+def _fail(*args, **kwargs):
+    raise RuntimeError("no read-back")
+
+
+def _no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("ending", ["proof", "timeout", "exception"])
+@pytest.mark.parametrize("entry", ["reprove", "advise", "run_prover"])
+def test_no_process_outlives_a_batch(tmp_path, monkeypatch, entry, ending):
+    monkeypatch.setattr(harness, "_GRACE", 0.2)
+    if ending == "timeout":
+        # Forked workers inherit the patch and never answer.
+        monkeypatch.setattr(microres, "main", lambda argv: time.sleep(60))
+    elif ending == "exception":
+        monkeypatch.setattr(harness, "parse_szs", _fail)
+    _no_child_process()  # none left by an earlier test
+    c = tiny_corpus()
+    cfg = micro(timeout=0.5)
+    with pytest.raises(RuntimeError) if ending == "exception" else contextlib.nullcontext():
+        if entry == "reprove":
+            kinds = {r.status.kind for r in reprove(c, [cfg], jobs=2).results}
+        elif entry == "advise":
+            try:
+                kinds = {advise(c, c.theorem_named("ADD_1").statement, [cfg]).status.kind}
+            except NoProofFound as e:
+                kinds = {r.status.kind for r in e.results}
+        else:
+            kinds = {run_prover(write_problem(tmp_path, trivial_problem()), cfg).status.kind}
+        assert kinds == {"Theorem" if ending == "proof" else "Timeout"}
+    _no_child_process()
 
 
 def test_worker_and_process_paths_agree(monkeypatch):

@@ -1,12 +1,10 @@
 """The bundled saturation prover: unification, ordering, proofs, verdicts."""
 
-import json
-import subprocess
-import sys
 import time
 
 import pytest
 
+from hammerkit import harness
 from hammerkit.provers.microres import (
     Result,
     _canon,
@@ -331,15 +329,7 @@ def test_main_reports_input_error(tmp_path, capsys):
     assert "% SZS status InputError" in capsys.readouterr().out
 
 
-# The second launcher is what the installed ``hammer-microres`` script runs.
-SERVE_LAUNCHERS = {
-    "module": ["-m", "hammerkit.provers.microres"],
-    "script": ["-c", "import sys; from hammerkit.provers.microres import main; sys.exit(main())"],
-}
-
-
-@pytest.mark.parametrize("launcher", sorted(SERVE_LAUNCHERS))
-def test_serve_answers_exactly_as_main(tmp_path, capsys, launcher):
+def test_forked_worker_answers_exactly_as_main(tmp_path, capsys):
     good = problem_file(tmp_path, "fof(a1, axiom, p).\nfof(goal, conjecture, p).\n")
     bad = str(tmp_path / "bad.p")
     with open(bad, "w", encoding="utf-8") as fh:
@@ -352,13 +342,15 @@ def test_serve_answers_exactly_as_main(tmp_path, capsys, launcher):
         except SystemExit as e:
             code = e.code
         expected.append([code, capsys.readouterr().out])
-    proc = subprocess.run(
-        [sys.executable, *SERVE_LAUNCHERS[launcher], "--serve"],
-        input="".join(json.dumps(argv) + "\n" for argv in calls),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 0
-    assert [json.loads(line) for line in proc.stdout.splitlines()] == expected
+    worker = harness._Worker()
+    try:
+        deadline = time.monotonic() + 60
+        runs = [worker.ask(argv, deadline) for argv in calls]
+        # The end of the requests ends the worker cleanly.
+        worker.proc.stdin.close()
+        assert worker.proc.wait(10) == 0
+    finally:
+        worker.stop()
+    assert [[r.exit_code, r.output] for r in runs] == expected
+    assert not any(r.timed_out for r in runs)
     assert expected[0][0] == 0 and expected[1][0] == 1 and expected[2][0] == 2
