@@ -1,5 +1,8 @@
 """The bundled saturation prover: unification, ordering, proofs, verdicts."""
 
+import json
+import subprocess
+import sys
 import time
 
 import pytest
@@ -329,7 +332,18 @@ def test_main_reports_input_error(tmp_path, capsys):
     assert "% SZS status InputError" in capsys.readouterr().out
 
 
-def test_forked_worker_answers_exactly_as_main(tmp_path, capsys):
+# Two places ``serve`` runs: "module" is the harness's worker, a fork of this
+# interpreter that has the module imported already; "script" is a fresh
+# interpreter that imports it and serves its own stdio, so ``serve`` needs
+# nothing the fork inherits.
+SERVE_SCRIPT = (
+    "import sys; from hammerkit.provers.microres import serve; "
+    "sys.exit(serve(sys.stdin, sys.stdout))"
+)
+
+
+@pytest.mark.parametrize("launcher", ["module", "script"])
+def test_serve_answers_exactly_as_main(tmp_path, capsys, launcher):
     good = problem_file(tmp_path, "fof(a1, axiom, p).\nfof(goal, conjecture, p).\n")
     bad = str(tmp_path / "bad.p")
     with open(bad, "w", encoding="utf-8") as fh:
@@ -342,15 +356,27 @@ def test_forked_worker_answers_exactly_as_main(tmp_path, capsys):
         except SystemExit as e:
             code = e.code
         expected.append([code, capsys.readouterr().out])
-    worker = harness._Worker()
-    try:
-        deadline = time.monotonic() + 60
-        runs = [worker.ask(argv, deadline) for argv in calls]
-        # The end of the requests ends the worker cleanly.
-        worker.proc.stdin.close()
-        assert worker.proc.wait(10) == 0
-    finally:
-        worker.stop()
-    assert [[r.exit_code, r.output] for r in runs] == expected
-    assert not any(r.timed_out for r in runs)
+    if launcher == "module":
+        worker = harness._Worker()
+        try:
+            deadline = time.monotonic() + 60
+            runs = [worker.ask(argv, deadline) for argv in calls]
+            # The end of the requests ends the worker cleanly.
+            worker.proc.stdin.close()
+            assert worker.proc.wait(10) == 0
+        finally:
+            worker.stop()
+        assert not any(r.timed_out for r in runs)
+        answers = [[r.exit_code, r.output] for r in runs]
+    else:
+        proc = subprocess.run(
+            [sys.executable, "-c", SERVE_SCRIPT],
+            input="".join(json.dumps(argv) + "\n" for argv in calls),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0
+        answers = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert answers == expected
     assert expected[0][0] == 0 and expected[1][0] == 1 and expected[2][0] == 2
