@@ -15,10 +15,10 @@ interpreter as its executable, runs in workers forked from the running
 interpreter, which has every module they need imported already; each
 takes problem after problem, so a batch pays no interpreter start-up at
 all.  Run by any other executable it is one process per problem, like an
-external prover.  Every prover process is a direct child leading a
-process group of its own, and the whole group is killed when it
-overruns, or at once when the batch it belongs to fails or is
-interrupted.
+external prover.  Both kinds of process are held, read, timed out and
+stopped the same way: each is a direct child leading a process group of
+its own, and the whole group is killed when it overruns, or at once when
+the batch it belongs to fails or is interrupted.
 """
 
 from __future__ import annotations
@@ -256,24 +256,23 @@ def run_prover(
     """Run one prover on one problem file.
 
     A config with the bundled prover's stock arguments and this
-    interpreter as its executable is answered by a forked worker (see
-    ``_Worker``); any other config, the bundled prover under another
-    executable included, runs as a process of its own.  Either way the
-    prover, with every process it started, is killed shortly after the
-    configured timeout.  A binary that cannot be launched raises
-    SpawnError; everything that happens after launch becomes a status,
-    never an exception.  The unsat core is read back only when
-    ``problem`` is supplied and the status proves.
+    interpreter as its executable is sent as a request to a forked worker
+    (see ``_Worker``); any other config, the bundled prover under another
+    executable included, starts a process of its own.  Both are read the
+    same way, and the prover, with every process it started, is killed
+    shortly after the configured timeout.  A binary that cannot be
+    launched raises SpawnError; everything that happens after launch
+    becomes a status, never an exception.  The unsat core is read back
+    only when ``problem`` is supplied and the status proves.
     """
     argv = config.command(problem_path)
+    worker = config.args == _BUILTIN["microres"][1] and config.executable == sys.executable
+    request = argv[1 + len(_MICRORES) :] if worker else None
     start = time.monotonic()
     deadline = start + config.timeout + _GRACE
     try:
         with _worker_scope() as pool:
-            if config.args == _BUILTIN["microres"][1] and config.executable == sys.executable:
-                run = pool.run(argv[1 + len(_MICRORES) :], deadline)
-            else:
-                run = _run_process(argv, deadline, pool)
+            run = pool.run(argv, request, deadline)
     except (FileNotFoundError, PermissionError, NotADirectoryError) as e:
         raise SpawnError(f"cannot launch prover {config.name}: {argv[0]}: {e}") from None
     except OSError as e:
@@ -312,7 +311,7 @@ def _popen(argv: Sequence[str]) -> subprocess.Popen:
     )
 
 
-def _kill_group(proc: subprocess.Popen | _Forked) -> None:
+def _kill_group(proc: subprocess.Popen | _Worker) -> None:
     """Kill a prover process that is not reaped yet, with its group.  A
     forked worker that has not made its group yet is killed alone; it
     has started nothing."""
@@ -323,31 +322,95 @@ def _kill_group(proc: subprocess.Popen | _Forked) -> None:
             os.kill(proc.pid, signal.SIGKILL)
 
 
-def _text(data: bytes | None) -> str:
-    return (data or b"").decode("utf-8", "replace")
+def _answer(
+    proc: subprocess.Popen | _Worker, deadline: float, request: Sequence[str] | None
+) -> tuple[_Run, bool]:
+    """One prover call's output, and whether ``proc`` can take another.
+
+    A worker is sent ``request`` and answers with one reply line; it can
+    then take the next call.  Any other process, a worker whose reply is
+    not a reply line included, is read like a one-shot prover: its output
+    is what it writes until it exits.  A process that has not exited by
+    the deadline has timed out.
+    """
+    if request is not None:
+        with suppress(BrokenPipeError):
+            proc.stdin.write(json.dumps(list(request)).encode() + b"\n")
+            proc.stdin.flush()
+    fd = proc.stdout.fileno()
+    data = bytearray()
+    reply = request is not None
+    code = None
+    with selectors.DefaultSelector() as sel:
+        sel.register(fd, selectors.EVENT_READ)
+        while (left := deadline - time.monotonic()) > 0 and sel.select(left):
+            chunk = os.read(fd, 1 << 16)
+            if not chunk:
+                with suppress(subprocess.TimeoutExpired):
+                    code = proc.wait(max(0.0, deadline - time.monotonic()))
+                break
+            data += chunk
+            if reply and data.endswith(b"\n"):
+                try:
+                    status, output = json.loads(data)
+                    return _Run(str(output), int(status)), True
+                except (ValueError, TypeError):
+                    reply = False
+    return _Run(data.decode("utf-8", "replace"), code or 0, code is None), False
 
 
-def _run_process(argv: Sequence[str], deadline: float, pool: _Workers) -> _Run:
-    proc = _popen(argv)
-    with pool.busy(proc):
-        try:
-            out, _ = proc.communicate(timeout=max(0.0, deadline - time.monotonic()))
-            return _Run(_text(out), proc.returncode)
-        except subprocess.TimeoutExpired:
-            _kill_group(proc)
-        try:
-            out, _ = proc.communicate(timeout=_GRACE)
-        except subprocess.TimeoutExpired as e:
-            # A process that left the group still holds the pipe open.
-            out = e.stdout
-            proc.stdout.close()
-            proc.wait()
-        return _Run(_text(out), timed_out=True)
+def _stop(proc: subprocess.Popen | _Worker) -> None:
+    """Kill a prover process and anything it started, reap it and close
+    its pipes.  A process that left the group may still hold the output
+    pipe open; nothing waits for it."""
+    if proc.returncode is None:  # not reaped: its group id is still ours
+        _kill_group(proc)
+    proc.wait()
+    with suppress(OSError):
+        if proc.stdin:
+            proc.stdin.close()
+    proc.stdout.close()
 
 
-class _Forked:
-    """A forked worker as its parent sees it: the part of a Popen that
-    ``_Worker`` and ``_Workers`` use."""
+def _worker_main(requests: int, replies: int) -> NoReturn:
+    """The forked child's whole life (see ``_Worker``)."""
+    code = 1
+    # The parent's stdio objects are never finalized here: their buffers
+    # and file descriptors are the parent's.
+    inherited = sys.stdin, sys.stdout, sys.stderr
+    try:
+        os.setsid()
+        # Nor is the parent's cyclic garbage: a file object among it
+        # would close a descriptor number this process may have reused.
+        gc.freeze()
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(requests, 0)
+        os.dup2(replies, 1)
+        os.dup2(null, 2)
+        os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+        sys.stdin = open(0, encoding="utf-8", closefd=False)
+        sys.stdout = open(1, "w", encoding="utf-8", closefd=False)
+        sys.stderr = open(2, "w", encoding="utf-8", errors="backslashreplace", closefd=False)
+        code = microres.serve(sys.stdin, sys.stdout)
+    finally:
+        os._exit(code)
+
+
+class _Worker:
+    """A fork of the running interpreter that answers one-problem calls
+    with ``microres.serve`` (see the microres docstring) on a request
+    pipe and a reply pipe.  The parent holds it as it holds a one-shot
+    prover's Popen: ``pid``, ``stdin``, ``stdout``, ``returncode`` and
+    ``wait``, so ``_answer`` and ``_stop`` serve both.
+
+    The child starts from this process's memory, so it imports nothing.
+    It is forked on a pool thread while other threads run, so it takes no
+    lock another thread may have held at the fork: it leads a session of
+    its own like every prover process, keeps only the two pipes (as fds 0
+    and 1, with /dev/null as fd 2) and fresh stdio objects on them, and
+    leaves only through ``os._exit``, so that no buffer, ``atexit`` hook
+    or ``with`` block of this process runs in it.
+    """
 
     def __init__(self) -> None:
         requests, to_worker = os.pipe()
@@ -383,138 +446,44 @@ class _Forked:
         return self.returncode
 
 
-def _worker_main(requests: int, replies: int) -> NoReturn:
-    """The forked child's whole life (see ``_Worker``)."""
-    code = 1
-    # The parent's stdio objects are never finalized here: their buffers
-    # and file descriptors are the parent's.
-    inherited = sys.stdin, sys.stdout, sys.stderr
-    try:
-        os.setsid()
-        # Nor is the parent's cyclic garbage: a file object among it
-        # would close a descriptor number this process may have reused.
-        gc.freeze()
-        null = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(requests, 0)
-        os.dup2(replies, 1)
-        os.dup2(null, 2)
-        os.closerange(3, os.sysconf("SC_OPEN_MAX"))
-        sys.stdin = open(0, encoding="utf-8", closefd=False)
-        sys.stdout = open(1, "w", encoding="utf-8", closefd=False)
-        sys.stderr = open(2, "w", encoding="utf-8", errors="backslashreplace", closefd=False)
-        code = microres.serve(sys.stdin, sys.stdout)
-    finally:
-        os._exit(code)
-
-
-class _Worker:
-    """A fork of the running interpreter that answers one-problem calls
-    with ``microres.serve`` (see the microres docstring) on a request
-    pipe and a reply pipe.
-
-    The child starts from this process's memory, so it imports nothing.
-    It is forked on a pool thread while other threads run, so it takes no
-    lock another thread may have held at the fork: it leads a session of
-    its own like every prover process, keeps only the two pipes (as fds 0
-    and 1, with /dev/null as fd 2) and fresh stdio objects on them, and
-    leaves only through ``os._exit``, so that no buffer, ``atexit`` hook
-    or ``with`` block of this process runs in it.
-    """
-
-    def __init__(self) -> None:
-        self.proc = _Forked()
-        # Set only while the worker is idle between answered calls.
-        self.usable = False
-
-    def ask(self, request: Sequence[str], deadline: float) -> _Run:
-        """One prover call.  A worker that does not answer with a reply
-        line is read like a one-shot prover: its output is what it
-        writes until it exits or the deadline passes."""
-        self.usable = False
-        with suppress(BrokenPipeError):
-            self.proc.stdin.write(json.dumps(list(request)).encode() + b"\n")
-            self.proc.stdin.flush()
-        fd = self.proc.stdout.fileno()
-        data = b""
-        raw = False
-        with selectors.DefaultSelector() as sel:
-            sel.register(fd, selectors.EVENT_READ)
-            while True:
-                left = deadline - time.monotonic()
-                if left <= 0 or not sel.select(left):
-                    return _Run(_text(data), timed_out=True)
-                chunk = os.read(fd, 1 << 16)
-                if not chunk:
-                    try:
-                        code = self.proc.wait(max(0.0, deadline - time.monotonic()))
-                    except subprocess.TimeoutExpired:
-                        return _Run(_text(data), timed_out=True)
-                    return _Run(_text(data), code)
-                data += chunk
-                if not raw and data.endswith(b"\n"):
-                    try:
-                        code, output = json.loads(data)
-                        run = _Run(str(output), int(code))
-                    except (ValueError, TypeError):
-                        raw = True
-                        continue
-                    self.usable = True
-                    return run
-
-    def stop(self) -> None:
-        """Kill the worker and anything it started, and reap it."""
-        if self.proc.returncode is None:  # not reaped: its group id is still ours
-            _kill_group(self.proc)
-        self.proc.wait()
-        with suppress(OSError):
-            self.proc.stdin.close()
-        self.proc.stdout.close()
-
-
 class _Workers:
     """The bundled prover's workers, and every prover process in flight,
     for one batch of calls.
 
-    A call takes an idle worker or forks one, and gives it back only when
-    it answered, so there are never more workers than calls in flight.  A
-    worker that overruns is stopped like any prover process, and the next
-    call forks a fresh one.  ``kill`` ends every process in flight, and
-    every one started after it, without waiting for their deadlines.
+    A call with a request takes an idle worker or forks one; any other
+    call starts a process of its own.  Only a worker that answered goes
+    back to the idle list, so there are never more workers than calls in
+    flight; every other process, a worker that overran included, is
+    stopped when its call ends.  ``kill`` ends every process in flight,
+    and every one started after it, without waiting for their deadlines.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._idle: list[_Worker] = []
-        self._busy: set[subprocess.Popen | _Forked] = set()
+        self._busy: set[subprocess.Popen | _Worker] = set()
         self._killed = False
 
-    def run(self, request: Sequence[str], deadline: float) -> _Run:
+    def run(self, argv: Sequence[str], request: Sequence[str] | None, deadline: float) -> _Run:
         with self._lock:
-            worker = self._idle.pop() if self._idle else None
-        if worker is None:
-            worker = _Worker()
-        try:
-            with self.busy(worker.proc):
-                return worker.ask(request, deadline)
-        finally:
-            if worker.usable:
-                with self._lock:
-                    self._idle.append(worker)
-            else:
-                worker.stop()
-
-    @contextmanager
-    def busy(self, proc: subprocess.Popen | _Forked):
-        """``kill`` reaches ``proc`` inside this block."""
+            proc = self._idle.pop() if request is not None and self._idle else None
+        if proc is None:
+            proc = _popen(argv) if request is None else _Worker()
         with self._lock:
             self._busy.add(proc)
             if self._killed:
                 _kill_group(proc)
+        reusable = False
         try:
-            yield
+            run, reusable = _answer(proc, deadline, request)
+            return run
         finally:
             with self._lock:
                 self._busy.discard(proc)
+                if reusable:
+                    self._idle.append(proc)
+            if not reusable:
+                _stop(proc)
 
     def kill(self) -> None:
         """Kill every prover process in flight, and from now on every one
@@ -529,7 +498,7 @@ class _Workers:
         with self._lock:
             idle, self._idle = self._idle, []
         for worker in idle:
-            worker.stop()
+            _stop(worker)
 
 
 # The worker pool of the batch a prover call belongs to.  It travels in

@@ -252,9 +252,26 @@ def test_run_prover_returns_when_a_child_leaves_the_group(tmp_path, monkeypatch)
     try:
         result = run_prover(path, cfg)
         assert result.status.kind == "Timeout"
-        assert time.monotonic() - start < 0.2 + 2 * 0.5 + 1
+        # Read up to the deadline, then killed: no second grace period.
+        assert time.monotonic() - start < 0.2 + 0.5 + 1
     finally:
         os.kill(int(pidfile.read_text()), signal.SIGKILL)
+
+
+def test_run_prover_times_out_a_process_that_closes_its_output(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "_GRACE", 0.5)
+    path = write_problem(tmp_path, trivial_problem())
+    pidfile = tmp_path / "prover.pid"
+    # End of output is not the end of the process: it is waited for up
+    # to the deadline, then killed with its group.
+    script = f"echo $$ > {shlex.quote(str(pidfile))}; exec >&-; sleep 30"
+    cfg = ProverConfig("closing", "sh", ("-c", script), timeout=0.2)
+    start = time.monotonic()
+    result = run_prover(path, cfg)
+    assert result.status.kind == "Timeout"
+    assert time.monotonic() - start < 1.5
+    assert _gone(int(pidfile.read_text()), wait=0)
+    _no_child_process()
 
 
 def test_worker_missing_binary(tmp_path):
@@ -305,7 +322,7 @@ def test_interrupt_starts_no_queued_call_and_reaps_workers(monkeypatch):
     class Recorded(real_worker):
         def __init__(self):
             super().__init__()
-            pids.append(self.proc.pid)
+            pids.append(self.pid)
 
     def interrupted(*args, **kwargs):
         with lock:
@@ -337,30 +354,29 @@ def test_worker_pool_lends_each_worker_to_one_call_at_a_time(monkeypatch):
 
     class FakeWorker:
         def __init__(self):
-            self.proc = object()  # what the pool tracks while a call runs
-            self.usable = False
             with lock:
                 made.append(self)
                 live.add(self)
                 if len(live) > jobs:
                     faults.append(f"{len(live)} workers alive")
 
-        def ask(self, request, deadline):
-            with lock:
-                if self in busy or self not in live:
-                    faults.append("worker lent twice or after it stopped")
-                busy.add(self)
-            time.sleep(0)
-            with lock:
-                busy.discard(self)
-            self.usable = request[0] != "x"
-            return harness._Run("% SZS status Theorem\n")
+    def answer(proc, deadline, request):
+        with lock:
+            if proc in busy or proc not in live:
+                faults.append("worker lent twice or after it stopped")
+            busy.add(proc)
+        time.sleep(0)
+        with lock:
+            busy.discard(proc)
+        return harness._Run("% SZS status Theorem\n"), request[0] != "x"
 
-        def stop(self):
-            with lock:
-                live.discard(self)
+    def stop(proc):
+        with lock:
+            live.discard(proc)
 
     monkeypatch.setattr(harness, "_Worker", FakeWorker)
+    monkeypatch.setattr(harness, "_answer", answer)
+    monkeypatch.setattr(harness, "_stop", stop)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -371,7 +387,7 @@ def test_worker_pool_lends_each_worker_to_one_call_at_a_time(monkeypatch):
                 # Request "x" marks its worker unusable, as a worker that
                 # did not answer, so the pool stops it.
                 request = ["a" if i % 7 else "x"]
-                calls.append(threads.submit(pool.run, request, deadline))
+                calls.append(threads.submit(pool.run, [], request, deadline))
             runs = [c.result(timeout=60) for c in calls]
     finally:
         sys.setswitchinterval(switch)
@@ -387,20 +403,46 @@ def test_forked_workers_hold_only_their_own_pipes():
         deadline = time.monotonic() + 30
         for w in (a, b):
             # An answered call: the worker has set itself up.
-            assert w.ask(["--no-such-flag"], deadline).exit_code == 2
-            assert sorted(os.listdir(f"/proc/{w.proc.pid}/fd")) == ["0", "1", "2"]
-            assert os.getpgid(w.proc.pid) == w.proc.pid
+            run, reusable = harness._answer(w, deadline, ["--no-such-flag"])
+            assert run.exit_code == 2 and reusable
+            assert sorted(os.listdir(f"/proc/{w.pid}/fd")) == ["0", "1", "2"]
+            assert os.getpgid(w.pid) == w.pid
         # B holds no end of A's pipes, so killing A ends A's replies at once.
-        os.kill(a.proc.pid, signal.SIGKILL)
+        os.kill(a.pid, signal.SIGKILL)
         start = time.monotonic()
-        assert select.select([a.proc.stdout], [], [], 10)[0]
-        assert os.read(a.proc.stdout.fileno(), 1) == b""
+        assert select.select([a.stdout], [], [], 10)[0]
+        assert os.read(a.stdout.fileno(), 1) == b""
         assert time.monotonic() - start < 1
-        assert os.waitpid(b.proc.pid, os.WNOHANG) == (0, 0)
-        assert b.ask(["--no-such-flag"], deadline).exit_code == 2
+        assert os.waitpid(b.pid, os.WNOHANG) == (0, 0)
+        assert harness._answer(b, deadline, ["--no-such-flag"])[0].exit_code == 2
     finally:
-        a.stop()
-        b.stop()
+        harness._stop(a)
+        harness._stop(b)
+
+
+def test_worker_that_prints_no_reply_line_is_read_as_a_one_shot_prover(
+    tmp_path, monkeypatch
+):
+    pids = tmp_path / "pids"
+
+    # Forked workers inherit the patch: each prints a verdict, not a reply
+    # line, and exits.
+    def serve(requests, replies):
+        with open(pids, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        replies.write("% SZS status Theorem\n")
+        replies.flush()
+        return 0
+
+    monkeypatch.setattr(microres, "serve", serve)
+    path = write_problem(tmp_path, trivial_problem())
+    with harness._worker_scope():
+        kinds = [run_prover(path, micro()).status.kind for _ in range(2)]
+    assert kinds == ["Theorem", "Theorem"]
+    # The worker that did not reply is not reused.
+    started = {int(pid) for pid in pids.read_text().split()}
+    assert len(started) == 2
+    _no_child_process()
 
 
 def _fail(*args, **kwargs):
@@ -416,35 +458,39 @@ def _no_child_process():
 @pytest.mark.parametrize("entry", ["reprove", "advise", "run_prover"])
 def test_no_process_outlives_a_batch(tmp_path, monkeypatch, entry, ending):
     monkeypatch.setattr(harness, "_GRACE", 0.2)
+    # Next to the worker, a one-shot run of the bundled prover: the default
+    # clause limit spelled out, with time for an interpreter to start.
+    one_shot = replace(micro(timeout=10), args=micro().args + ("--max-clauses", "100000"))
     if ending == "timeout":
-        # Forked workers inherit the patch and never answer.
+        # Forked workers inherit the patch and never answer.  A fresh
+        # interpreter does not inherit it, so the one-shot prover sleeps.
         monkeypatch.setattr(microres, "main", lambda argv: time.sleep(60))
+        one_shot = ProverConfig("microres", "sh", ("-c", "sleep 60"), timeout=0.5)
     elif ending == "exception":
         monkeypatch.setattr(harness, "parse_szs", _fail)
     _no_child_process()  # none left by an earlier test
     c = tiny_corpus()
-    cfg = micro(timeout=0.5)
-    with pytest.raises(RuntimeError) if ending == "exception" else contextlib.nullcontext():
-        if entry == "reprove":
-            kinds = {r.status.kind for r in reprove(c, [cfg], jobs=2).results}
-        elif entry == "advise":
-            try:
-                kinds = {advise(c, c.theorem_named("ADD_1").statement, [cfg]).status.kind}
-            except NoProofFound as e:
-                kinds = {r.status.kind for r in e.results}
-        else:
-            kinds = {run_prover(write_problem(tmp_path, trivial_problem()), cfg).status.kind}
-        assert kinds == {"Theorem" if ending == "proof" else "Timeout"}
-    _no_child_process()
+    for cfg in (micro(timeout=0.5), one_shot):
+        with pytest.raises(RuntimeError) if ending == "exception" else contextlib.nullcontext():
+            if entry == "reprove":
+                kinds = {r.status.kind for r in reprove(c, [cfg], jobs=2).results}
+            elif entry == "advise":
+                try:
+                    kinds = {advise(c, c.theorem_named("ADD_1").statement, [cfg]).status.kind}
+                except NoProofFound as e:
+                    kinds = {r.status.kind for r in e.results}
+            else:
+                problem = write_problem(tmp_path, trivial_problem())
+                kinds = {run_prover(problem, cfg).status.kind}
+            assert kinds == {"Theorem" if ending == "proof" else "Timeout"}
+        _no_child_process()
 
 
 def test_worker_and_process_paths_agree(monkeypatch):
     corpus = load_corpus(Path(str(resources.files("hammerkit") / "data" / "toy")))
     spawned = []
-    run_process = harness._run_process
-    monkeypatch.setattr(
-        harness, "_run_process", lambda *a: spawned.append(a) or run_process(*a)
-    )
+    popen = harness._popen
+    monkeypatch.setattr(harness, "_popen", lambda argv: spawned.append(argv) or popen(argv))
     workers = reprove(corpus, [micro()], jobs=2)
     assert spawned == []
     # The default clause limit spelled out: the same prover, one process
@@ -757,10 +803,12 @@ def test_a_numbered_statement_is_not_extracted_again(monkeypatch):
 
 
 def test_bundled_prover_imports_the_callers_hammerkit(tmp_path):
-    # The caller puts src on sys.path by hand and no PYTHONPATH is set, so
-    # the prover processes only import hammerkit through the path the
-    # harness gives them: the reused worker, and a one-shot run of the
-    # bundled prover under argument order of its own.
+    # The caller puts src on sys.path by hand and no PYTHONPATH is set.
+    # The reprove half checks that the workers, forks of the caller that
+    # import nothing, serve with the caller's hammerkit.  The one-shot run
+    # of the bundled prover, under argument order of its own, is a fresh
+    # interpreter: it finds hammerkit only through the PYTHONPATH that the
+    # harness gives it.
     src = Path(harness.__file__).resolve().parent.parent
     script = tmp_path / "repro.py"
     script.write_text(

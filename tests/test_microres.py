@@ -360,12 +360,12 @@ def test_serve_answers_exactly_as_main(tmp_path, capsys, launcher):
         worker = harness._Worker()
         try:
             deadline = time.monotonic() + 60
-            runs = [worker.ask(argv, deadline) for argv in calls]
+            runs = [harness._answer(worker, deadline, argv)[0] for argv in calls]
             # The end of the requests ends the worker cleanly.
-            worker.proc.stdin.close()
-            assert worker.proc.wait(10) == 0
+            worker.stdin.close()
+            assert worker.wait(10) == 0
         finally:
-            worker.stop()
+            harness._stop(worker)
         assert not any(r.timed_out for r in runs)
         answers = [[r.exit_code, r.output] for r in runs]
     else:
