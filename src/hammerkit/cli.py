@@ -5,6 +5,10 @@ One executable, one subcommand per pipeline stage: inspect a corpus
 (translate), and run provers at scale (reprove, experiment) or for a
 single goal (advise, minimize).
 
+A goal given on the command line is ranked against the whole corpus, so
+only ``experiment`` takes ``--relation``; only the commands that cut
+ranked premises to a budget (``experiment``, ``advise``) take ``--budget``.
+
 Every problem is emitted in one encoding, with every term tagged by its
 type.  No option chooses the encoding: the old flag that asked for all
 tags is gone, and passing it is a usage error (exit 2).
@@ -43,6 +47,7 @@ from .fof import TranslateError
 from .harness import (
     DEFAULT_K,
     DEFAULT_TIMEOUT,
+    ExperimentReport,
     NoProofFound,
     ProverConfig,
     SpawnError,
@@ -109,10 +114,11 @@ def _budgets(pairs: list[str]) -> dict[str, int]:
     return out
 
 
-def _provers(args: argparse.Namespace) -> list[ProverConfig]:
+def _provers(args: argparse.Namespace, budget: list[str] | None = None) -> list[ProverConfig]:
+    """The provers the options name, with the ``NAME=INT`` premise budgets in ``budget``."""
     timeout = args.timeout if args.timeout is not None else DEFAULT_TIMEOUT
     named: dict[str, ProverConfig] = {}
-    if getattr(args, "prover_config", None):
+    if args.prover_config:
         for cfg in load_prover_configs(args.prover_config):
             named[cfg.name] = cfg
     if args.provers:
@@ -130,7 +136,7 @@ def _provers(args: argparse.Namespace) -> list[ProverConfig]:
         configs = default_provers(timeout=timeout)
     if args.timeout is not None:
         configs = [replace(c, timeout=args.timeout) for c in configs]
-    budgets = _budgets(args.budget or [])
+    budgets = _budgets(budget or [])
     unknown = set(budgets) - {c.name for c in configs}
     if unknown:
         raise ValueError(f"--budget for provers not in use: {', '.join(sorted(unknown))}")
@@ -194,10 +200,7 @@ def _cmd_features(args: argparse.Namespace) -> int:
 def _cmd_predict(args: argparse.Namespace) -> int:
     corpus = _load(args)
     _, term = _goal(args, corpus)
-    relation = AccessRelation(args.relation)
-    ranked = suggest(
-        corpus, term, k=args.k, n_premises=args.n_premises, relation=relation
-    )
+    ranked = suggest(corpus, term, k=args.k, n_premises=args.n_premises)
     for cid, weight in ranked:
         print(f"{corpus.conjunct_label(cid)}\t{weight:.6f}")
     return 0
@@ -213,10 +216,7 @@ def _cmd_translate(args: argparse.Namespace) -> int:
         if not args.goal:
             raise ValueError("translate wants a theorem NAME or --goal")
         gname, term = _goal(args, corpus)
-        relation = AccessRelation(args.relation)
-        ranked = suggest(
-            corpus, term, k=args.k, n_premises=args.n_premises, relation=relation
-        )
+        ranked = suggest(corpus, term, k=args.k, n_premises=args.n_premises)
         premises = [
             (corpus.conjunct_label(cid), corpus.conjunct_statement(cid))
             for cid, _ in ranked
@@ -230,45 +230,37 @@ def _cmd_translate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_reprove(args: argparse.Namespace) -> int:
-    corpus = _load(args)
-    provers = _provers(args)
-    report = reprove(corpus, provers, split=args.split, jobs=args.jobs)
+def _print_report(report: ExperimentReport, path: str | None) -> int:
     print(report.summary_text())
-    if args.report:
-        csv_path, txt_path = write_report(report, args.report)
+    if path:
+        csv_path, txt_path = write_report(report, path)
         print(f"written: {csv_path} {txt_path}")
     return 0
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
+def _cmd_reprove(args: argparse.Namespace) -> int:
     corpus = _load(args)
     provers = _provers(args)
-    report = experiment(
-        corpus,
-        args.relation,
-        provers,
-        k=args.k,
-        jobs=args.jobs,
-        report_path=args.report,
-    )
-    print(report.summary_text())
-    if args.report:
-        print(f"written: {args.report}.csv {args.report}.txt")
-    return 0
+    report = reprove(corpus, provers, split=args.split, jobs=args.jobs)
+    return _print_report(report, args.report)
+
+
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    corpus = _load(args)
+    provers = _provers(args, args.budget)
+    report = experiment(corpus, args.relation, provers, k=args.k, jobs=args.jobs)
+    return _print_report(report, args.report)
 
 
 def _cmd_advise(args: argparse.Namespace) -> int:
     corpus = _load(args)
-    provers = _provers(args)
+    provers = _provers(args, args.budget)
     gname, term = _goal(args, corpus)
-    relation = AccessRelation(args.relation)
     try:
         advice = advise(
             corpus,
             term,
             provers,
-            relation=relation,
             k=args.k,
             jobs=args.jobs,
             goal_name=gname,
@@ -331,12 +323,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     learn_opt = argparse.ArgumentParser(add_help=False)
     learn_opt.add_argument(
-        "--relation",
-        choices=[r.value for r in AccessRelation],
-        default=AccessRelation.LOADED_THEORIES.value,
-        help="accessibility relation (default: loaded)",
-    )
-    learn_opt.add_argument(
         "--k", type=int, default=DEFAULT_K, help="nearest neighbours (default: 40)"
     )
 
@@ -352,10 +338,14 @@ def _build_parser() -> argparse.ArgumentParser:
     prover_opt.add_argument(
         "--timeout", type=float, metavar="SECS", help="per-problem prover time limit"
     )
-    prover_opt.add_argument(
+
+    jobs_opt = argparse.ArgumentParser(add_help=False)
+    jobs_opt.add_argument(
         "--jobs", type=int, metavar="N", help="parallel prover processes"
     )
-    prover_opt.add_argument(
+
+    budget_opt = argparse.ArgumentParser(add_help=False)
+    budget_opt.add_argument(
         "--budget",
         action="append",
         metavar="NAME=INT",
@@ -413,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "reprove",
-        parents=[corpus_opt, prover_opt],
+        parents=[corpus_opt, prover_opt, jobs_opt],
         help="re-prove every theorem from its exact dependencies",
     )
     p.add_argument(
@@ -427,15 +417,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "experiment",
-        parents=[corpus_opt, learn_opt, prover_opt],
+        parents=[corpus_opt, learn_opt, prover_opt, jobs_opt, budget_opt],
         help="prove everything under one accessibility relation",
+    )
+    p.add_argument(
+        "--relation",
+        choices=[r.value for r in AccessRelation],
+        default=AccessRelation.LOADED_THEORIES.value,
+        help="accessibility relation (default: loaded)",
     )
     p.add_argument("--report", metavar="PATH", help="write CSV and text reports here")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser(
         "advise",
-        parents=[corpus_opt, learn_opt, prover_opt],
+        parents=[corpus_opt, learn_opt, prover_opt, jobs_opt, budget_opt],
         help="select premises for a goal and try to prove it",
     )
     p.add_argument("--goal", required=True, metavar="FILE|TEXT")
@@ -444,7 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "minimize",
         parents=[prover_opt],
-        help="shrink a problem file's axioms to a proving core",
+        help="shrink a problem file's axioms to a proving core with the first prover listed",
     )
     p.add_argument("file", help="TPTP problem file")
     p.set_defaults(func=_cmd_minimize)
@@ -459,9 +455,6 @@ def main(argv: list[str] | None = None) -> int:
         # A reader that has gone away shows up here, not at exit.
         sys.stdout.flush()
         return code
-    except NoProofFound as e:
-        print(f"no proof: {e}", file=sys.stderr)
-        return 1
     except BrokenPipeError:
         # The reader chose to stop.  What is still buffered goes to
         # devnull, so the flush at interpreter exit cannot fail again.

@@ -847,8 +847,9 @@ def accessible_set(
             for t in corpus.theorems
             if t.theory in closure and (t.theory != target.theory or t.seq < target.seq)
         }
-    order = corpus.order()
-    return set(order[: corpus.position(target)])
+    if relation is AccessRelation.LINEAR_ORDER:
+        return set(corpus.order()[: corpus.position(target)])
+    raise ValueError(f"unknown relation {relation!r}")
 
 
 def rename_overwritten(

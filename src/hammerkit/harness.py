@@ -168,11 +168,7 @@ def _env_executable(name: str) -> str | None:
     return os.environ.get(f"HAMMER_PROVER_{name.upper()}") or None
 
 
-def builtin_config(
-    name: str,
-    timeout: float = DEFAULT_TIMEOUT,
-    n_premises: int | None = None,
-) -> ProverConfig:
+def builtin_config(name: str, timeout: float = DEFAULT_TIMEOUT) -> ProverConfig:
     """The stock configuration for a known prover name.
 
     HAMMER_PROVER_<NAME> overrides the executable path.
@@ -184,7 +180,7 @@ def builtin_config(
         name=name,
         executable=_env_executable(name) or exe,
         args=args,
-        n_premises=n_premises if n_premises is not None else budget,
+        n_premises=budget,
         timeout=timeout,
     )
 
@@ -901,8 +897,8 @@ class _Learner:
         query: frozenset[str],
         k: int,
         n_premises: int,
-        relation: AccessRelation,
-        target: TheoremId | None,
+        relation: AccessRelation = AccessRelation.LOADED_THEORIES,
+        target: TheoremId | None = None,
     ) -> list[tuple[ConjunctId, float]]:
         spans = self.accessible(corpus, target, relation)
         neighbors = knn.k_nearest(self.index, query, k, spans=spans)
@@ -950,8 +946,6 @@ def suggest(
     ``feature_cache`` has no effect and stays only because the benchmark
     passes it.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
     learner = _learner(corpus)
     return learner.rank(corpus, learner.features(goal), k, n_premises, relation, target)
 
@@ -989,26 +983,23 @@ def advise(
     corpus: Corpus,
     goal: HolTerm,
     provers: Sequence[ProverConfig],
-    relation: AccessRelation = AccessRelation.LOADED_THEORIES,
     k: int = DEFAULT_K,
-    target: TheoremId | None = None,
     jobs: int | None = None,
     goal_name: str = "goal",
 ) -> Advice:
     """Premise selection plus parallel prover runs for one goal.
 
-    Stages are timed separately: ``parse`` covers building the corpus's
-    learner when no ranking has built it yet (features and index for
-    every conjunct) and the goal's features (the stored ones for a
-    corpus statement, as in ``suggest``), ``predict`` the
-    nearest-neighbour ranking, ``prove`` translation and the prover
+    The goal sits after everything in the corpus, so it is ranked against
+    the whole corpus.  Stages are timed separately: ``parse`` covers
+    building the corpus's learner when no ranking has built it yet
+    (features and index for every conjunct) and the goal's features (the
+    stored ones for a corpus statement, as in ``suggest``), ``predict``
+    the nearest-neighbour ranking, ``prove`` translation and the prover
     processes.  The first proving prover (in the order given) wins; its
     unsat core is the advice.  Raises NoProofFound with full diagnostics
     when nobody closes the goal.
     """
     _check_provers(provers)
-    if k < 1:
-        raise ValueError("k must be at least 1")
 
     t0 = time.monotonic()
     learner = _learner(corpus)
@@ -1017,7 +1008,7 @@ def advise(
 
     t0 = time.monotonic()
     budget = max(c.n_premises for c in provers)
-    ranked = learner.rank(corpus, query, k, budget, relation, target)
+    ranked = learner.rank(corpus, query, k, budget)
     suggested = tuple(
         (corpus.conjunct_label(cid), weight) for cid, weight in ranked
     )
@@ -1105,14 +1096,12 @@ def experiment(
     provers: Sequence[ProverConfig],
     k: int = DEFAULT_K,
     jobs: int | None = None,
-    report_path: str | Path | None = None,
 ) -> ExperimentReport:
     """Prove every non-definition theorem under one accessibility relation.
 
     Exact dependencies use the recorded premises directly; the other
     relations rank the accessible conjuncts with the learner and give
-    each prover its budgeted prefix.  Writes CSV and aligned-text
-    reports when a path is given.
+    each prover its budgeted prefix.
     """
     if isinstance(relation, str):
         try:
@@ -1124,8 +1113,6 @@ def experiment(
         tasks = _exact_dep_tasks(corpus, "unsplit")
     else:
         tasks = []
-        if k < 1:
-            raise ValueError("k must be at least 1")
         budget = max(c.n_premises for c in provers)
         for tid in corpus.order():
             entry = corpus.theorem(tid)
@@ -1141,7 +1128,4 @@ def experiment(
             )
             conjecture = (entry.name, entry.statement)
             tasks.append(_ranked_task(corpus, tid.theory, conjecture, ranked))
-    report = _run_tasks(corpus, tasks, provers, jobs)
-    if report_path is not None:
-        write_report(report, report_path)
-    return report
+    return _run_tasks(corpus, tasks, provers, jobs)

@@ -113,6 +113,8 @@ def rank_premises(
     Each neighbour votes for its dependencies and for itself.  Output is
     sorted by relevance, ties by linear order, truncated to n_premises.
     """
+    if n_premises < 0:
+        raise ValueError(f"premise count {n_premises} is negative")
     relevance: dict = {}
     for nb in neighbors:
         for tid in {nb.id, *deps.get(nb.id, ())}:

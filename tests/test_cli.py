@@ -212,6 +212,15 @@ def test_predict_ranks_premises(corpus_dir, capsys):
     assert weights == sorted(weights, reverse=True)
 
 
+@pytest.mark.parametrize("command", ["predict", "translate"])
+def test_negative_premise_count_is_usage_error(corpus_dir, capsys, command):
+    code, out, err = run(
+        capsys, command, "--corpus", corpus_dir, "--goal", "ADD 0 0 = 0", "-n", "-1"
+    )
+    assert (code, out) == (2, "")
+    assert "premise count -1 is negative" in err
+
+
 # -------------------------------------------------------------- translate
 
 
@@ -283,7 +292,7 @@ def test_reprove_writes_report(corpus_dir, tmp_path, capsys):
     assert (tmp_path / "rep.txt").exists()
 
 
-def test_experiment_exact_relation(corpus_dir, capsys):
+def test_experiment_exact_relation(corpus_dir, tmp_path, capsys):
     code, out, _ = run(
         capsys,
         "experiment",
@@ -295,9 +304,14 @@ def test_experiment_exact_relation(corpus_dir, capsys):
         "microres",
         "--timeout",
         "10",
+        "--report",
+        f"{tmp_path / 'rep'}/",
     )
     assert code == 0
     assert "100.00" in out
+    # The paths printed are the files written.
+    assert f"written: {tmp_path / 'rep.csv'} {tmp_path / 'rep.txt'}" in out
+    assert (tmp_path / "rep.csv").exists() and (tmp_path / "rep.txt").exists()
 
 
 def test_experiment_rejects_unknown_relation(corpus_dir):
@@ -366,7 +380,7 @@ def test_unknown_prover_is_usage_error(corpus_dir, capsys):
 def test_budget_must_name_active_prover(corpus_dir, capsys):
     code, _, err = run(
         capsys,
-        "reprove",
+        "experiment",
         "--corpus",
         corpus_dir,
         "--provers",
@@ -381,7 +395,7 @@ def test_budget_must_name_active_prover(corpus_dir, capsys):
 def test_budget_value_must_be_integer(corpus_dir, capsys):
     code, _, err = run(
         capsys,
-        "reprove",
+        "experiment",
         "--corpus",
         corpus_dir,
         "--provers",
@@ -424,6 +438,32 @@ def test_minimize_unprovable_file_exits_one(tmp_path, capsys):
     )
     assert code == 1
     assert "unconfirmed" in out
+
+
+# Options that these commands once accepted and never read.  Each case
+# is complete otherwise, so only the option makes it a usage error.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["predict", "--goal", "ADD 0 0 = 0", "--relation", "exact"],
+        ["translate", "--goal", "ADD 0 0 = 0", "--relation", "exact"],
+        ["advise", "--goal", "ADD 0 0 = 0", "--provers", "microres", "--relation", "exact"],
+        ["reprove", "--provers", "microres", "--budget", "microres=1"],
+        ["minimize", "PROBLEM", "--provers", "microres", "--jobs", "1"],
+        ["minimize", "PROBLEM", "--provers", "microres", "--budget", "microres=1"],
+    ],
+    ids=lambda argv: argv[0] + argv[-2],
+)
+def test_options_nothing_reads_are_usage_errors(corpus_dir, tmp_path, argv):
+    problem = tmp_path / "prob.p"
+    problem.write_text("fof(a, axiom, p).\nfof(goal, conjecture, p).\n", encoding="utf-8")
+    if argv[0] == "minimize":
+        argv = [argv[0], str(problem), *argv[2:]]
+    else:
+        argv = [argv[0], "--corpus", corpus_dir, *argv[1:]]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
 
 
 def test_missing_subcommand_is_usage_error():

@@ -107,7 +107,7 @@ def test_config_validation():
 
 
 def test_builtin_config_names():
-    cfg = builtin_config("microres", timeout=3.0, n_premises=5)
+    cfg = replace(builtin_config("microres", timeout=3.0), n_premises=5)
     assert cfg.executable == sys.executable
     assert cfg.n_premises == 5
     assert cfg.timeout == 3.0
@@ -767,6 +767,20 @@ def toy_corpus():
     return load_corpus(Path(str(resources.files("hammerkit") / "data" / "toy")))
 
 
+def test_unknown_relation_is_an_error():
+    c = toy_corpus()
+    tid = c.by_name["APPEND_ONE"]
+    statement = c.theorem(tid).statement
+    exact = suggest(c, statement, relation=AccessRelation.EXACT_DEPS, target=tid)
+    assert [c.conjunct_label(cid) for cid, _ in exact] == ["APPEND_def_c1", "APPEND_def_c2"]
+    # A relation's name is not the relation; both used to mean linear order.
+    for relation in ("exact", "sideways"):
+        with pytest.raises(ValueError, match="unknown relation"):
+            accessible_set(c, tid, relation)
+        with pytest.raises(ValueError, match="unknown relation"):
+            suggest(c, statement, relation=relation, target=tid)
+
+
 @pytest.mark.parametrize("relation", list(AccessRelation))
 @pytest.mark.parametrize("name", ["MAX_SUC", "HD_TL"])
 def test_goal_features_are_reused_exactly_as_extracted(relation, name):
@@ -954,12 +968,13 @@ def test_experiment_exact_matches_reprove():
 
 def test_experiment_ranked_relation_and_reports(tmp_path):
     c = tiny_corpus()
-    report = experiment(
-        c, AccessRelation.LINEAR_ORDER, [micro()], k=3, report_path=tmp_path / "exp"
-    )
+    report = experiment(c, AccessRelation.LINEAR_ORDER, [micro()], k=3)
     assert set(report.targets) == {"ADD_0", "ADD_1", "ADD_BOTH"}
-    assert (tmp_path / "exp.csv").exists()
-    assert (tmp_path / "exp.txt").exists()
+    assert write_report(report, tmp_path / "exp") == (
+        tmp_path / "exp.csv", tmp_path / "exp.txt"
+    )
+    assert (tmp_path / "exp.csv").read_text(encoding="utf-8") == report.csv_text()
+    assert (tmp_path / "exp.txt").read_text(encoding="utf-8") == report.summary_text()
     # Ranked premises plus computation make these provable too.
     assert "ADD_1" in report.solved("microres")
 

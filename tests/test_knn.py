@@ -55,6 +55,9 @@ def test_rank_premises_votes_for_deps_and_self():
     # Sorted by relevance, position breaking ties.
     assert [p for p, _ in got] == ["p", "a", "b", "q"]
     assert len(rank_premises(idx, neighbors, deps, 2)) == 2
+    assert rank_premises(idx, neighbors, deps, 0) == []
+    with pytest.raises(ValueError, match="negative"):
+        rank_premises(idx, neighbors, deps, -1)
 
 
 def test_rank_premises_is_deterministic_under_ties():
