@@ -34,7 +34,6 @@ from .corpus import (
     AccessRelation,
     Corpus,
     ParseError,
-    PrintError,
     Signature,
     UnknownTheorem,
     load_corpus,
@@ -64,7 +63,7 @@ from .harness import (
     advise,
     write_report,
 )
-from .hol import HolError
+from .hol import HolError, PrintError
 from .tptp import parse_problem
 
 _USAGE_ERRORS = (
@@ -207,6 +206,11 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_translate(args: argparse.Namespace) -> int:
+    if args.name:
+        # The exact-dependency problem ranks nothing.
+        for opt, value in (("--goal", args.goal), ("--k", args.k), ("-n", args.n_premises)):
+            if value is not None:
+                raise ValueError(f"translate NAME does not read {opt}")
     corpus = _load(args)
     if args.name:
         entry = corpus.theorem_named(args.name)
@@ -216,7 +220,9 @@ def _cmd_translate(args: argparse.Namespace) -> int:
         if not args.goal:
             raise ValueError("translate wants a theorem NAME or --goal")
         gname, term = _goal(args, corpus)
-        ranked = suggest(corpus, term, k=args.k, n_premises=args.n_premises)
+        k = DEFAULT_K if args.k is None else args.k
+        n = 32 if args.n_premises is None else args.n_premises
+        ranked = suggest(corpus, term, k=k, n_premises=n)
         premises = [
             (corpus.conjunct_label(cid), corpus.conjunct_statement(cid))
             for cid, _ in ranked
@@ -384,9 +390,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_predict)
 
+    # The learner's options have no default here, so that a NAME given
+    # with one of them is told apart and refused.
     p = sub.add_parser(
         "translate",
-        parents=[corpus_opt, learn_opt],
+        parents=[corpus_opt],
         help="emit a first-order problem file",
     )
     p.add_argument(
@@ -395,8 +403,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="theorem name: its exact-dependency problem (otherwise use --goal)",
     )
     p.add_argument("--goal", metavar="FILE|TEXT", help="goal with predicted premises")
+    p.add_argument("--k", type=int, help="with --goal: nearest neighbours (default: 40)")
     p.add_argument(
-        "-n", "--n-premises", type=int, default=32, help="premise count (default: 32)"
+        "-n", "--n-premises", type=int, help="with --goal: premise count (default: 32)"
     )
     p.add_argument("-o", "--output", metavar="FILE", help="write here instead of stdout")
     p.set_defaults(func=_cmd_translate)
@@ -424,7 +433,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--relation",
         choices=[r.value for r in AccessRelation],
         default=AccessRelation.LOADED_THEORIES.value,
-        help="accessibility relation (default: loaded)",
+        help="accessibility relation (default: loaded); exact gives each prover "
+        "the recorded dependencies whole, so --budget and --k do not apply",
     )
     p.add_argument("--report", metavar="PATH", help="write CSV and text reports here")
     p.set_defaults(func=_cmd_experiment)

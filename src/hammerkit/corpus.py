@@ -19,6 +19,9 @@ term or a type, and names resolve against the signature and the binders
 in scope as they are read.  A ``$t`` binder scopes over its own body and
 the binds after it in its group, like a term binder.
 
+Terms, types and names print through ``hammerkit.hol``'s printer, the one
+HOL printer; ``print_tt`` here adds only the entry syntax around it.
+
 Every text format hammerkit reads (``.thy``, ``.tt``, ``.deps``, proof
 traces, goals and TPTP problems) goes through the one lexer ``_lex`` and
 the one token cursor ``_Parser`` defined here; ``_Parser.entries`` reads
@@ -39,6 +42,7 @@ from pathlib import Path
 from typing import Iterable, Sequence, Union
 
 from .hol import (
+    _BARE_NAME,
     Abs,
     App,
     BOOL,
@@ -54,18 +58,15 @@ from .hol import (
     TypeMismatch,
     UnknownSymbol,
     Var,
-    dest_binder,
-    dest_fun,
-    free_vars,
-    is_fun,
+    _ty,
     mk_const_app,
     mk_eq,
     mk_exists,
     mk_forall,
     mk_fun,
+    show_name,
     split_conjuncts,
-    subst,
-    term_ty_vars,
+    term_text,
     type_of,
     typecheck,
 )
@@ -79,10 +80,6 @@ class ParseError(Exception):
         self.col = col
 
 
-class PrintError(Exception):
-    pass
-
-
 class UnknownTheorem(Exception):
     pass
 
@@ -92,11 +89,6 @@ class CycleDetected(Exception):
 
 
 # ------------------------------------------------------------------- lexing
-
-# Bare names never start with ~ / . ' and never end with a dot, so the
-# negation operator, the entry terminator and quote delimiters stay
-# unambiguous; anything else must be single-quoted.
-_BARE_NAME = re.compile(r"[A-Za-z0-9_](?:[A-Za-z0-9_~/.']*[A-Za-z0-9_~/'])?")
 
 _TOKEN = re.compile(
     rf"""(?P<ws>\s+|%[^\n]*)
@@ -112,17 +104,6 @@ _TOKEN = re.compile(
 def _unquote(text: str) -> str:
     body = text[1:-1]
     return re.sub(r"\\(.)", r"\1", body)
-
-
-def _quote(name: str) -> str:
-    return "'" + name.replace("\\", "\\\\").replace("'", "\\'") + "'"
-
-
-def show_name(name: str) -> str:
-    """A name as it appears in a file: bare when the lexer allows it."""
-    if _BARE_NAME.fullmatch(name):
-        return name
-    return _quote(name)
 
 
 def _position(text: str, offset: int) -> tuple[int, int]:
@@ -515,169 +496,13 @@ def _typecheck(p: _Hol, term: HolTerm, tok: tuple[str, str, int]) -> HolType:
 
 # ----------------------------------------------------------------- printing
 
-_LVL_IMP, _LVL_DISJ, _LVL_CONJ, _LVL_NEG, _LVL_EQ, _LVL_APP, _LVL_ATOM = range(7)
-
-_BINOP_LEVEL = {"=>": _LVL_IMP, "|": _LVL_DISJ, "&": _LVL_CONJ}
-_SPECIAL_CONSTS = {"=", "&", "|", "=>", "~", "!", "?"}
-
-
-def _ty(ty: HolType, lvl: int) -> str:
-    if isinstance(ty, TyVar):
-        return ty.name
-    if is_fun(ty):
-        a, r = dest_fun(ty)
-        s = f"{_ty(a, 1)} > {_ty(r, 0)}"
-        return f"({s})" if lvl > 0 else s
-    if not ty.args:
-        return show_name(ty.con)
-    s = show_name(ty.con) + " " + " ".join(_ty(a, 2) for a in ty.args)
-    return f"({s})" if lvl > 1 else s
-
-
-def type_text(ty: HolType) -> str:
-    return _ty(ty, 0)
-
-
-def _strip_quant(t: HolTerm) -> tuple[str, list[Var], HolTerm] | None:
-    if isinstance(t, Abs):
-        vs = [t.var]
-        body = t.body
-        while isinstance(body, Abs):
-            vs.append(body.var)
-            body = body.body
-        return "^", vs, body
-    for kind in ("!", "?"):
-        d = dest_binder(t, kind)
-        if d is not None:
-            vs = [d[0]]
-            body = d[1]
-            while (d2 := dest_binder(body, kind)) is not None:
-                vs.append(d2[0])
-                body = d2[1]
-            return kind, vs, body
-    return None
-
-
-def _dest_full_binop(t: HolTerm) -> tuple[str, HolTerm, HolTerm] | None:
-    if (
-        isinstance(t, App)
-        and isinstance(t.fun, App)
-        and isinstance(t.fun.fun, Const)
-        and t.fun.fun.name in ("=", "&", "|", "=>")
-    ):
-        return t.fun.fun.name, t.fun.arg, t.arg
-    return None
-
-
-def _binder_group(kind: str, vs: list[Var]) -> str:
-    binds = ", ".join(f"{show_name(v.name)}:{_ty(v.ty, 2)}" for v in vs)
-    return f"{kind}[{binds}]:"
-
-
-def _tm(t: HolTerm, lvl: int) -> str:
-    if isinstance(t, Var):
-        return show_name(t.name)
-    if isinstance(t, Const):
-        if t.name in _SPECIAL_CONSTS:
-            raise PrintError(f"cannot print a bare occurrence of {t.name}")
-        if t.inst:
-            return "(" + show_name(t.name) + " " + " ".join(_ty(i, 2) for i in t.inst) + ")"
-        return show_name(t.name)
-    q = _strip_quant(t)
-    if q is not None:
-        kind, vs, body = q
-        s = f"{_binder_group(kind, vs)} {_tm(body, _LVL_ATOM)}"
-        return f"({s})" if lvl > _LVL_NEG else s
-    if isinstance(t, App):
-        if isinstance(t.fun, Const) and t.fun.name == "~":
-            s = f"~{_tm(t.arg, _LVL_NEG)}"
-            return f"({s})" if lvl > _LVL_NEG else s
-        b = _dest_full_binop(t)
-        if b is not None:
-            op, l, r = b
-            if op == "=":
-                s = f"{_tm(l, _LVL_APP)} = {_tm(r, _LVL_APP)}"
-                return f"({s})" if lvl > _LVL_EQ else s
-            own = _BINOP_LEVEL[op]
-            s = f"{_tm(l, own + 1)} {op} {_tm(r, own)}"
-            return f"({s})" if lvl > own else s
-        parts = []
-        while isinstance(t, App):
-            parts.append(t.arg)
-            t = t.fun
-        if isinstance(t, Const) and t.name in _SPECIAL_CONSTS:
-            raise PrintError(f"cannot print a partial application of {t.name}")
-        parts.append(t)
-        parts.reverse()
-        s = " ".join(_tm(p, _LVL_ATOM) for p in parts)
-        return f"({s})" if lvl > _LVL_APP else s
-    raise PrintError(f"unprintable term: {t!r}")
-
-
-def _rename_apart(t: HolTerm) -> HolTerm:
-    """Rename binders so the printed text rebinds exactly as the term does.
-
-    The format identifies variables by bare name, so a binder must not
-    reuse the name of an enclosing binder, of a free variable, or of a
-    constant occurring in the term.  Two distinct free variables sharing a
-    name cannot be expressed at all.
-    """
-    seen_free: dict[str, Var] = {}
-    for v in free_vars(t):
-        if seen_free.setdefault(v.name, v) != v:
-            raise PrintError(f"two distinct free variables named {v.name}")
-
-    names: set[str] = set()
-    consts: set[str] = set()
-
-    def collect(t: HolTerm) -> None:
-        if isinstance(t, Var):
-            names.add(t.name)
-        elif isinstance(t, Const):
-            names.add(t.name)
-            consts.add(t.name)
-        elif isinstance(t, App):
-            collect(t.fun)
-            collect(t.arg)
-        else:
-            names.add(t.var.name)
-            collect(t.body)
-
-    collect(t)
-
-    def walk(t: HolTerm, taken: frozenset[str]) -> HolTerm:
-        if isinstance(t, (Var, Const)):
-            return t
-        if isinstance(t, App):
-            return App(walk(t.fun, taken), walk(t.arg, taken))
-        v, body = t.var, t.body
-        if v.name in taken:
-            fresh = v.name + "'"
-            while fresh in names:
-                fresh += "'"
-            names.add(fresh)
-            v2 = Var(fresh, v.ty)
-            body = subst(body, v, v2)
-            v = v2
-        return Abs(v, walk(body, taken | {v.name}))
-
-    taken0 = frozenset(seen_free) | frozenset(consts)
-    return walk(t, taken0)
-
-
-def term_text(t: HolTerm) -> str:
-    """Canonical statement text, with a leading ![A:$t, ...]: group when the
-    statement mentions type variables."""
-    t = _rename_apart(t)
-    tvs = term_ty_vars(t)
-    if not tvs:
-        return _tm(t, _LVL_IMP)
-    group = "![" + ", ".join(f"{v.name}:$t" for v in tvs) + "]:"
-    return f"{group} {_tm(t, _LVL_ATOM)}"
-
 
 def print_tt(entry: ObjectEntry) -> str:
-    """One canonical line; parse_tt(print_tt(e)) == [e]."""
+    """One canonical line, for every entry ``parse_tt`` accepts: read back
+    with the same signature, theory and position, it is that entry again
+    and prints the same line.  The one exception is a binder that reuses
+    the name of an enclosing binder, a free variable or a constant: it
+    comes back renamed with primes, and the line it prints is the same."""
     if entry.role is Role.TYPE_DECL:
         payload = " > ".join(["$t"] * (entry.formula + 1))
     elif entry.role is Role.CONST_DECL:
@@ -976,23 +801,12 @@ def _ingest_deps(corpus: Corpus, lines: list[tuple[str, list[str]]]) -> None:
         corpus.theorems[tid] = replace(entry, dependencies=tuple(deps))
 
 
-def load_corpus_files(
-    thy_text: str, theory_files: dict[str, tuple[str, str | None]]
-) -> Corpus:
-    """Build a corpus from in-memory file texts.
-
-    ``theory_files`` maps a theory name to its .tt text and an optional
-    .deps text; ``thy_text`` fixes the build order.
-    """
-    return _build_corpus(parse_thy(thy_text), theory_files)
-
-
 def _build_corpus(
     theories: list[tuple[str, tuple[str, ...]]],
     theory_files: dict[str, tuple[str, str | None]],
 ) -> Corpus:
-    """A corpus from the parsed theory list, in build order, and the
-    texts ``load_corpus_files`` takes."""
+    """A corpus from the parsed theory list, in build order, and a map
+    from each theory's name to its .tt text and optional .deps text."""
     corpus = Corpus()
     for theory, ancs in theories:
         if theory in corpus.ancestors:

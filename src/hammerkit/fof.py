@@ -40,6 +40,8 @@ from .hol import (
     Var,
     alpha_key,
     beta_normalize,
+    dest_binder,
+    dest_binop,
     dest_fun,
     free_vars,
     is_fun,
@@ -124,7 +126,6 @@ class FofProblem:
 # ------------------------------------------------------------- name mangling
 
 _SYMBOL_OK = re.compile(r"[A-Za-z0-9_]")
-_LOWER_WORD = re.compile(r"^[a-z][A-Za-z0-9_]*$")
 
 
 def _encode(name: str) -> str:
@@ -193,10 +194,6 @@ class NameMangler:
         return self._names[source]
 
 
-def needs_quotes(name: str) -> bool:
-    return not _LOWER_WORD.match(name)
-
-
 # ------------------------------------------------------------ type flattening
 
 
@@ -241,14 +238,6 @@ def flatten_type(ty: HolType, scope: VarScope, mangler: NameMangler) -> FofTerm:
 
 
 # ------------------------------------------------------------ lambda lifting
-
-
-def _is_quant(t: HolTerm) -> bool:
-    return (
-        isinstance(t, App)
-        and isinstance(t.fun, Const)
-        and t.fun.name in ("!", "?")
-    )
 
 
 def _formula_parts(t: HolTerm, sig: Signature):
@@ -303,7 +292,7 @@ def lambda_lift(t: HolTerm, state: "TranslationState") -> HolTerm:
         if isinstance(t, (Var, Const)):
             return t
         if isinstance(t, App):
-            if _is_quant(t) and isinstance(t.arg, Abs):
+            if dest_binder(t, "!") or dest_binder(t, "?"):
                 # A formula embedded in term position; its binder is
                 # structural and must survive until boolean-argument
                 # removal relocates the whole subterm.
@@ -564,13 +553,9 @@ class _Translator:
             inner = self.formula(body.body, {**env, body.var: name})
             return Quant(kind, (name,), inner)
         # Equality over non-boolean types is the remaining binary atom.
-        if (
-            isinstance(t, App)
-            and isinstance(t.fun, App)
-            and isinstance(t.fun.fun, Const)
-            and t.fun.fun.name == "="
-        ):
-            return Eq(self.term(t.fun.arg, env), self.term(t.arg, env))
+        eq = dest_binop(t, "=")
+        if eq is not None:
+            return Eq(self.term(eq[0], env), self.term(eq[1], env))
         head, args, _ = self._chain(t) if isinstance(t, App) else (t, [], [])
         if (
             isinstance(head, Const)

@@ -9,6 +9,7 @@ abstraction with a matching variable binds an occurrence.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -67,7 +68,7 @@ def mk_fun_chain(args: Iterable[HolType], res: HolType) -> HolType:
 def dest_fun(ty: HolType) -> tuple[HolType, HolType]:
     if isinstance(ty, TyApp) and ty.con == FUN and len(ty.args) == 2:
         return ty.args[0], ty.args[1]
-    raise TypeMismatch(f"not a function type: {ty}")
+    raise TypeMismatch(f"not a function type: {_ty(ty, 0)}")
 
 
 def is_fun(ty: HolType) -> bool:
@@ -221,45 +222,156 @@ def validate_type(ty: HolType, sig: Signature) -> None:
 
 # ------------------------------------------------------------------ printing
 
-# Compact term printing for error messages and debugging; the canonical
-# corpus syntax lives in hammerkit.corpus.
+# The one printer of the canonical corpus syntax, which hammerkit.corpus
+# reads back; error messages quote terms and types in it too.
 
 
-def show_type(ty: HolType) -> str:
+class PrintError(Exception):
+    pass
+
+
+# Bare names never start with ~ / . ' and never end with a dot, so the
+# negation operator, the entry terminator and quote delimiters stay
+# unambiguous; anything else must be single-quoted.  The corpus lexer
+# reads names with this pattern.
+_BARE_NAME = re.compile(r"[A-Za-z0-9_](?:[A-Za-z0-9_~/.']*[A-Za-z0-9_~/'])?")
+
+
+def _quote(name: str) -> str:
+    return "'" + name.replace("\\", "\\\\").replace("'", "\\'") + "'"
+
+
+def show_name(name: str) -> str:
+    """A name as it appears in a file: bare when the lexer allows it."""
+    if _BARE_NAME.fullmatch(name):
+        return name
+    return _quote(name)
+
+
+_LVL_IMP, _LVL_DISJ, _LVL_CONJ, _LVL_NEG, _LVL_EQ, _LVL_APP, _LVL_ATOM = range(7)
+
+_BINOP_LEVEL = {"=>": _LVL_IMP, "|": _LVL_DISJ, "&": _LVL_CONJ, "=": _LVL_EQ}
+
+
+def _ty(ty: HolType, lvl: int) -> str:
     if isinstance(ty, TyVar):
         return ty.name
     if is_fun(ty):
         a, r = dest_fun(ty)
-        left = show_type(a)
-        if is_fun(a):
-            left = f"({left})"
-        return f"{left} > {show_type(r)}"
+        s = f"{_ty(a, 1)} > {_ty(r, 0)}"
+        return f"({s})" if lvl > 0 else s
     if not ty.args:
-        return ty.con
-    return ty.con + " " + " ".join(
-        s if _ty_atomic(a) else f"({s})" for a, s in ((a, show_type(a)) for a in ty.args)
-    )
+        return show_name(ty.con)
+    s = show_name(ty.con) + " " + " ".join(_ty(a, 2) for a in ty.args)
+    return f"({s})" if lvl > 1 else s
 
 
-def _ty_atomic(ty: HolType) -> bool:
-    return isinstance(ty, TyVar) or not ty.args
+def _strip_quant(t: HolTerm) -> tuple[str, list[Var], HolTerm] | None:
+    for kind in ("^", "!", "?"):
+        vs, body = strip_binders(t, kind)
+        if vs:
+            return kind, vs, body
+    return None
 
 
-def show_term(t: HolTerm) -> str:
+def _binder_group(kind: str, vs: list[Var]) -> str:
+    binds = ", ".join(f"{show_name(v.name)}:{_ty(v.ty, 2)}" for v in vs)
+    return f"{kind}[{binds}]:"
+
+
+def _tm(t: HolTerm, lvl: int) -> str:
+    """A connective that is not applied to all its operands prints as a
+    constant, by its quoted name."""
     if isinstance(t, Var):
-        return t.name
+        return show_name(t.name)
     if isinstance(t, Const):
         if t.inst:
-            return "(" + t.name + " " + " ".join(
-                show_type(i) if _ty_atomic(i) else f"({show_type(i)})" for i in t.inst
-            ) + ")"
-        return t.name
-    if isinstance(t, App):
-        f, a = show_term(t.fun), show_term(t.arg)
-        if isinstance(t.arg, (App, Abs)):
-            a = f"({a})"
-        return f"{f} {a}"
-    return f"\\{t.var.name}:{show_type(t.var.ty)}. {show_term(t.body)}"
+            return "(" + show_name(t.name) + " " + " ".join(_ty(i, 2) for i in t.inst) + ")"
+        return show_name(t.name)
+    q = _strip_quant(t)
+    if q is not None:
+        kind, vs, body = q
+        s = f"{_binder_group(kind, vs)} {_tm(body, _LVL_ATOM)}"
+        return f"({s})" if lvl > _LVL_NEG else s
+    if isinstance(t.fun, Const) and t.fun.name == "~":
+        s = f"~{_tm(t.arg, _LVL_NEG)}"
+        return f"({s})" if lvl > _LVL_NEG else s
+    for op, own in _BINOP_LEVEL.items():
+        b = dest_binop(t, op)
+        if b is not None:
+            # = does not chain; the others associate to the right.
+            right = own + 1 if op == "=" else own
+            s = f"{_tm(b[0], own + 1)} {op} {_tm(b[1], right)}"
+            return f"({s})" if lvl > own else s
+    parts = []
+    while isinstance(t, App):
+        parts.append(t.arg)
+        t = t.fun
+    parts.append(t)
+    s = " ".join(_tm(p, _LVL_ATOM) for p in reversed(parts))
+    return f"({s})" if lvl > _LVL_APP else s
+
+
+def _rename_apart(t: HolTerm) -> HolTerm:
+    """Rename binders so the printed text rebinds exactly as the term does.
+
+    The format identifies variables by bare name, so a binder must not
+    reuse the name of an enclosing binder, of a free variable, or of a
+    constant occurring in the term.  Two distinct free variables sharing a
+    name cannot be expressed at all.
+    """
+    seen_free: dict[str, Var] = {}
+    for v in free_vars(t):
+        if seen_free.setdefault(v.name, v) != v:
+            raise PrintError(f"two distinct free variables named {v.name}")
+
+    names: set[str] = set()
+    consts: set[str] = set()
+
+    def collect(t: HolTerm) -> None:
+        if isinstance(t, Var):
+            names.add(t.name)
+        elif isinstance(t, Const):
+            names.add(t.name)
+            consts.add(t.name)
+        elif isinstance(t, App):
+            collect(t.fun)
+            collect(t.arg)
+        else:
+            names.add(t.var.name)
+            collect(t.body)
+
+    collect(t)
+
+    def walk(t: HolTerm, taken: frozenset[str]) -> HolTerm:
+        if isinstance(t, (Var, Const)):
+            return t
+        if isinstance(t, App):
+            return App(walk(t.fun, taken), walk(t.arg, taken))
+        v, body = t.var, t.body
+        if v.name in taken:
+            fresh = v.name + "'"
+            while fresh in names:
+                fresh += "'"
+            names.add(fresh)
+            v2 = Var(fresh, v.ty)
+            body = subst(body, v, v2)
+            v = v2
+        return Abs(v, walk(body, taken | {v.name}))
+
+    taken0 = frozenset(seen_free) | frozenset(consts)
+    return walk(t, taken0)
+
+
+def term_text(t: HolTerm) -> str:
+    """Canonical statement text, with a leading ![A:$t, ...]: group when the
+    statement mentions type variables."""
+    t = _rename_apart(t)
+    tvs = term_ty_vars(t)
+    if not tvs:
+        return _tm(t, _LVL_IMP)
+    group = "![" + ", ".join(f"{v.name}:$t" for v in tvs) + "]:"
+    return f"{group} {_tm(t, _LVL_ATOM)}"
 
 
 # -------------------------------------------------------------- basic fns
@@ -339,12 +451,12 @@ def typecheck(t: HolTerm, sig: Signature) -> HolType:
         fty = typecheck(t.fun, sig)
         aty = typecheck(t.arg, sig)
         if not is_fun(fty):
-            raise TypeMismatch(f"applying non-function {show_term(t.fun)} : {show_type(fty)}")
+            raise TypeMismatch(f"applying non-function {_tm(t.fun, _LVL_IMP)} : {_ty(fty, 0)}")
         want, res = dest_fun(fty)
         if want != aty:
             raise TypeMismatch(
-                f"in {show_term(t)}: expected argument of type {show_type(want)}, "
-                f"got {show_term(t.arg)} : {show_type(aty)}"
+                f"in {_tm(t, _LVL_IMP)}: expected argument of type {_ty(want, 0)}, "
+                f"got {_tm(t.arg, _LVL_IMP)} : {_ty(aty, 0)}"
             )
         return res
     validate_type(t.var.ty, sig)
@@ -453,6 +565,10 @@ def mk_foralls(vs: Iterable[Var], body: HolTerm) -> HolTerm:
 
 
 def dest_binder(t: HolTerm, name: str) -> tuple[Var, HolTerm] | None:
+    """The variable and body of ``name[v]: body``: an abstraction when
+    ``name`` is ``^``, else the quantifier ``name`` applied to one."""
+    if isinstance(t, Abs):
+        return (t.var, t.body) if name == "^" else None
     if (
         isinstance(t, App)
         and isinstance(t.fun, Const)
@@ -463,13 +579,11 @@ def dest_binder(t: HolTerm, name: str) -> tuple[Var, HolTerm] | None:
     return None
 
 
-def dest_forall(t: HolTerm) -> tuple[Var, HolTerm] | None:
-    return dest_binder(t, "!")
-
-
-def strip_foralls(t: HolTerm) -> tuple[list[Var], HolTerm]:
+def strip_binders(t: HolTerm, name: str) -> tuple[list[Var], HolTerm]:
+    """The variables of the ``name`` binders heading ``t``, outermost
+    first, and the body under them."""
     vs = []
-    while (d := dest_forall(t)) is not None:
+    while (d := dest_binder(t, name)) is not None:
         vs.append(d[0])
         t = d[1]
     return vs, t
@@ -484,10 +598,6 @@ def dest_binop(t: HolTerm, name: str) -> tuple[HolTerm, HolTerm] | None:
     ):
         return t.fun.arg, t.arg
     return None
-
-
-def dest_conj(t: HolTerm) -> tuple[HolTerm, HolTerm] | None:
-    return dest_binop(t, "&")
 
 
 # ---------------------------------------------------------- conjunct splits
@@ -510,11 +620,11 @@ def split_conjuncts(formula: HolTerm, sig: Signature) -> list[tuple[ConjunctAddr
     root address.  The formula must be well typed.
     """
     if type_of(formula, sig) != BOOL:
-        raise NotBoolean(f"not a boolean formula: {show_term(formula)}")
+        raise NotBoolean(f"not a boolean formula: {_tm(formula, _LVL_IMP)}")
 
     def walk(t: HolTerm) -> list[tuple[tuple[str, ...], HolTerm]]:
-        vs, body = strip_foralls(t)
-        parts = dest_conj(body)
+        vs, body = strip_binders(t, "!")
+        parts = dest_binop(body, "&")
         if parts is None:
             return [((), t)]
         out = []

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .corpus import ParseError, _Parser, _quote, _unquote
+from .corpus import _Parser, _unquote
 from .fof import (
     BinOp,
     Eq,
@@ -26,8 +26,8 @@ from .fof import (
     Not,
     Pred,
     Quant,
-    needs_quotes,
 )
+from .hol import _quote
 
 
 # ----------------------------------------------------------------- statuses
@@ -72,8 +72,12 @@ class UnsatCore:
 # ----------------------------------------------------------------- printing
 
 
+# A lower-case word is an atom as it stands; any other name is quoted.
+_LOWER_WORD = re.compile(r"^[a-z][A-Za-z0-9_]*$")
+
+
 def _atom_name(name: str) -> str:
-    return _quote(name) if needs_quotes(name) else name
+    return name if _LOWER_WORD.match(name) else _quote(name)
 
 
 def print_term(t: FofTerm) -> str:

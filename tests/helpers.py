@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from hammerkit.corpus import Corpus, deps_lines, parse_tt, show_name
+from hammerkit.corpus import Corpus, _build_corpus, deps_lines, parse_thy, parse_tt
 from hammerkit.fof import (
     BinOp,
     Eq,
@@ -41,6 +41,7 @@ from hammerkit.hol import (
     mk_foralls,
     mk_fun,
     mk_fun_chain,
+    show_name,
 )
 
 NAT = TyApp("nat")
@@ -57,6 +58,20 @@ tt(NIL, ty, ![A:$t]: (list A)).
 tt(CONS, ty, ![A:$t]: (A > list A > list A)).
 tt(HD, ty, ![A:$t]: (list A > A)).
 tt(MAP, ty, ![A:$t, B:$t]: ((A > B) > list A > list B)).
+"""
+
+
+# Connectives used as ordinary constants, written by their quoted names.
+CONNECTIVES_AS_CONSTANTS = """\
+tt(nat, ty, $t).
+tt(0, ty, nat).
+tt(P, ty, (nat > bool) > bool).
+tt(Q, ty, (bool > bool) > bool).
+tt(R, ty, (bool > bool > bool) > bool).
+tt(S, ty, nat > bool).
+tt(X5, ax, P ('=' nat 0) | '?' nat ('=' nat 0)).
+tt(X6, ax, Q ('=>' (P (^[y:nat]: y = 0))) & R '|' & R '&' & Q ('=' bool (P ('=' nat 0)))).
+tt(X7, ax, '!' nat S | '?' nat S).
 """
 
 
@@ -225,6 +240,17 @@ def mk_neg(a: HolTerm) -> HolTerm:
 
 def alpha_equal(s: HolTerm, t: HolTerm) -> bool:
     return alpha_key(s) == alpha_key(t)
+
+
+def load_corpus_files(
+    thy_text: str, theory_files: dict[str, tuple[str, str | None]]
+) -> Corpus:
+    """Build a corpus from in-memory file texts.
+
+    ``theory_files`` maps a theory name to its .tt text and an optional
+    .deps text; ``thy_text`` fixes the build order.
+    """
+    return _build_corpus(parse_thy(thy_text), theory_files)
 
 
 def print_thy(theories: Sequence[tuple[str, Sequence[str]]]) -> str:

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from hammerkit import cli
-from .helpers import TOY_DECLS
+from .helpers import CONNECTIVES_AS_CONSTANTS, TOY_DECLS
 
 THY = "theory(arith, []).\ntheory(club, [arith]).\n"
 
@@ -67,6 +67,16 @@ def test_parse_echoes_files(tmp_path, capsys):
     assert code == 0
     assert "tt(L, ax, LE 0 0)." in out
     assert "tt(ADD, ty, nat > nat > nat)." in out
+
+
+def test_parse_echoes_connectives_as_constants(tmp_path, capsys):
+    path = tmp_path / "conn.tt"
+    path.write_text(CONNECTIVES_AS_CONSTANTS, encoding="utf-8")
+    code, out, _ = run(capsys, "parse", str(path))
+    assert code == 0
+    assert "tt(X7, ax, ('!' nat) S | ('?' nat) S)." in out
+    path.write_text(out, encoding="utf-8")
+    assert run(capsys, "parse", str(path)) == (0, out, "")
 
 
 def test_parse_long_conjunction_is_input_error(tmp_path, capsys):
@@ -253,6 +263,17 @@ def test_translate_needs_name_or_goal(corpus_dir, capsys):
     code, _, err = run(capsys, "translate", "--corpus", corpus_dir)
     assert code == 2
     assert "error:" in err
+
+
+# The exact-dependency problem of a NAME ranks nothing, so the options
+# of the goal form are refused with it.
+@pytest.mark.parametrize(
+    "option, value", [("--goal", "0 = 0"), ("--k", "1"), ("-n", "1")]
+)
+def test_translate_name_refuses_goal_options(corpus_dir, capsys, option, value):
+    code, out, err = run(capsys, "translate", "--corpus", corpus_dir, "ADD_1", option, value)
+    assert (code, out) == (2, "")
+    assert f"translate NAME does not read {option}" in err
 
 
 def test_tag_all_is_a_usage_error(corpus_dir):

@@ -1,6 +1,7 @@
 """Export-format parsing and printing, corpus loading, accessibility."""
 
 import random
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -14,13 +15,11 @@ from hammerkit.corpus import (
     Corpus,
     CycleDetected,
     ParseError,
-    PrintError,
     Role,
     TheoremId,
     UnknownTheorem,
     accessible_set,
     load_corpus,
-    load_corpus_files,
     parse_deps,
     parse_goal,
     parse_thy,
@@ -28,27 +27,24 @@ from hammerkit.corpus import (
     print_tt,
     rename_overwritten,
     resolve_dep_name,
-    show_name,
-    term_text,
 )
 from hammerkit.depreco import parse_trace
 from hammerkit.hol import (
-    App,
     BOOL,
-    Const,
     NotBoolean,
     Signature,
     TyApp,
     UnknownSymbol,
-    Var,
     mk_eq,
+    show_name,
     type_of,
 )
 from hammerkit.tptp import parse_problem
 from .helpers import (
-    NAT,
+    CONNECTIVES_AS_CONSTANTS,
     TOY_DECLS,
     alpha_equal,
+    load_corpus_files,
     print_deps,
     print_thy,
     random_closed_formula,
@@ -190,8 +186,13 @@ def test_name_resolution_error_reports_its_position(line2, where):
         ("tt(bad, ax, 0 = (0 0)).", (2, 13), "applying non-function 0 : nat"),
         ("tt(bad, ax, 0 = SUC).", (2, 13), "expected argument of type nat"),
         ("tt(bad, ax, ~(SUC 0 0 = 0)).", (2, 15), "applying non-function SUC 0 : nat"),
+        (
+            "tt(bad, ax, ('&' 0) = 0).",
+            (2, 13),
+            "in '&' 0: expected argument of type bool, got 0 : nat",
+        ),
     ],
-    ids=["left-of-eq", "right-of-eq", "eq-argument", "nested"],
+    ids=["left-of-eq", "right-of-eq", "eq-argument", "nested", "connective-argument"],
 )
 def test_type_error_reports_its_position(line2, where, message):
     with pytest.raises(ParseError, match=message) as info:
@@ -273,10 +274,16 @@ def test_exists_and_lambda_syntax():
     assert print_tt(e) == "tt(t, ax, (^[x:nat]: x) 0 = 0)."
 
 
-def test_bare_connectives_cannot_be_printed():
-    eq = Const("=", (NAT,))
-    with pytest.raises(PrintError):
-        term_text(App(eq, Var("x", NAT)))
+def test_connectives_as_constants_round_trip():
+    entries = parse_tt(CONNECTIVES_AS_CONSTANTS, Signature())
+    sig = Signature()
+    for e in entries:
+        assert parse_tt(print_tt(e), sig) == [replace(e, seq=0)]
+    echo = "".join(print_tt(e) + "\n" for e in entries)
+    assert parse_tt(echo, Signature()) == entries
+    assert "".join(print_tt(e) + "\n" for e in parse_tt(echo, Signature())) == echo
+    # A connective not applied to all its operands prints as a constant.
+    assert print_tt(entries[-1]) == "tt(X7, ax, ('!' nat) S | ('?' nat) S)."
 
 
 def test_random_statement_round_trips():

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from hammerkit import harness, knn
-from hammerkit.corpus import AccessRelation, accessible_set, load_corpus, load_corpus_files
+from hammerkit.corpus import AccessRelation, accessible_set, load_corpus
 from hammerkit.features import extract
 from hammerkit.fof import translate_problem
 from hammerkit.harness import (
@@ -42,7 +42,7 @@ from hammerkit.harness import (
 )
 from hammerkit.provers import microres
 from hammerkit.tptp import print_problem
-from .helpers import TOY_DECLS, result_for, toy_sig
+from .helpers import TOY_DECLS, load_corpus_files, result_for, toy_sig
 
 THY = "theory(arith, []).\ntheory(club, [arith]).\n"
 

@@ -20,9 +20,8 @@ from hammerkit.hol import (
     Var,
     alpha_key,
     beta_normalize,
+    dest_binder,
     dest_binop,
-    dest_conj,
-    dest_forall,
     free_vars,
     mk_conj,
     mk_const_app,
@@ -32,7 +31,7 @@ from hammerkit.hol import (
     mk_fun,
     mk_fun_chain,
     split_conjuncts,
-    strip_foralls,
+    strip_binders,
     subst,
     term_ty_vars,
     ty_subst,
@@ -173,15 +172,20 @@ def test_constructors_and_destructors():
     x = Var("x", NAT)
     f = mk_forall(x, mk_eq(x, x, NAT))
     typecheck(f, sig)
-    v, body = dest_forall(f)
+    v, body = dest_binder(f, "!")
     assert v == x
+    assert dest_binder(f, "?") is None
     l, r = dest_binop(body, "=")
     assert l == r == x
-    vs, stripped = strip_foralls(mk_foralls([x, Var("y", BOOL)], body))
+    y = Var("y", BOOL)
+    vs, stripped = strip_binders(mk_foralls([x, y], body), "!")
     assert [v.name for v in vs] == ["x", "y"]
     assert stripped == body
+    lam = Abs(x, Abs(y, body))
+    assert strip_binders(lam, "^") == ([x, y], body)
+    assert strip_binders(lam, "!") == ([], lam)
     c = mk_conj(body, body)
-    assert dest_conj(c) == (body, body)
+    assert dest_binop(c, "&") == (body, body)
 
 
 def _toy_formulas():
