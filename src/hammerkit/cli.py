@@ -121,14 +121,10 @@ def _provers(args: argparse.Namespace, budget: list[str] | None = None) -> list[
         for cfg in load_prover_configs(args.prover_config):
             named[cfg.name] = cfg
     if args.provers:
-        configs = []
-        for name in (n.strip() for n in args.provers.split(",")):
-            if not name:
-                continue
-            if name in named:
-                configs.append(named[name])
-            else:
-                configs.append(builtin_config(name, timeout=timeout))
+        names = [n for n in (n.strip() for n in args.provers.split(",")) if n]
+        if not names:
+            raise ValueError(f"--provers {args.provers!r} names no prover")
+        configs = [named.get(n) or builtin_config(n, timeout=timeout) for n in names]
     elif named:
         configs = list(named.values())
     else:

@@ -240,7 +240,7 @@ def flatten_type(ty: HolType, scope: VarScope, mangler: NameMangler) -> FofTerm:
 # ------------------------------------------------------------ lambda lifting
 
 
-def _formula_parts(t: HolTerm, sig: Signature):
+def _formula_parts(t: HolTerm):
     """Decompose one formula layer: ("bin", op, l, r), ("not", b),
     ("quant", kind, abs_or_term, ty), ("iff", l, r) or None for atoms."""
     if isinstance(t, App) and isinstance(t.fun, App) and isinstance(t.fun.fun, Const):
@@ -257,25 +257,23 @@ def _formula_parts(t: HolTerm, sig: Signature):
     return None
 
 
-def _map_atoms(
-    t: HolTerm, sig: Signature, atom: Callable[[HolTerm], HolTerm]
-) -> HolTerm:
+def _map_atoms(t: HolTerm, atom: Callable[[HolTerm], HolTerm]) -> HolTerm:
     """Rebuild the connective and quantifier skeleton of a formula, passing
     each atom through ``atom``.  A quantifier applied to something other
     than an abstraction is an atom."""
-    parts = _formula_parts(t, sig)
+    parts = _formula_parts(t)
     if parts is None:
         return atom(t)
     if parts[0] in ("bin", "iff"):
         return App(
-            App(t.fun.fun, _map_atoms(t.fun.arg, sig, atom)),
-            _map_atoms(t.arg, sig, atom),
+            App(t.fun.fun, _map_atoms(t.fun.arg, atom)),
+            _map_atoms(t.arg, atom),
         )
     if parts[0] == "not":
-        return App(t.fun, _map_atoms(t.arg, sig, atom))
+        return App(t.fun, _map_atoms(t.arg, atom))
     if not isinstance(t.arg, Abs):
         return atom(t)
-    return App(t.fun, Abs(t.arg.var, _map_atoms(t.arg.body, sig, atom)))
+    return App(t.fun, Abs(t.arg.var, _map_atoms(t.arg.body, atom)))
 
 
 def lambda_lift(t: HolTerm, state: "TranslationState") -> HolTerm:
@@ -286,7 +284,7 @@ def lambda_lift(t: HolTerm, state: "TranslationState") -> HolTerm:
     lambda occurring in several statements of a problem stays connected."""
 
     def formula(t: HolTerm) -> HolTerm:
-        return _map_atoms(t, state.sig, term)
+        return _map_atoms(t, term)
 
     def term(t: HolTerm) -> HolTerm:
         if isinstance(t, (Var, Const)):
@@ -362,7 +360,7 @@ def remove_bool_args(t: HolTerm, sig: Signature) -> HolTerm:
                 return Var(name, BOOL)
 
     def formula(t: HolTerm) -> HolTerm:
-        return _map_atoms(t, sig, atom)
+        return _map_atoms(t, atom)
 
     def atom(t: HolTerm) -> HolTerm:
         extracted: list[tuple[Var, HolTerm]] = []
@@ -531,8 +529,7 @@ class _Translator:
         return out
 
     def formula(self, t: HolTerm, env: Mapping[Var, str]) -> FofFormula:
-        sig = self.state.sig
-        parts = _formula_parts(t, sig)
+        parts = _formula_parts(t)
         if parts is not None:
             if parts[0] == "bin":
                 _, op, l, r = parts

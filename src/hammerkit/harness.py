@@ -10,15 +10,17 @@ Provers are described by ProverConfig.  A small resolution prover ships
 with the package and is always available; the well-known first-order
 provers are picked up from PATH or from HAMMER_PROVER_<NAME> environment
 variables when installed.  An external prover runs as one process per
-problem.  The bundled prover, with its stock arguments and this
-interpreter as its executable, runs in workers forked from the running
+problem.  A config whose executable is this interpreter and whose
+arguments start with ``-m hammerkit.provers.microres`` runs the bundled
+prover, whatever flags follow, in workers forked from the running
 interpreter, which has every module they need imported already; each
 takes problem after problem, so a batch pays no interpreter start-up at
-all.  Run by any other executable it is one process per problem, like an
-external prover.  Both kinds of process are held, read, timed out and
-stopped the same way: each is a direct child leading a process group of
-its own, and the whole group is killed when it overruns, or at once when
-the batch it belongs to fails or is interrupted.
+all.  The bundled module under any other interpreter is an external
+command like the rest, and must be able to import hammerkit on its own.
+Both kinds of process are held, read, timed out and stopped the same
+way: each is a direct child leading a process group of its own, and the
+whole group is killed when it overruns, or at once when the batch it
+belongs to fails or is interrupted.
 """
 
 from __future__ import annotations
@@ -134,8 +136,6 @@ class ProverConfig:
 
 # How the interpreter runs the bundled prover.
 _MICRORES = ("-m", "hammerkit.provers.microres")
-# The directory holding the running hammerkit package.
-_PACKAGE_ROOT = str(Path(__file__).resolve().parent.parent)
 
 # name -> (executable, argument template, premise budget)
 _BUILTIN: dict[str, tuple[str, tuple[str, ...], int]] = {
@@ -251,18 +251,19 @@ def run_prover(
 ) -> AtpResult:
     """Run one prover on one problem file.
 
-    A config with the bundled prover's stock arguments and this
-    interpreter as its executable is sent as a request to a forked worker
-    (see ``_Worker``); any other config, the bundled prover under another
-    executable included, starts a process of its own.  Both are read the
-    same way, and the prover, with every process it started, is killed
-    shortly after the configured timeout.  A binary that cannot be
+    A config with this interpreter as its executable and arguments that
+    start with ``-m hammerkit.provers.microres`` sends every argument
+    after the module name, in its own order, as a request to a forked
+    worker (see ``_Worker``); any other config, the bundled prover under
+    another executable included, starts a process of its own.  Both are
+    read the same way, and the prover, with every process it started, is
+    killed shortly after the configured timeout.  A binary that cannot be
     launched raises SpawnError; everything that happens after launch
     becomes a status, never an exception.  The unsat core is read back
     only when ``problem`` is supplied and the status proves.
     """
     argv = config.command(problem_path)
-    worker = config.args == _BUILTIN["microres"][1] and config.executable == sys.executable
+    worker = config.executable == sys.executable and config.args[:2] == _MICRORES
     request = argv[1 + len(_MICRORES) :] if worker else None
     start = time.monotonic()
     deadline = start + config.timeout + _GRACE
@@ -293,17 +294,10 @@ class _Run:
 
 def _popen(argv: Sequence[str]) -> subprocess.Popen:
     """A prover process leading a new process group, so that a kill
-    reaches whatever it starts.  The bundled prover gets the running
-    package's directory first on its PYTHONPATH, so that it imports this
-    hammerkit wherever that was imported from; other provers get our
-    environment unchanged."""
-    env = None
-    if tuple(argv[1:3]) == _MICRORES:
-        path = (_PACKAGE_ROOT, os.environ.get("PYTHONPATH"))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    reaches whatever it starts.  Every prover but this interpreter's
+    bundled one runs this way, with our environment unchanged."""
     return subprocess.Popen(
-        argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-        start_new_session=True, env=env,
+        argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, start_new_session=True
     )
 
 

@@ -383,7 +383,7 @@ def test_advise_unprovable_goal_exits_one(corpus_dir, capsys):
     assert "microres:" in out
 
 
-def test_unknown_prover_is_usage_error(corpus_dir, capsys):
+def test_unknown_prover_is_usage_error(corpus_dir, tmp_path, capsys):
     code, _, err = run(
         capsys,
         "advise",
@@ -396,6 +396,12 @@ def test_unknown_prover_is_usage_error(corpus_dir, capsys):
     )
     assert code == 2
     assert "unknown prover" in err
+    # A list that names no prover at all, for a command that takes the first.
+    problem = tmp_path / "prob.p"
+    problem.write_text("fof(a, axiom, p).\nfof(goal, conjecture, p).\n", encoding="utf-8")
+    code, _, err = run(capsys, "minimize", str(problem), "--provers", ",")
+    assert code == 2
+    assert err == "error: --provers ',' names no prover\n"
 
 
 def test_budget_must_name_active_prover(corpus_dir, capsys):

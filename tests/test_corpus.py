@@ -33,9 +33,7 @@ from hammerkit.hol import (
     BOOL,
     NotBoolean,
     Signature,
-    TyApp,
     UnknownSymbol,
-    mk_eq,
     show_name,
     type_of,
 )

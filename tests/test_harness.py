@@ -458,19 +458,18 @@ def _no_child_process():
 @pytest.mark.parametrize("entry", ["reprove", "advise", "run_prover"])
 def test_no_process_outlives_a_batch(tmp_path, monkeypatch, entry, ending):
     monkeypatch.setattr(harness, "_GRACE", 0.2)
-    # Next to the worker, a one-shot run of the bundled prover: the default
-    # clause limit spelled out, with time for an interpreter to start.
-    one_shot = replace(micro(timeout=10), args=micro().args + ("--max-clauses", "100000"))
+    # Next to the worker, an external prover: one process per problem.
+    script = "echo '% SZS status Theorem'"
     if ending == "timeout":
-        # Forked workers inherit the patch and never answer.  A fresh
-        # interpreter does not inherit it, so the one-shot prover sleeps.
+        # Forked workers inherit the patch and never answer.
         monkeypatch.setattr(microres, "main", lambda argv: time.sleep(60))
-        one_shot = ProverConfig("microres", "sh", ("-c", "sleep 60"), timeout=0.5)
+        script = "sleep 60"
     elif ending == "exception":
         monkeypatch.setattr(harness, "parse_szs", _fail)
+    external = ProverConfig("sh", "sh", ("-c", script), timeout=0.5)
     _no_child_process()  # none left by an earlier test
     c = tiny_corpus()
-    for cfg in (micro(timeout=0.5), one_shot):
+    for cfg in (micro(timeout=0.5), external):
         with pytest.raises(RuntimeError) if ending == "exception" else contextlib.nullcontext():
             if entry == "reprove":
                 kinds = {r.status.kind for r in reprove(c, [cfg], jobs=2).results}
@@ -486,25 +485,27 @@ def test_no_process_outlives_a_batch(tmp_path, monkeypatch, entry, ending):
         _no_child_process()
 
 
-def test_worker_and_process_paths_agree(monkeypatch):
+def test_every_microres_config_of_this_interpreter_runs_in_workers(monkeypatch):
     corpus = load_corpus(Path(str(resources.files("hammerkit") / "data" / "toy")))
     spawned = []
     popen = harness._popen
     monkeypatch.setattr(harness, "_popen", lambda argv: spawned.append(argv) or popen(argv))
-    workers = reprove(corpus, [micro()], jobs=2)
+    stock = micro()
+    # The default clause limit spelled out, and the stock arguments in
+    # another order: the same prover, sent to the same kind of worker.
+    flagged = replace(stock, args=stock.args + ("--max-clauses", "100000"))
+    reordered = replace(stock, args=stock.args[:2] + ("--timeout", "{timeout}", "{problem}"))
+    reports = [reprove(corpus, [cfg], jobs=2) for cfg in (stock, flagged, reordered)]
     assert spawned == []
-    # The default clause limit spelled out: the same prover, one process
-    # per problem.
-    one_shot = replace(micro(), args=micro().args + ("--max-clauses", "100000"))
-    processes = reprove(corpus, [one_shot], jobs=2)
-    assert len(spawned) == len(workers.targets) == 59
 
-    def outcome(r):
-        return r.target, r.status.kind, r.core.premises if r.core else None
+    def outcomes(report):
+        return [
+            (r.target, r.status.kind, r.core.premises if r.core else None)
+            for r in report.results
+        ]
 
-    assert [outcome(r) for r in workers.results] == [
-        outcome(r) for r in processes.results
-    ]
+    assert len(reports[0].targets) == 59
+    assert outcomes(reports[1]) == outcomes(reports[2]) == outcomes(reports[0])
 
 
 # ------------------------------------------------------------------ reprove
@@ -818,11 +819,9 @@ def test_a_numbered_statement_is_not_extracted_again(monkeypatch):
 
 def test_bundled_prover_imports_the_callers_hammerkit(tmp_path):
     # The caller puts src on sys.path by hand and no PYTHONPATH is set.
-    # The reprove half checks that the workers, forks of the caller that
-    # import nothing, serve with the caller's hammerkit.  The one-shot run
-    # of the bundled prover, under argument order of its own, is a fresh
-    # interpreter: it finds hammerkit only through the PYTHONPATH that the
-    # harness gives it.
+    # Both halves run in workers, forks of the caller that import nothing,
+    # so both serve with the caller's hammerkit: the reprove half with the
+    # stock arguments, the single run with an argument order of its own.
     src = Path(harness.__file__).resolve().parent.parent
     script = tmp_path / "repro.py"
     script.write_text(

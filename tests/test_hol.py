@@ -12,7 +12,6 @@ from hammerkit.hol import (
     Const,
     ConjunctAddress,
     NotBoolean,
-    Signature,
     TyApp,
     TyVar,
     TypeMismatch,

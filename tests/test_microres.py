@@ -9,7 +9,6 @@ import pytest
 
 from hammerkit import harness
 from hammerkit.provers.microres import (
-    Result,
     _canon,
     _kbo_greater,
     apply_subst,
