@@ -277,6 +277,8 @@ def run_prover(
         return AtpResult(target, config.name, error_status(str(e)), wall)
     wall = time.monotonic() - start
     status = parse_szs(run.output, exit_code=run.exit_code, timed_out=run.timed_out)
+    if status.kind == "Error" and run.errors:
+        status = error_status(f"{status.detail}: {run.errors}")
     core = None
     if status.proved and problem is not None:
         core = extract_core(run.output, problem)
@@ -285,11 +287,18 @@ def run_prover(
 
 @dataclass(frozen=True)
 class _Run:
-    """What one prover call printed, and how it ended."""
+    """What one prover call printed, how it ended, and the last line of
+    its error output."""
 
     output: str
     exit_code: int = 0
     timed_out: bool = False
+    errors: str = ""
+
+
+# Bytes of a prover's error output kept: enough for the line that says
+# why it stopped.
+_ERRORS_KEPT = 200
 
 
 def _popen(argv: Sequence[str]) -> subprocess.Popen:
@@ -297,7 +306,7 @@ def _popen(argv: Sequence[str]) -> subprocess.Popen:
     reaches whatever it starts.  Every prover but this interpreter's
     bundled one runs this way, with our environment unchanged."""
     return subprocess.Popen(
-        argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, start_new_session=True
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True
     )
 
 
@@ -320,7 +329,9 @@ def _answer(
     A worker is sent ``request`` and answers with one reply line; it can
     then take the next call.  Any other process, a worker whose reply is
     not a reply line included, is read like a one-shot prover: its output
-    is what it writes until it exits.  A process that has not exited by
+    is what it writes until its output streams end, and it is then
+    waited for.  Of a one-shot prover's error output only the last
+    ``_ERRORS_KEPT`` bytes are kept.  A process that has not exited by
     the deadline has timed out.
     """
     if request is not None:
@@ -329,24 +340,35 @@ def _answer(
             proc.stdin.flush()
     fd = proc.stdout.fileno()
     data = bytearray()
+    errors = bytearray()
     reply = request is not None
     code = None
     with selectors.DefaultSelector() as sel:
         sel.register(fd, selectors.EVENT_READ)
-        while (left := deadline - time.monotonic()) > 0 and sel.select(left):
-            chunk = os.read(fd, 1 << 16)
-            if not chunk:
-                with suppress(subprocess.TimeoutExpired):
-                    code = proc.wait(max(0.0, deadline - time.monotonic()))
-                break
-            data += chunk
-            if reply and data.endswith(b"\n"):
-                try:
-                    status, output = json.loads(data)
-                    return _Run(str(output), int(status)), True
-                except (ValueError, TypeError):
-                    reply = False
-    return _Run(data.decode("utf-8", "replace"), code or 0, code is None), False
+        if proc.stderr is not None:
+            sel.register(proc.stderr.fileno(), selectors.EVENT_READ)
+        while sel.get_map() and (left := deadline - time.monotonic()) > 0:
+            for key, _ in sel.select(left):
+                chunk = os.read(key.fd, 1 << 16)
+                if not chunk:
+                    sel.unregister(key.fd)
+                elif key.fd != fd:
+                    errors += chunk
+                    del errors[:-_ERRORS_KEPT]
+                else:
+                    data += chunk
+                    if reply and data.endswith(b"\n"):
+                        try:
+                            status, output = json.loads(data)
+                            return _Run(str(output), int(status)), True
+                        except (ValueError, TypeError):
+                            reply = False
+        if not sel.get_map():
+            with suppress(subprocess.TimeoutExpired):
+                code = proc.wait(max(0.0, deadline - time.monotonic()))
+    lines = errors.decode("utf-8", "replace").strip().splitlines()
+    run = _Run(data.decode("utf-8", "replace"), code or 0, code is None, lines[-1] if lines else "")
+    return run, False
 
 
 def _stop(proc: subprocess.Popen | _Worker) -> None:
@@ -360,6 +382,8 @@ def _stop(proc: subprocess.Popen | _Worker) -> None:
         if proc.stdin:
             proc.stdin.close()
     proc.stdout.close()
+    if proc.stderr:
+        proc.stderr.close()
 
 
 def _worker_main(requests: int, replies: int) -> NoReturn:
@@ -417,6 +441,7 @@ class _Worker:
         os.close(replies)
         self.stdin = open(to_worker, "wb")
         self.stdout = open(from_worker, "rb", buffering=0)
+        self.stderr = None  # /dev/null in the child
         self.returncode: int | None = None
 
     def wait(self, timeout: float | None = None) -> int:

@@ -10,6 +10,14 @@ system, but complete enough for modest problems and it reports verdicts
 and derivations in the same SZS dialect the big provers use, so the rest
 of the pipeline treats it uniformly.
 
+The search does each job once.  Normal forms are memoized together with
+the rules that reach them; the memo holds only while the rules stay the
+same, so it starts afresh whenever a rule is registered (and when it
+grows past ``_MEMO_LIMIT`` terms).  A clause is in normal form when it
+is pushed, so when it is selected it is re-demodulated only if a rule
+other than its own arrived after it.  An active clause's renamed copy
+and paramodulation sides are worked out on its first use as a partner.
+
 Terms are tuples: ("v", name) or ("f", sym, args).  A literal is
 (positive, predicate, args); equality is the predicate "=".  A clause is
 a tuple of literals with canonically numbered variables.
@@ -35,7 +43,8 @@ import time
 import traceback
 from contextlib import redirect_stdout
 from dataclasses import dataclass
-from typing import Iterator, TextIO
+from functools import cached_property
+from typing import Iterable, Iterator, TextIO
 
 from ..corpus import ParseError
 from ..fof import BinOp, Eq, FofFormula, FofProblem, FofVar, Not, Pred
@@ -233,7 +242,9 @@ def _apply_clause(lits, s) -> list[Literal]:
 
 
 def _match(pat: Term, t: Term, s: dict) -> dict | None:
-    """One-way matching for subsumption."""
+    """One-way matching: ``s`` extended so that ``pat`` under it is
+    ``t``, or None.  Variables of ``t`` are constants here.  Subsumption
+    and demodulation both match this way."""
     if pat[0] == "v":
         if pat[1] in s:
             return s if s[pat[1]] == t else None
@@ -358,50 +369,100 @@ def _replace(t: Term, path: tuple, repl: Term) -> Term:
     )
 
 
-def _paramod_sides(c: Clause):
-    """Usable orientations (lit_index, from, to) of positive equations.
-    Orientable equations rewrite one way only; the rest go both ways,
-    skipping bare-variable sides whose unifiers would be unbounded."""
+def _paramod_sides(c: Clause) -> list[tuple[list[Literal], Term, Term]]:
+    """Usable orientations (other literals, from, to) of positive
+    equations.  Orientable equations rewrite one way only; the rest go
+    both ways, skipping bare-variable sides whose unifiers would be
+    unbounded."""
+    sides = []
     for i, (pos, p, args) in enumerate(c):
         if not pos or p != "=":
             continue
+        rest = [x for k, x in enumerate(c) if k != i]
         l, r = args
         rule = _orient(l, r)
         if rule:
-            yield i, *rule
+            sides.append((rest, *rule))
         else:
             if l[0] != "v":
-                yield i, l, r
+                sides.append((rest, l, r))
             if r[0] != "v":
-                yield i, r, l
+                sides.append((rest, r, l))
+    return sides
 
 
-def _normalize(t: Term, demods: list, used: set[int]) -> Term:
-    """Rewrite t to normal form under the oriented unit equations.
-    Terminates because every step strictly shrinks the term under the
-    KBO weight."""
+_NO_RULES: frozenset[int] = frozenset()
+# Normal forms kept at most, before the memo starts afresh: it keeps
+# every term it has met alive, and a search whose terms keep growing
+# meets ever more of them.
+_MEMO_LIMIT = 10_000
+
+
+def _normal_form(t: Term, rules: list, memo: dict) -> tuple[Term, frozenset[int]]:
+    """The normal form of t under the oriented unit equations ``rules``,
+    ``(clause index, left, right)`` in registration order, and the
+    indices of the rules that reach it.  Arguments are normalized before
+    the term around them, and the first rule whose left side matches
+    rewrites it.  Terminates because every step strictly shrinks the
+    term in the KBO.
+
+    ``memo`` maps terms met before to their answers, so it holds only
+    while ``rules`` stays as it is.  No left side is a variable, so a
+    variable is its own normal form."""
+    if t[0] == "v":
+        return t, _NO_RULES
+    hit = memo.get(t)
+    if hit is not None:
+        return hit
+    # The rewrite chain at this position: each term with the rules its
+    # own step used.  Every term on it has the chain's normal form, and
+    # the rules of its own step and of the steps after it.
+    chain = []
     while True:
-        if t[0] == "f":
-            t = ("f", t[1], tuple(_normalize(a, demods, used) for a in t[2]))
-        rewritten = False
-        for idx, l, r in demods:
+        used: set[int] = set()
+        args = []
+        for a in t[2]:
+            na, ua = _normal_form(a, rules, memo)
+            args.append(na)
+            used |= ua
+        chain.append((t, used))
+        t = ("f", t[1], tuple(args))
+        for idx, l, r in rules:
             s = _match(l, t, {})
             if s is not None:
-                t = apply_subst(r, s)
                 used.add(idx)
-                rewritten = True
+                t = apply_subst(r, s)
                 break
-        if not rewritten:
-            return t
+        else:
+            hit = memo[t] = t, _NO_RULES
+            break
+        hit = memo.get(t) if t[0] == "f" else (t, _NO_RULES)
+        if hit is not None:
+            break
+    nf, tail = hit
+    acc = set(tail)
+    for key, used in reversed(chain):
+        acc |= used
+        hit = memo[key] = nf, frozenset(acc) if acc else _NO_RULES
+    return hit
 
 
-def _demodulate(lits: list[Literal], demods: list, used: set[int]) -> list[Literal]:
-    if not demods:
+def _demodulate(
+    lits: Iterable[Literal], rules: list, memo: dict, used: set[int]
+) -> list[Literal]:
+    """The literals with every argument in normal form (see
+    ``_normal_form``); the indices of the rules used go into ``used``."""
+    if not rules:
         return list(lits)
-    return [
-        (pos, p, tuple(_normalize(a, demods, used) for a in args))
-        for pos, p, args in lits
-    ]
+    out = []
+    for pos, p, args in lits:
+        nargs = []
+        for a in args:
+            na, ua = _normal_form(a, rules, memo)
+            nargs.append(na)
+            used |= ua
+        out.append((pos, p, tuple(nargs)))
+    return out
 
 
 # ------------------------------------------------------------- proof search
@@ -412,6 +473,14 @@ class _Entry:
     clause: Clause
     parents: tuple[int, ...]
     source: str | None  # input formula name, None for derived/equality
+    n_rules: int  # rewrite rules registered when it was pushed, its own included
+
+    @cached_property
+    def partner(self) -> tuple[Clause, list]:
+        """The clause renamed apart as an inference partner, and its
+        paramodulation sides; worked out on first use."""
+        c = _rename(self.clause, "a")
+        return c, _paramod_sides(c)
 
 
 @dataclass
@@ -429,6 +498,7 @@ def _inferences(
     resolution, then for each active clause and a fresh copy of the given
     clause itself, resolution, paramodulation from the given clause into
     the partner and from the partner into the given clause."""
+    given_sides = _paramod_sides(given_r)
     for i, (pi, pp, pa) in enumerate(given_r):
         for j in range(i + 1, len(given_r)):
             qi, qp, qa = given_r[j]
@@ -442,7 +512,7 @@ def _inferences(
             if s is not None:
                 yield _apply_clause([l for k, l in enumerate(given_r) if k != i], s), (gi,)
     for ai in active + [gi]:
-        other = _rename(entries[ai].clause, "a")
+        other, other_sides = entries[ai].partner
         for i, (pi, pp, pa) in enumerate(given_r):
             for j, (qi, qp, qa) in enumerate(other):
                 if pi != qi and pp == qp and len(pa) == len(qa):
@@ -451,9 +521,8 @@ def _inferences(
                         lits = [l for k, l in enumerate(given_r) if k != i]
                         lits += [l for k, l in enumerate(other) if k != j]
                         yield _apply_clause(lits, s), (gi, ai)
-        for src, si, dst, di in ((given_r, gi, other, ai), (other, ai, given_r, gi)):
-            for ei, l, r in _paramod_sides(src):
-                rest = [x for k, x in enumerate(src) if k != ei]
+        for sides, si, dst, di in ((given_sides, gi, other, ai), (other_sides, ai, given_r, gi)):
+            for rest, l, r in sides:
                 for lj, (qpos, qp, qargs) in enumerate(dst):
                     for aj, arg in enumerate(qargs):
                         for path, sub in _positions(arg):
@@ -476,10 +545,13 @@ def saturate(
     seen: set[Clause] = set()
     active: list[int] = []
     demods: list[tuple[int, Term, Term]] = []
+    normal_forms: dict[Term, tuple[Term, frozenset[int]]] = {}
 
     def push(lits: list[Literal], parents: tuple[int, ...], source: str | None) -> bool:
+        if len(normal_forms) > _MEMO_LIMIT:
+            normal_forms.clear()
         used: set[int] = set()
-        lits = _demodulate(lits, demods, used)
+        lits = _demodulate(lits, demods, normal_forms, used)
         # Literals refuting themselves contribute nothing.
         lits = [
             l for l in lits if l[0] or l[1] != "=" or l[2][0] != l[2][1]
@@ -491,7 +563,6 @@ def saturate(
             return False
         seen.add(c)
         idx = len(entries)
-        entries.append(_Entry(c, parents, source))
         heapq.heappush(by_weight, (_weight(c), idx))
         heapq.heappush(by_age, (idx, idx))
         if len(c) == 1 and c[0][0] and c[0][1] == "=":
@@ -500,6 +571,8 @@ def saturate(
             rule = _orient(*_rename(c, "_d")[0][2])
             if rule:
                 demods.append((idx, *rule))
+                normal_forms.clear()
+        entries.append(_Entry(c, parents, source, len(demods)))
         return not c  # empty clause
 
     for c, src in inputs:
@@ -528,16 +601,17 @@ def saturate(
         processed.add(gi)
         given = entries[gi].clause
         # Rules registered after this clause arrived may simplify it;
-        # if any fire, the rewritten form replaces it in the queue.  A
-        # unit equation must not rewrite itself to triviality, so the
-        # clause's own rule is excluded.
-        used_d: set[int] = set()
-        renorm = _demodulate(
-            list(given), [d for d in demods if d[0] != gi], used_d
-        )
-        if used_d:
-            push(renorm, (gi,) + tuple(sorted(used_d)), None)
-            continue
+        # if any fire, the rewritten form replaces it in the queue.  It
+        # was normal under the older rules, so without a newer rule
+        # there is nothing to do.  A unit equation must not rewrite
+        # itself to triviality, so the clause's own rule is excluded,
+        # and with it the normal forms found under every rule.
+        if len(demods) > entries[gi].n_rules:
+            used_d: set[int] = set()
+            renorm = _demodulate(given, [d for d in demods if d[0] != gi], {}, used_d)
+            if used_d:
+                push(renorm, (gi,) + tuple(sorted(used_d)), None)
+                continue
         if any(subsumes(entries[a].clause, given) for a in active):
             continue
         for lits, parents in _inferences(_rename(given, "g"), gi, active, entries):
@@ -607,12 +681,15 @@ def prove(
     return "\n".join(lines) + "\n", res
 
 
+# Built once: a worker answers every call with it.
+_ARGS = argparse.ArgumentParser(prog="hammer-microres", description="small resolution prover")
+_ARGS.add_argument("file", help="TPTP problem file, or - for stdin")
+_ARGS.add_argument("--timeout", type=float, default=30.0, help="seconds")
+_ARGS.add_argument("--max-clauses", type=int, default=100000)
+
+
 def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(prog="hammer-microres", description="small resolution prover")
-    ap.add_argument("file", help="TPTP problem file, or - for stdin")
-    ap.add_argument("--timeout", type=float, default=30.0, help="seconds")
-    ap.add_argument("--max-clauses", type=int, default=100000)
-    args = ap.parse_args(argv)
+    args = _ARGS.parse_args(argv)
     if args.file == "-":
         text = sys.stdin.read()
     else:

@@ -200,6 +200,24 @@ def test_run_prover_nonzero_exit_is_error(tmp_path):
     assert "exit code 3" in result.status.detail
 
 
+def test_run_prover_error_keeps_the_last_line_of_stderr(tmp_path):
+    path = write_problem(tmp_path, trivial_problem())
+    # 100 kB of noise, more than a pipe holds, then the reason it stops.
+    script = (
+        "head -c 100000 /dev/zero | tr '\\0' x >&2; echo >&2; "
+        "echo \"ModuleNotFoundError: No module named 'hammerkit'\" >&2; exit 1"
+    )
+    result = run_prover(path, ProverConfig("dying", "sh", ("-c", script)))
+    assert str(result.status) == (
+        "Error(exit code 1 without SZS status: "
+        "ModuleNotFoundError: No module named 'hammerkit')"
+    )
+    # A longer last line keeps only its last 200 bytes.
+    script = "head -c 1000 /dev/zero | tr '\\0' y >&2; echo z >&2; exit 1"
+    result = run_prover(path, ProverConfig("dying", "sh", ("-c", script)))
+    assert result.status.detail == "exit code 1 without SZS status: " + "y" * 198 + "z"
+
+
 def test_run_prover_kills_overtime_process(tmp_path):
     path = write_problem(tmp_path, trivial_problem())
     cfg = ProverConfig("sleepy", "sleep", ("60",), timeout=0.2)

@@ -4,20 +4,28 @@ import json
 import subprocess
 import sys
 import time
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from hammerkit import harness
+from hammerkit.corpus import AccessRelation, load_corpus
+from hammerkit.provers import microres
 from hammerkit.provers.microres import (
     _canon,
     _kbo_greater,
+    _normal_form,
     apply_subst,
     main,
     prove,
+    saturate,
     subsumes,
     unify,
 )
 from hammerkit.tptp import parse_problem, parse_szs
+
+from . import rewrite_oracle
 
 
 def v(name):
@@ -294,6 +302,137 @@ def test_proof_block_lists_used_inputs():
     assert "fof(a1, axiom, p)." in out
     assert "fof(goal, conjecture, q)." in out
     assert "unused" not in out
+
+
+# ---------------------------------------------------------------- rewriting
+
+
+def test_first_registered_rule_wins():
+    rules = [(7, f("g", v("X_d")), B), (3, f("g", A), f("c"))]
+    used = set()
+    assert rewrite_oracle.normalize(f("h", f("g", A)), rules, used) == f("h", B)
+    assert used == {7}
+    memo = {}
+    assert _normal_form(f("h", f("g", A)), rules, memo) == (f("h", B), {7})
+    # Remembered, and the same again.
+    assert _normal_form(f("h", f("g", A)), rules, memo) == (f("h", B), {7})
+    assert _normal_form(f("h", f("g", A)), rules[1:], {}) == (f("h", f("c")), {3})
+
+
+def test_normal_forms_follow_a_rewrite_chain():
+    # a -> b inside g(a) makes g(b), which g(b) -> c rewrites at the root.
+    rules = [(0, A, B), (1, f("g", B), f("c"))]
+    memo = {}
+    term = f("h", f("g", A), f("g", B))
+    assert _normal_form(term, rules, memo) == (f("h", f("c"), f("c")), {0, 1})
+    # Every term met on the way has the rules of its own chain only.
+    assert memo[f("g", B)] == (f("c"), {1})
+    assert memo[f("g", A)] == (f("c"), {0, 1})
+    assert memo[f("c")] == (f("c"), set())
+
+
+def spy_demodulate(monkeypatch):
+    """Record every ``_demodulate`` call of the search as (literals in,
+    literals out, rule indices given)."""
+    calls = []
+    demodulate = microres._demodulate
+
+    def spy(lits, rules, memo, used):
+        out = demodulate(lits, rules, memo, used)
+        calls.append((list(lits), out, [idx for idx, _, _ in rules]))
+        return out
+
+    monkeypatch.setattr(microres, "_demodulate", spy)
+    return calls
+
+
+def test_rule_derived_later_rewrites_a_clause_when_it_is_selected(monkeypatch):
+    calls = spy_demodulate(monkeypatch)
+    late = (True, "p", (f("g", A), f("g", A), f("g", A)))
+    inputs = [
+        ((late,), "late"),  # pushed when there is no rule yet
+        (((True, "q", ()), (True, "=", (f("g", A), B))), "split"),
+        (((False, "q", ()),), "not_q"),
+        (((False, "r", ()),), "goal"),
+    ]
+    saturate(inputs, None, 50)
+    # g(a) = b is resolved out of "split" before the heavier "late" is
+    # selected, and rewrites it then.
+    assert ([late], [(True, "p", (B, B, B))]) in [(lits, out) for lits, out, _ in calls]
+
+
+def test_unit_equation_is_never_rewritten_by_its_own_rule(monkeypatch):
+    calls = spy_demodulate(monkeypatch)
+    unit = (True, "=", (f("g", f("g", f("g", A))), B))
+    inputs = [
+        ((unit,), "unit"),  # clause 0, with its own rule g(g(g(a))) -> b
+        (((True, "q", ()), (True, "=", (f("h", A), B))), "split"),
+        (((False, "q", ()),), "not_q"),
+        (((False, "r", ()),), "goal"),
+    ]
+    saturate(inputs, None, 50)
+    # The rule h(a) -> b, derived before "unit" is selected, has the
+    # search look at it again, without its own rule: it stays as it is.
+    again = [(out, rules) for lits, out, rules in calls if lits == [unit]]
+    assert again
+    for out, rules in again:
+        assert out == [unit]
+        assert 0 not in rules
+
+
+# The clause cap of the ranked problems the oracle checks.
+ORACLE_CAP = 100
+
+
+@pytest.fixture(scope="module")
+def toy_problems():
+    """The toy corpus's exact-dependency problems and its ``loaded``
+    top-16 problems, as the bundled prover reads them."""
+    corpus = load_corpus(Path(str(resources.files("hammerkit") / "data" / "toy")))
+    exact, ranked = [], []
+    for tid in corpus.order():
+        entry = corpus.theorem(tid)
+        if entry.is_definition:
+            continue
+        goal = (entry.name, entry.statement)
+        premises = harness.conjunct_premises(corpus, frozenset().union(*entry.dependencies))
+        exact.append(parse_problem(harness.build_problem(corpus, premises, goal)[1]))
+        top = harness.suggest(
+            corpus, entry.statement, k=40, n_premises=16,
+            relation=AccessRelation("loaded"), target=tid,
+        )
+        premises = [(corpus.conjunct_label(c), corpus.conjunct_statement(c)) for c, _ in top]
+        ranked.append(parse_problem(harness.build_problem(corpus, premises, goal)[1]))
+    return exact, ranked
+
+
+def test_normal_forms_agree_with_the_oracle(monkeypatch, toy_problems):
+    demodulate = microres._demodulate
+    terms = rewritten = 0
+
+    def checked(lits, rules, memo, used):
+        nonlocal terms, rewritten
+        out = demodulate(lits, rules, memo, used)
+        want_used = set()
+        assert out == rewrite_oracle.demodulate(lits, rules, want_used)
+        assert used >= want_used
+        for _, _, args in lits:
+            for a in args:
+                want_used = set()
+                want = rewrite_oracle.normalize(a, rules, want_used)
+                # Read back from the memo the search just filled.
+                assert _normal_form(a, rules, memo) == (want, want_used)
+                terms += 1
+                rewritten += bool(want_used)
+        return out
+
+    monkeypatch.setattr(microres, "_demodulate", checked)
+    exact, ranked = toy_problems
+    for problem in exact:
+        prove(problem, timeout=None)
+    for problem in ranked:
+        prove(problem, timeout=None, max_clauses=ORACLE_CAP)
+    assert terms > 10000 and rewritten > 1000
 
 
 # ------------------------------------------------------------ command line
