@@ -22,9 +22,9 @@ the binds after it in its group, like a term binder.
 Terms, types and names print through ``hammerkit.hol``'s printer, the one
 HOL printer; ``print_tt`` here adds only the entry syntax around it.
 
-Every text format hammerkit reads (``.thy``, ``.tt``, ``.deps``, proof
-traces, goals and TPTP problems) goes through the one lexer ``_lex`` and
-the one token cursor ``_Parser`` defined here; ``_Parser.entries`` reads
+Every text format hammerkit reads (``.thy``, ``.tt``, ``.deps``, goals
+and TPTP problems) goes through the one lexer ``_lex`` and the one token
+cursor ``_Parser`` defined here; ``_Parser.entries`` reads
 ``head( ... ).`` entries to the end of input.  A format passes in only its
 token regex, whose groups come from one vocabulary: ``ws`` (skipped,
 comments included), ``name``, ``qname`` and ``op``, plus ``tyt`` (``$t``)
@@ -39,14 +39,13 @@ import re
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .hol import (
     _BARE_NAME,
     Abs,
     App,
     BOOL,
-    ConjunctAddress,
     Const,
     ConstDecl,
     HolTerm,
@@ -538,7 +537,7 @@ class TheoremEntry:
     id: TheoremId
     name: str
     statement: HolTerm
-    conjuncts: tuple[tuple[ConjunctAddress, HolTerm], ...]
+    conjuncts: tuple[HolTerm, ...]
     dependencies: tuple[frozenset[ConjunctId], ...]
     is_definition: bool = False
 
@@ -587,7 +586,7 @@ class Corpus:
         entry = self.theorem(cid.theorem)
         if not 1 <= cid.index <= len(entry.conjuncts):
             raise UnknownTheorem(f"{entry.name} has no conjunct {cid.index}")
-        return entry.conjuncts[cid.index - 1][1]
+        return entry.conjuncts[cid.index - 1]
 
     def conjunct_label(self, cid: ConjunctId) -> str:
         return f"{self.theorem(cid.theorem).name}_c{cid.index}"
@@ -729,15 +728,6 @@ def parse_deps(text: str) -> list[tuple[str, list[str]]]:
         p.expect(",")
         out.append((key, _parse_name_list(p)))
     return out
-
-
-def deps_lines(rows: Iterable[tuple[str, Sequence[str]]]) -> str:
-    """.deps text: one deps(LABEL, [DEP, ...]). line per (label, deps) row."""
-    lines = [
-        f"deps({show_name(label)}, [{', '.join(show_name(d) for d in deps)}])."
-        for label, deps in rows
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 _CONJ_SUFFIX = re.compile(r"^(.*)_c([0-9]+)$")

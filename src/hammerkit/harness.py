@@ -710,7 +710,9 @@ class _Task:
         return min(cfg.n_premises, len(self.premises))
 
 
-def _check_provers(provers: Sequence[ProverConfig]) -> None:
+def _check_run(provers: Sequence[ProverConfig], jobs: int | None) -> None:
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be at least 1, not {jobs}")
     if not provers:
         raise ValueError("at least one prover is required")
     names = [c.name for c in provers]
@@ -731,7 +733,7 @@ def _run_tasks(
     exception, an interrupt included, no queued pair is started and the
     prover processes in flight are killed; their calls end before it
     propagates."""
-    _check_provers(provers)
+    _check_run(provers, jobs)
     with tempfile.TemporaryDirectory(prefix="hammerkit-") as td:
         tmp = Path(td)
         prepared: dict[tuple[int, int], tuple[FofProblem, Path] | Exception] = {}
@@ -765,7 +767,7 @@ def _run_tasks(
             problem, path = entry
             return run_prover(path, cfg, problem=problem, target=task.label)
 
-        workers = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
+        workers = jobs or os.cpu_count() or 1
         results: dict[tuple[int, str], AtpResult] = {}
         with _worker_scope() as procs, ThreadPoolExecutor(max_workers=workers) as pool:
             try:
@@ -1018,7 +1020,7 @@ def advise(
     unsat core is the advice.  Raises NoProofFound with full diagnostics
     when nobody closes the goal.
     """
-    _check_provers(provers)
+    _check_run(provers, jobs)
 
     t0 = time.monotonic()
     learner = _learner(corpus)
@@ -1127,7 +1129,7 @@ def experiment(
             relation = AccessRelation(relation)
         except ValueError:
             raise ValueError(f"unknown relation {relation!r}") from None
-    _check_provers(provers)
+    _check_run(provers, jobs)
     if relation is AccessRelation.EXACT_DEPS:
         tasks = _exact_dep_tasks(corpus, "unsplit")
     else:

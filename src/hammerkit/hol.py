@@ -603,36 +603,25 @@ def dest_binop(t: HolTerm, name: str) -> tuple[HolTerm, HolTerm] | None:
 # ---------------------------------------------------------- conjunct splits
 
 
-@dataclass(frozen=True)
-class ConjunctAddress:
-    """Position of a conjunct: L/R path through top-level conjunctions plus
-    the 1-based flat index used in names like ``T_c2``."""
-
-    path: tuple[str, ...]
-    index: int
-
-
-def split_conjuncts(formula: HolTerm, sig: Signature) -> list[tuple[ConjunctAddress, HolTerm]]:
+def split_conjuncts(formula: HolTerm, sig: Signature) -> list[HolTerm]:
     """Distribute top-level universals over conjunctions and split.
 
     Each returned conjunct re-binds, in original order, exactly the stripped
-    universals it uses.  A conjunction-free formula yields a singleton at the
-    root address.  The formula must be well typed.
+    universals it uses.  A conjunction-free formula yields a singleton.  The
+    formula must be well typed.
     """
     if type_of(formula, sig) != BOOL:
         raise NotBoolean(f"not a boolean formula: {_tm(formula, _LVL_IMP)}")
 
-    def walk(t: HolTerm) -> list[tuple[tuple[str, ...], HolTerm]]:
+    def walk(t: HolTerm) -> list[HolTerm]:
         vs, body = strip_binders(t, "!")
         parts = dest_binop(body, "&")
         if parts is None:
-            return [((), t)]
+            return [t]
         out = []
-        for step, sub in (("L", parts[0]), ("R", parts[1])):
+        for sub in parts:
             fv = set(free_vars(sub))
-            requant = mk_foralls([v for v in vs if v in fv], sub)
-            out.extend(((step,) + p, c) for p, c in walk(requant))
+            out.extend(walk(mk_foralls([v for v in vs if v in fv], sub)))
         return out
 
-    flat = walk(formula)
-    return [(ConjunctAddress(path, i + 1), c) for i, (path, c) in enumerate(flat)]
+    return walk(formula)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from hammerkit.corpus import Corpus, _build_corpus, deps_lines, parse_thy, parse_tt
+from hammerkit.corpus import Corpus, _build_corpus, parse_thy, parse_tt
 from hammerkit.fof import (
     BinOp,
     Eq,
@@ -263,14 +263,17 @@ def print_thy(theories: Sequence[tuple[str, Sequence[str]]]) -> str:
 
 
 def print_deps(corpus: Corpus) -> str:
-    """One line per conjunct of every theorem, in linear order."""
-    rows = []
+    """.deps text: one deps(NAME_cK, [DEP, ...]). line per conjunct of
+    every theorem, in linear order."""
+    lines = []
     for tid in corpus.order():
         entry = corpus.theorem(tid)
         for k, deps in enumerate(entry.dependencies, start=1):
             ordered = sorted(deps, key=lambda c: (corpus.position(c.theorem), c.index))
-            rows.append((f"{entry.name}_c{k}", [corpus.conjunct_label(c) for c in ordered]))
-    return deps_lines(rows)
+            label = show_name(f"{entry.name}_c{k}")
+            names = ", ".join(show_name(corpus.conjunct_label(c)) for c in ordered)
+            lines.append(f"deps({label}, [{names}]).")
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def result_for(report: ExperimentReport, target: str, prover: str) -> AtpResult:

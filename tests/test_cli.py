@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from hammerkit import cli
+from hammerkit import cli, harness
 from .helpers import CONNECTIVES_AS_CONSTANTS, TOY_DECLS
 
 THY = "theory(arith, []).\ntheory(club, [arith]).\n"
@@ -229,6 +229,28 @@ def test_negative_premise_count_is_usage_error(corpus_dir, capsys, command):
     )
     assert (code, out) == (2, "")
     assert "premise count -1 is negative" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["reprove"],
+        ["experiment", "--relation", "exact"],
+        ["advise", "--goal", "ADD 0 0 = 0"],
+    ],
+    ids=["reprove", "experiment", "advise"],
+)
+def test_jobs_below_one_is_usage_error(corpus_dir, capsys, monkeypatch, command, jobs):
+    def no_prover(*args, **kwargs):
+        raise AssertionError("a prover started")
+
+    monkeypatch.setattr(harness, "run_prover", no_prover)
+    code, out, err = run(
+        capsys, *command, "--corpus", corpus_dir, "--provers", "microres", "--jobs", jobs
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: jobs must be at least 1, not {jobs}\n"
 
 
 # -------------------------------------------------------------- translate

@@ -28,7 +28,6 @@ from hammerkit.corpus import (
     rename_overwritten,
     resolve_dep_name,
 )
-from hammerkit.depreco import parse_trace
 from hammerkit.hol import (
     BOOL,
     NotBoolean,
@@ -135,10 +134,9 @@ def test_parse_error_carries_position():
         (lambda t: parse_tt(t, Signature()), "tt(x, ty, $t).\nxx(y, ty, $t).\n"),
         (parse_thy, "theory(a, []).\nxx(b, [a]).\n"),
         (parse_deps, "deps(a_c1, []).\nxx(b_c1, [a]).\n"),
-        (lambda t: parse_trace(t, Signature()), "theory(t).\nxx(l0, other, [], none).\n"),
         (parse_problem, "fof(a, axiom, p).\ncnf(b, axiom, p).\n"),
     ],
-    ids=["tt", "thy", "deps", "trace", "tptp"],
+    ids=["tt", "thy", "deps", "tptp"],
 )
 def test_wrong_entry_head_reports_its_position(read, text):
     with pytest.raises(ParseError, match="entry, found") as info:
@@ -149,16 +147,13 @@ def test_wrong_entry_head_reports_its_position(read, text):
 @pytest.mark.parametrize(
     "read, line2, where",
     [
-        (parse_trace, "step(l0, bogus, [], none).", (2, 10)),
-        (parse_trace, "step(l0, other, [], maybe).", (2, 21)),
         (parse_tt, "tt(y, zz, $t).", (2, 7)),
     ],
-    ids=["rule", "payload", "role"],
+    ids=["role"],
 )
 def test_bad_field_reports_its_position(read, line2, where):
-    line1 = "theory(t)." if read is parse_trace else "tt(x, ty, $t)."
     with pytest.raises(ParseError, match="unknown") as info:
-        read(f"{line1}\n{line2}\n", Signature())
+        read(f"tt(x, ty, $t).\n{line2}\n", Signature())
     assert (info.value.line, info.value.col) == where
 
 

@@ -826,7 +826,7 @@ def test_a_numbered_statement_is_not_extracted_again(monkeypatch):
     built = len(calls)
     single, double = c.theorem_named("MAX_SUC"), c.theorem_named("HD_TL")
     suggest(c, single.statement, target=c.by_name["MAX_SUC"])
-    suggest(c, double.conjuncts[1][1], target=c.by_name["HD_TL"])
+    suggest(c, double.conjuncts[1], target=c.by_name["HD_TL"])
     assert len(calls) == built
     # A multi-conjunct statement, and an equal copy of a numbered one,
     # are extracted.

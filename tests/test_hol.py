@@ -10,7 +10,6 @@ from hammerkit.hol import (
     App,
     BOOL,
     Const,
-    ConjunctAddress,
     NotBoolean,
     TyApp,
     TyVar,
@@ -198,11 +197,7 @@ def _toy_formulas():
 def test_split_conjuncts_atomic():
     sig, x, y, le = _toy_formulas()
     g = mk_forall(x, le(x, x))
-    got = split_conjuncts(g, sig)
-    assert len(got) == 1
-    addr, stmt = got[0]
-    assert addr == ConjunctAddress((), 1)
-    assert stmt == g
+    assert split_conjuncts(g, sig) == [g]
 
 
 def test_split_conjuncts_distributes_quantifiers():
@@ -210,19 +205,16 @@ def test_split_conjuncts_distributes_quantifiers():
     # keeping both binders in original order.
     sig, x, y, le = _toy_formulas()
     g = mk_forall(x, mk_conj(le(x, x), mk_forall(y, le(x, y))))
-    got = split_conjuncts(g, sig)
-    assert [a.path for a, _ in got] == [("L",), ("R",)]
-    assert [a.index for a, _ in got] == [1, 2]
-    assert got[0][1] == mk_forall(x, le(x, x))
-    assert got[1][1] == mk_forall(x, mk_forall(y, le(x, y)))
+    assert split_conjuncts(g, sig) == [
+        mk_forall(x, le(x, x)),
+        mk_forall(x, mk_forall(y, le(x, y))),
+    ]
 
 
 def test_split_conjuncts_drops_unused_binders():
     sig, x, y, le = _toy_formulas()
     g = mk_foralls([x, y], mk_conj(le(x, x), le(y, y)))
-    got = split_conjuncts(g, sig)
-    assert got[0][1] == mk_forall(x, le(x, x))
-    assert got[1][1] == mk_forall(y, le(y, y))
+    assert split_conjuncts(g, sig) == [mk_forall(x, le(x, x)), mk_forall(y, le(y, y))]
 
 
 def test_split_conjuncts_nested_four_way():
@@ -232,14 +224,11 @@ def test_split_conjuncts_nested_four_way():
         mk_conj(le(x, y), le(y, x)),
     )
     g = mk_foralls([x, y], g)
-    got = split_conjuncts(g, sig)
-    assert len(got) == 4
-    assert [a.index for a, _ in got] == [1, 2, 3, 4]
-    assert [a.path for a, _ in got] == [
-        ("L", "L"),
-        ("L", "R"),
-        ("R", "L"),
-        ("R", "R"),
+    assert split_conjuncts(g, sig) == [
+        mk_forall(x, le(x, x)),
+        mk_forall(y, le(y, y)),
+        mk_foralls([x, y], le(x, y)),
+        mk_foralls([x, y], le(y, x)),
     ]
 
 
@@ -248,11 +237,11 @@ def test_split_conjuncts_recurses_through_inner_quantifiers():
     # splitting: three conjuncts, the inner two binding x and y.
     sig, x, y, le = _toy_formulas()
     g = mk_forall(x, mk_conj(le(x, x), mk_forall(y, mk_conj(le(x, y), le(y, x)))))
-    got = split_conjuncts(g, sig)
-    assert len(got) == 3
-    assert got[1][1] == mk_foralls([x, y], le(x, y))
-    assert got[2][1] == mk_foralls([x, y], le(y, x))
-    assert [a.path for a, _ in got] == [("L",), ("R", "L"), ("R", "R")]
+    assert split_conjuncts(g, sig) == [
+        mk_forall(x, le(x, x)),
+        mk_foralls([x, y], le(x, y)),
+        mk_foralls([x, y], le(y, x)),
+    ]
 
 
 def test_split_conjuncts_requires_bool():
@@ -267,7 +256,6 @@ def test_split_random_statements_rejoin():
     rng = random.Random(11)
     for _ in range(150):
         g = random_closed_formula(rng)
-        for addr, stmt in split_conjuncts(g, sig):
+        for stmt in split_conjuncts(g, sig):
             assert free_vars(stmt) == []
             assert type_of(stmt, sig) == BOOL
-            assert addr.index >= 1

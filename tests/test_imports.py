@@ -1,4 +1,5 @@
-"""No module of the package or of its tests imports a name it never uses."""
+"""No module of the package or of its tests imports a name it never uses,
+and every module of the package is reachable from the command line."""
 
 import ast
 from pathlib import Path
@@ -29,3 +30,46 @@ def test_every_imported_name_is_used():
         for line, name in _unused_imports(path)
     ]
     assert unused == []
+
+
+SRC = ROOT / "src"
+
+
+def _module_name(path):
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _imported_modules(path):
+    """Dotted names ``path`` imports: each statement's module, and each
+    ``from`` name as a possible submodule of it."""
+    package = _module_name(path)
+    if path.name != "__init__.py":
+        package = package.rpartition(".")[0]
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parent = package.rsplit(".", node.level - 1)[0]
+                base = f"{parent}.{base}" if base else parent
+            out.add(base)
+            out.update(f"{base}.{alias.name}" for alias in node.names)
+    return out
+
+
+def test_every_module_is_imported_from_the_cli():
+    # A module only the tests import is code nothing runs.
+    modules = {_module_name(p): p for p in (SRC / "hammerkit").rglob("*.py")}
+    reached, todo = set(), ["hammerkit.cli"]
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        # Importing a submodule runs its package's __init__ first.
+        package = name.rpartition(".")[0]
+        todo.extend(m for m in {package, *_imported_modules(modules[name])} if m in modules)
+    assert sorted(set(modules) - reached) == []
