@@ -143,15 +143,15 @@ class NameMangler:
 
     Symbols (functions, predicates, flattened type constructors) share one
     namespace seeded with the reserved words; annotated-formula names live
-    in a second namespace.  First letter is lowercased, other characters
-    are kept when alphanumeric and percent-encoded otherwise, collisions
-    get a numeric suffix.
+    in a second namespace, where every call allocates a fresh name, so a
+    conjecture named like a premise never shares its name.  First letter
+    is lowercased, other characters are kept when alphanumeric and
+    percent-encoded otherwise, collisions get a numeric suffix.
     """
 
     def __init__(self) -> None:
         self._symbols: dict[tuple[str, str], str] = {}
         self._taken_symbols: set[str] = set(RESERVED)
-        self._names: dict[str, str] = {}
         self._taken_names: set[str] = set()
         self.reverse: dict[str, str] = {}
 
@@ -187,11 +187,9 @@ class NameMangler:
         return self._symbols[key]
 
     def axiom_name(self, source: str) -> str:
-        if source not in self._names:
-            mangled = self._unique(self._candidate(source), self._taken_names)
-            self._names[source] = mangled
-            self.reverse[mangled] = source
-        return self._names[source]
+        mangled = self._unique(self._candidate(source), self._taken_names)
+        self.reverse[mangled] = source
+        return mangled
 
 
 # ------------------------------------------------------------ type flattening

@@ -20,16 +20,16 @@ command like the rest, and must be able to import hammerkit on its own.
 Both kinds of process are held, read, timed out and stopped the same
 way: each is a direct child leading a process group of its own, and the
 whole group is killed when it overruns, or at once when the batch it
-belongs to fails or is interrupted.
+belongs to fails, is interrupted or is closed before its last result.
 """
 
 from __future__ import annotations
 
-import contextvars
 import csv
 import gc
 import io
 import json
+import math
 import os
 import selectors
 import shlex
@@ -42,10 +42,10 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from configparser import ConfigParser, Error as ConfigError
-from contextlib import contextmanager, suppress
+from contextlib import closing, nullcontext, suppress
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping, NoReturn, Sequence
+from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from . import knn
 from .corpus import (
@@ -121,8 +121,8 @@ class ProverConfig:
     def __post_init__(self) -> None:
         if self.n_premises < 1:
             raise ValueError(f"{self.name}: premise budget must be positive")
-        if self.timeout <= 0:
-            raise ValueError(f"{self.name}: timeout must be positive")
+        if not (self.timeout > 0 and math.isfinite(self.timeout)):
+            raise ValueError(f"{self.name}: timeout must be a positive finite number")
 
     def command(self, problem_path: str | Path) -> list[str]:
         subs = {"problem": str(problem_path), "timeout": _fmt_seconds(self.timeout)}
@@ -248,6 +248,7 @@ def run_prover(
     config: ProverConfig,
     problem: FofProblem | None = None,
     target: str = "goal",
+    workers: _Workers | None = None,
 ) -> AtpResult:
     """Run one prover on one problem file.
 
@@ -261,6 +262,9 @@ def run_prover(
     launched raises SpawnError; everything that happens after launch
     becomes a status, never an exception.  The unsat core is read back
     only when ``problem`` is supplied and the status proves.
+
+    ``workers`` is the batch the call belongs to; without one, the call
+    forks workers of its own and stops them before it returns.
     """
     argv = config.command(problem_path)
     worker = config.executable == sys.executable and config.args[:2] == _MICRORES
@@ -268,7 +272,7 @@ def run_prover(
     start = time.monotonic()
     deadline = start + config.timeout + _GRACE
     try:
-        with _worker_scope() as pool:
+        with closing(_Workers()) if workers is None else nullcontext(workers) as pool:
             run = pool.run(argv, request, deadline)
     except (FileNotFoundError, PermissionError, NotADirectoryError) as e:
         raise SpawnError(f"cannot launch prover {config.name}: {argv[0]}: {e}") from None
@@ -327,12 +331,12 @@ def _answer(
     """One prover call's output, and whether ``proc`` can take another.
 
     A worker is sent ``request`` and answers with one reply line; it can
-    then take the next call.  Any other process, a worker whose reply is
-    not a reply line included, is read like a one-shot prover: its output
-    is what it writes until its output streams end, and it is then
-    waited for.  Of a one-shot prover's error output only the last
-    ``_ERRORS_KEPT`` bytes are kept.  A process that has not exited by
-    the deadline has timed out.
+    then take the next call.  A worker that writes anything else, or ends
+    without a reply, raises ConnectionError.  Any other process is a
+    one-shot prover: its output is what it writes until its output
+    streams end, and it is then waited for.  Of a one-shot prover's error
+    output only the last ``_ERRORS_KEPT`` bytes are kept.  A process that
+    has not answered or exited by the deadline has timed out.
     """
     if request is not None:
         with suppress(BrokenPipeError):
@@ -341,14 +345,14 @@ def _answer(
     fd = proc.stdout.fileno()
     data = bytearray()
     errors = bytearray()
-    reply = request is not None
     code = None
     with selectors.DefaultSelector() as sel:
         sel.register(fd, selectors.EVENT_READ)
         if proc.stderr is not None:
             sel.register(proc.stderr.fileno(), selectors.EVENT_READ)
         while sel.get_map() and (left := deadline - time.monotonic()) > 0:
-            for key, _ in sel.select(left):
+            # At most 60 s per wait: the selector cannot take every timeout whole.
+            for key, _ in sel.select(min(left, 60.0)):
                 chunk = os.read(key.fd, 1 << 16)
                 if not chunk:
                     sel.unregister(key.fd)
@@ -357,15 +361,19 @@ def _answer(
                     del errors[:-_ERRORS_KEPT]
                 else:
                     data += chunk
-                    if reply and data.endswith(b"\n"):
+                    if request is not None and data.endswith(b"\n"):
                         try:
                             status, output = json.loads(data)
                             return _Run(str(output), int(status)), True
                         except (ValueError, TypeError):
-                            reply = False
+                            raise ConnectionError("prover worker wrote no reply line") from None
         if not sel.get_map():
             with suppress(subprocess.TimeoutExpired):
                 code = proc.wait(max(0.0, deadline - time.monotonic()))
+    if request is not None:
+        if code is not None:
+            raise ConnectionError(f"prover worker ended with exit code {code} and no reply")
+        return _Run("", timed_out=True), False
     lines = errors.decode("utf-8", "replace").strip().splitlines()
     run = _Run(data.decode("utf-8", "replace"), code or 0, code is None, lines[-1] if lines else "")
     return run, False
@@ -468,9 +476,10 @@ class _Workers:
     A call with a request takes an idle worker or forks one; any other
     call starts a process of its own.  Only a worker that answered goes
     back to the idle list, so there are never more workers than calls in
-    flight; every other process, a worker that overran included, is
-    stopped when its call ends.  ``kill`` ends every process in flight,
-    and every one started after it, without waiting for their deadlines.
+    flight; every other process, a worker that overran or did not reply
+    included, is stopped when its call ends.  ``kill`` ends every process
+    in flight, and every one started after it, without waiting for their
+    deadlines.
     """
 
     def __init__(self) -> None:
@@ -514,31 +523,6 @@ class _Workers:
             idle, self._idle = self._idle, []
         for worker in idle:
             _stop(worker)
-
-
-# The worker pool of the batch a prover call belongs to.  It travels in
-# the context, not as an argument, so that run_prover keeps the
-# signature of a single call and callers can wrap it.
-_WORKERS: contextvars.ContextVar[_Workers | None] = contextvars.ContextVar(
-    "hammerkit_workers", default=None
-)
-
-
-@contextmanager
-def _worker_scope():
-    """The worker pool of the enclosing scope, or else a new one for the
-    calls made inside, whose workers are stopped and reaped on exit."""
-    pool = _WORKERS.get()
-    if pool is not None:
-        yield pool
-        return
-    pool = _Workers()
-    token = _WORKERS.set(pool)
-    try:
-        yield pool
-    finally:
-        _WORKERS.reset(token)
-        pool.close()
 
 
 # ------------------------------------------------------------------ reports
@@ -725,14 +709,15 @@ def _run_tasks(
     tasks: Sequence[_Task],
     provers: Sequence[ProverConfig],
     jobs: int | None,
-) -> ExperimentReport:
+) -> Iterator[AtpResult]:
     """Translate every task once per premise cutoff, then run all
-    (task, prover) pairs on ``jobs`` threads, which share the bundled
-    prover's workers; those are reaped before this returns.  Results are
-    keyed, so the report does not depend on completion order.  On any
-    exception, an interrupt included, no queued pair is started and the
-    prover processes in flight are killed; their calls end before it
-    propagates."""
+    (task, prover) pairs on ``jobs`` threads sharing one ``_Workers``,
+    and yield each result in (task, prover) order.
+
+    One ``finally`` ends the batch, whether every result was read, an
+    exception or an interrupt came, or the caller closed the stream: it
+    starts no queued pair, kills the calls in flight, waits for the
+    threads, and only then stops the idle workers, so none outlives it."""
     _check_run(provers, jobs)
     with tempfile.TemporaryDirectory(prefix="hammerkit-") as td:
         tmp = Path(td)
@@ -765,34 +750,37 @@ def _run_tasks(
                     0.0,
                 )
             problem, path = entry
-            return run_prover(path, cfg, problem=problem, target=task.label)
+            return run_prover(path, cfg, problem=problem, target=task.label, workers=workers)
 
-        workers = jobs or os.cpu_count() or 1
-        results: dict[tuple[int, str], AtpResult] = {}
-        with _worker_scope() as procs, ThreadPoolExecutor(max_workers=workers) as pool:
-            try:
-                futures = {
-                    pool.submit(contextvars.copy_context().run, work, idx, cfg): (idx, cfg.name)
-                    for idx in range(len(tasks))
-                    for cfg in provers
-                }
-                for fut, key in futures.items():
-                    results[key] = fut.result()
-            except BaseException:
-                # An interrupt or a failed call: start no queued pair, and
-                # end the calls in flight now, not at their deadlines.
-                pool.shutdown(wait=False, cancel_futures=True)
-                procs.kill()
-                raise
-    ordered = tuple(
-        results[(idx, cfg.name)] for idx in range(len(tasks)) for cfg in provers
-    )
-    return ExperimentReport(
-        targets=tuple(t.label for t in tasks),
-        provers=tuple(c.name for c in provers),
-        results=ordered,
-        theory_of={t.label: t.theory for t in tasks},
-    )
+        workers = _Workers()
+        pool = ThreadPoolExecutor(max_workers=jobs or os.cpu_count() or 1)
+        try:
+            futures = [
+                pool.submit(work, idx, cfg) for idx in range(len(tasks)) for cfg in provers
+            ]
+            for fut in futures:
+                yield fut.result()
+        finally:
+            pool.shutdown(wait=False, cancel_futures=True)
+            workers.kill()
+            pool.shutdown()
+            workers.close()
+
+
+def _report(
+    corpus: Corpus,
+    tasks: Sequence[_Task],
+    provers: Sequence[ProverConfig],
+    jobs: int | None,
+) -> ExperimentReport:
+    """Every result of one batch, as a report."""
+    with closing(_run_tasks(corpus, tasks, provers, jobs)) as results:
+        return ExperimentReport(
+            targets=tuple(t.label for t in tasks),
+            provers=tuple(c.name for c in provers),
+            results=tuple(results),
+            theory_of={t.label: t.theory for t in tasks},
+        )
 
 
 # ------------------------------------------------------------------ reprove
@@ -836,7 +824,7 @@ def reprove(
     per-conjunct dependencies; ``conjuncts`` targets each conjunct with
     its own recovered dependencies.
     """
-    return _run_tasks(corpus, _exact_dep_tasks(corpus, split), provers, jobs)
+    return _report(corpus, _exact_dep_tasks(corpus, split), provers, jobs)
 
 
 # ---------------------------------------------------------------- prediction
@@ -1017,8 +1005,10 @@ def advise(
     stored ones for a corpus statement, as in ``suggest``), ``predict``
     the nearest-neighbour ranking, ``prove`` translation and the prover
     processes.  The first proving prover (in the order given) wins; its
-    unsat core is the advice.  Raises NoProofFound with full diagnostics
-    when nobody closes the goal.
+    unsat core is the advice, and its result ends ``results``.  The
+    provers listed before it are awaited, and those after it are stopped
+    as soon as it has proved.  Raises NoProofFound with every prover's
+    result when nobody closes the goal.
     """
     _check_run(provers, jobs)
 
@@ -1037,21 +1027,26 @@ def advise(
 
     t0 = time.monotonic()
     task = _ranked_task(corpus, "", (goal_name, goal), ranked)
-    results = _run_tasks(corpus, [task], provers, jobs).results
+    tried: list[AtpResult] = []
+    with closing(_run_tasks(corpus, [task], provers, jobs)) as stream:
+        for cfg, result in zip(provers, stream):
+            tried.append(result)
+            if result.status.proved:
+                break
     t_prove = time.monotonic() - t0
 
     timings = {"parse": t_parse, "predict": t_predict, "prove": t_prove}
-    for cfg, result in zip(provers, results):
-        if result.status.proved:
-            return Advice(
-                status=result.status,
-                prover=cfg.name,
-                premises=tuple(label for label, _ in task.premises[: task.cutoff(cfg)]),
-                core=result.core,
-                suggested=suggested,
-                timings=timings,
-                results=results,
-            )
+    results = tuple(tried)
+    if result.status.proved:
+        return Advice(
+            status=result.status,
+            prover=cfg.name,
+            premises=tuple(label for label, _ in task.premises[: task.cutoff(cfg)]),
+            core=result.core,
+            suggested=suggested,
+            timings=timings,
+            results=results,
+        )
     attempts = ", ".join(f"{r.prover}: {r.status}" for r in results)
     raise NoProofFound(
         f"no prover proved the goal ({attempts})",
@@ -1092,12 +1087,12 @@ def minimize_core(
     """
     current = tuple(core.premises)
     confirmed = False
-    with tempfile.TemporaryDirectory(prefix="hammerkit-min-") as td, _worker_scope():
+    with tempfile.TemporaryDirectory(prefix="hammerkit-min-") as td, closing(_Workers()) as workers:
         path = Path(td) / "minimize.p"
         while True:
             sub = restrict_problem(problem, current)
             path.write_text(print_problem(sub), encoding="utf-8")
-            result = run_prover(path, config, problem=sub, target=target)
+            result = run_prover(path, config, problem=sub, target=target, workers=workers)
             if not result.status.proved:
                 return UnsatCore(current, confirmed)
             confirmed = True
@@ -1149,4 +1144,4 @@ def experiment(
             )
             conjecture = (entry.name, entry.statement)
             tasks.append(_ranked_task(corpus, tid.theory, conjecture, ranked))
-    return _run_tasks(corpus, tasks, provers, jobs)
+    return _report(corpus, tasks, provers, jobs)

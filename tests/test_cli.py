@@ -253,6 +253,21 @@ def test_jobs_below_one_is_usage_error(corpus_dir, capsys, monkeypatch, command,
     assert err == f"error: jobs must be at least 1, not {jobs}\n"
 
 
+@pytest.mark.parametrize(
+    "timeout", ["nan", "inf", "1e309", "config nan"], ids=lambda t: t.replace(" ", "-")
+)
+def test_timeout_that_is_not_finite_is_usage_error(corpus_dir, tmp_path, capsys, timeout):
+    if timeout == "config nan":
+        config = tmp_path / "provers.cfg"
+        config.write_text("[microres]\ntimeout = nan\n", encoding="utf-8")
+        options = ["--prover-config", str(config)]
+    else:
+        options = ["--provers", "microres", "--timeout", timeout]
+    code, out, err = run(capsys, "reprove", "--corpus", corpus_dir, *options)
+    assert (code, out) == (2, "")
+    assert err == "error: microres: timeout must be a positive finite number\n"
+
+
 # -------------------------------------------------------------- translate
 
 

@@ -196,6 +196,14 @@ def test_axiom_names_round_trip_through_reverse():
     assert p.reverse[p.conjecture[0]] == "My Goal"
 
 
+def test_conjecture_named_like_a_premise_gets_a_name_of_its_own():
+    goal = mk_eq(App(App(ADD, ZERO), ZERO), ZERO, NAT)
+    p = translate_problem([("ADD_0_c1", goal)], ("ADD_0_c1", goal), toy_sig())
+    names = [n for n, _ in p.axioms] + [p.conjecture[0]]
+    assert len(set(names)) == len(names) == 2
+    assert {p.reverse[n] for n in names} == {"ADD_0_c1"}
+
+
 # ------------------------------------------------------------------ linting
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from hammerkit import harness, knn
-from hammerkit.corpus import AccessRelation, accessible_set, load_corpus
+from hammerkit.corpus import AccessRelation, accessible_set, load_corpus, parse_goal
 from hammerkit.features import extract
 from hammerkit.fof import translate_problem
 from hammerkit.harness import (
@@ -276,6 +276,15 @@ def test_run_prover_returns_when_a_child_leaves_the_group(tmp_path, monkeypatch)
         os.kill(int(pidfile.read_text()), signal.SIGKILL)
 
 
+def test_run_prover_waits_out_a_timeout_longer_than_one_selector_wait(tmp_path):
+    # 3e6 s overflows a single epoll wait.
+    path = write_problem(tmp_path, trivial_problem())
+    eager = ProverConfig("eager", "sh", ("-c", "echo '% SZS status Theorem'"), timeout=3e6)
+    for cfg in (eager, micro(timeout=3e6)):
+        assert run_prover(path, cfg).status.kind == "Theorem"
+    _no_child_process()
+
+
 def test_run_prover_times_out_a_process_that_closes_its_output(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "_GRACE", 0.5)
     path = write_problem(tmp_path, trivial_problem())
@@ -398,7 +407,7 @@ def test_worker_pool_lends_each_worker_to_one_call_at_a_time(monkeypatch):
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with harness._worker_scope() as pool, ThreadPoolExecutor(jobs) as threads:
+        with contextlib.closing(harness._Workers()) as pool, ThreadPoolExecutor(jobs) as threads:
             deadline = time.monotonic() + 60
             calls = []
             for i in range(3000):
@@ -438,28 +447,32 @@ def test_forked_workers_hold_only_their_own_pipes():
         harness._stop(b)
 
 
-def test_worker_that_prints_no_reply_line_is_read_as_a_one_shot_prover(
-    tmp_path, monkeypatch
-):
+def test_worker_that_prints_no_reply_line_gets_an_error(tmp_path, monkeypatch):
     pids = tmp_path / "pids"
 
     # Forked workers inherit the patch: each prints a verdict, not a reply
-    # line, and exits.
+    # line, and keeps serving.
     def serve(requests, replies):
         with open(pids, "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()}\n")
         replies.write("% SZS status Theorem\n")
         replies.flush()
+        time.sleep(60)
         return 0
 
     monkeypatch.setattr(microres, "serve", serve)
     path = write_problem(tmp_path, trivial_problem())
-    with harness._worker_scope():
-        kinds = [run_prover(path, micro()).status.kind for _ in range(2)]
-    assert kinds == ["Theorem", "Theorem"]
-    # The worker that did not reply is not reused.
+    start = time.monotonic()
+    with contextlib.closing(harness._Workers()) as workers:
+        statuses = [run_prover(path, micro(), workers=workers).status for _ in range(2)]
+    # Read as an Error at once, not at the 10 s deadline.
+    assert time.monotonic() - start < 5
+    assert [s.kind for s in statuses] == ["Error", "Error"]
+    assert all("no reply line" in s.detail for s in statuses)
+    # The worker that did not reply is stopped, not reused.
     started = {int(pid) for pid in pids.read_text().split()}
     assert len(started) == 2
+    assert all(_gone(pid, wait=0) for pid in started)
     _no_child_process()
 
 
@@ -888,6 +901,15 @@ def test_advise_proves_and_times_stages():
     assert advice.suggested
 
 
+def test_goal_named_like_a_premise_gets_the_core_of_any_other_name():
+    c = toy_corpus()
+    cores = []
+    for name in ("G", "ADD_1_c1"):
+        name, goal = parse_goal(f"tt({name}, conj, ADD 0 0 = 0)", c.signature)
+        cores.append(advise(c, goal, [micro()], goal_name=name).core.premises)
+    assert cores == [("ADD_0_c1",), ("ADD_0_c1",)]
+
+
 def test_advise_failure_carries_diagnostics():
     c = tiny_corpus()
     goal = c.theorem_named("ADD_1").statement
@@ -912,13 +934,38 @@ def test_advise_first_listed_prover_wins_with_its_budget():
     assert advice.prover == "eager"
     assert len(advice.premises) == 1
     assert advice.premises == (advice.suggested[0][0],)
-    assert [r.prover for r in advice.results] == ["eager", "microres"]
-    assert all(r.status.proved for r in advice.results)
+    # The results end at the winner.
+    assert [r.prover for r in advice.results] == ["eager"]
+    assert advice.status.proved
 
     advice = advise(c, goal, [micro(), eager])
     assert advice.prover == "microres"
     assert len(advice.premises) == min(32, len(advice.suggested))
-    assert [r.prover for r in advice.results] == ["microres", "eager"]
+    assert [r.prover for r in advice.results] == ["microres"]
+
+    # A prover listed after the winner is stopped, not awaited.
+    sleepy = ProverConfig("sleepy", "sh", ("-c", "sleep 30"), timeout=3.0)
+    start = time.monotonic()
+    advice = advise(c, goal, [eager, sleepy])
+    assert time.monotonic() - start < 1
+    assert [r.prover for r in advice.results] == ["eager"]
+    _no_child_process()
+
+    # A slower prover listed first still wins when it proves.
+    slow = ProverConfig(
+        "slow", "sh", ("-c", "sleep 0.5; echo '% SZS status Theorem'"), timeout=3.0
+    )
+    start = time.monotonic()
+    advice = advise(c, goal, [slow, eager])
+    assert advice.prover == "slow"
+    assert time.monotonic() - start >= 0.5
+    assert [r.prover for r in advice.results] == ["slow"]
+
+    # With no winner, every prover's result is kept.
+    unsure = ProverConfig("unsure", "sh", ("-c", "echo '% SZS status GaveUp'"))
+    with pytest.raises(NoProofFound) as exc:
+        advise(c, goal, [unsure, replace(unsure, name="unsure2")])
+    assert [r.prover for r in exc.value.results] == ["unsure", "unsure2"]
 
 
 # ------------------------------------------------------------ core shrinking
