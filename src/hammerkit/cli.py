@@ -45,7 +45,6 @@ from .features import extract
 from .fof import TranslateError
 from .harness import (
     DEFAULT_K,
-    DEFAULT_TIMEOUT,
     ExperimentReport,
     NoProofFound,
     ProverConfig,
@@ -115,20 +114,17 @@ def _budgets(pairs: list[str]) -> dict[str, int]:
 
 def _provers(args: argparse.Namespace, budget: list[str] | None = None) -> list[ProverConfig]:
     """The provers the options name, with the ``NAME=INT`` premise budgets in ``budget``."""
-    timeout = args.timeout if args.timeout is not None else DEFAULT_TIMEOUT
-    named: dict[str, ProverConfig] = {}
-    if args.prover_config:
-        for cfg in load_prover_configs(args.prover_config):
-            named[cfg.name] = cfg
+    configured = load_prover_configs(args.prover_config) if args.prover_config else []
+    named = {c.name: c for c in configured}
     if args.provers:
         names = [n for n in (n.strip() for n in args.provers.split(",")) if n]
         if not names:
             raise ValueError(f"--provers {args.provers!r} names no prover")
-        configs = [named.get(n) or builtin_config(n, timeout=timeout) for n in names]
+        configs = [named.get(n) or builtin_config(n) for n in names]
     elif named:
         configs = list(named.values())
     else:
-        configs = default_provers(timeout=timeout)
+        configs = default_provers()
     if args.timeout is not None:
         configs = [replace(c, timeout=args.timeout) for c in configs]
     budgets = _budgets(budget or [])
@@ -475,7 +471,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: input nested too deeply ({e})", file=sys.stderr)
         return 2
     except _USAGE_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
+        # One line, however many the message has.
+        print("error:", " ".join(str(e).splitlines()), file=sys.stderr)
         return 2
 
 

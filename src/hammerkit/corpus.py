@@ -83,8 +83,8 @@ class UnknownTheorem(Exception):
     pass
 
 
-class CycleDetected(Exception):
-    pass
+class CycleDetected(ParseError):
+    """A dependency or ancestor that does not precede its user: bad input."""
 
 
 # ------------------------------------------------------------------- lexing

@@ -6,17 +6,20 @@ run the provers in parallel, read unsat cores back, and aggregate
 reports.  Problem construction is deterministic, so files are
 byte-identical across runs; only wall-clock times vary.
 
-Provers are described by ProverConfig.  A small resolution prover ships
-with the package and is always available; the well-known first-order
-provers are picked up from PATH or from HAMMER_PROVER_<NAME> environment
-variables when installed.  An external prover runs as one process per
-problem.  A config whose executable is this interpreter and whose
-arguments start with ``-m hammerkit.provers.microres`` runs the bundled
-prover, whatever flags follow, in workers forked from the running
-interpreter, which has every module they need imported already; each
-takes problem after problem, so a batch pays no interpreter start-up at
-all.  The bundled module under any other interpreter is an external
-command like the rest, and must be able to import hammerkit on its own.
+Provers are described by ProverConfig, and every one, stock or from a
+config file, is built from a name and the keys of a config section by
+``_prover``.  A small resolution prover ships with the package and is
+always available; the well-known first-order provers are picked up from
+PATH or from HAMMER_PROVER_<NAME> environment variables when installed.
+An external prover runs as one process per problem.  A config whose
+executable is this interpreter and whose arguments start with
+``-m hammerkit.provers.microres`` runs the bundled prover, whatever
+flags follow, in workers forked from the running interpreter, which has
+every module they need imported already; each takes problem after
+problem over a pair of pipes (``_worker_main`` states what goes over
+them), so a batch pays no interpreter start-up at all.  The bundled
+module under any other interpreter is an external command like the
+rest, and must be able to import hammerkit on its own.
 Both kinds of process are held, read, timed out and stopped the same
 way: each is a direct child leading a process group of its own, and the
 whole group is killed when it overruns, or at once when the batch it
@@ -40,6 +43,7 @@ import sys
 import tempfile
 import threading
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from configparser import ConfigParser, Error as ConfigError
 from contextlib import closing, nullcontext, suppress
@@ -137,30 +141,23 @@ class ProverConfig:
 # How the interpreter runs the bundled prover.
 _MICRORES = ("-m", "hammerkit.provers.microres")
 
-# name -> (executable, argument template, premise budget)
-_BUILTIN: dict[str, tuple[str, tuple[str, ...], int]] = {
-    "microres": (
-        sys.executable,
-        _MICRORES + ("{problem}", "--timeout", "{timeout}"),
-        32,
-    ),
-    "vampire": (
-        "vampire",
-        ("--mode", "casc", "--proof", "tptp", "-t", "{timeout}", "{problem}"),
-        96,
-    ),
-    "eprover": (
-        "eprover",
-        (
-            "--auto-schedule",
-            "--proof-object",
-            "--tstp-format",
-            "--cpu-limit={timeout}",
-            "{problem}",
-        ),
-        128,
-    ),
-    "z3": ("z3", ("-tptp", "-T:{timeout}", "{problem}"), 32),
+# The stock provers, each in the shape a config-file section takes.
+_STOCK: dict[str, dict[str, str]] = {
+    "microres": {
+        "executable": sys.executable,
+        "args": "-m hammerkit.provers.microres {problem} --timeout {timeout}",
+        "n_premises": "32",
+    },
+    "vampire": {
+        "executable": "vampire",
+        "args": "--mode casc --proof tptp -t {timeout} {problem}",
+    },
+    "eprover": {
+        "executable": "eprover",
+        "args": "--auto-schedule --proof-object --tstp-format --cpu-limit={timeout} {problem}",
+        "n_premises": "128",
+    },
+    "z3": {"executable": "z3", "args": "-tptp -T:{timeout} {problem}", "n_premises": "32"},
 }
 
 
@@ -168,30 +165,40 @@ def _env_executable(name: str) -> str | None:
     return os.environ.get(f"HAMMER_PROVER_{name.upper()}") or None
 
 
-def builtin_config(name: str, timeout: float = DEFAULT_TIMEOUT) -> ProverConfig:
-    """The stock configuration for a known prover name.
-
-    HAMMER_PROVER_<NAME> overrides the executable path.
-    """
-    if name not in _BUILTIN:
-        raise ValueError(f"unknown prover {name!r}; known: {', '.join(sorted(_BUILTIN))}")
-    exe, args, budget = _BUILTIN[name]
+def _prover(name: str, keys: Mapping[str, str]) -> ProverConfig:
+    """The one way a prover is built: from its name and the keys of its
+    config section (executable, args, n_premises, timeout).  The
+    HAMMER_PROVER_<NAME> environment variable overrides the executable,
+    ``args`` is split as a shell would, and the premise budget defaults
+    to 96."""
+    executable = _env_executable(name) or keys.get("executable")
+    if not executable:
+        raise ValueError(f"prover {name!r}: no executable given")
+    if "args" not in keys:
+        raise ValueError(f"prover {name!r}: no argument template given")
     return ProverConfig(
-        name=name,
-        executable=_env_executable(name) or exe,
-        args=args,
-        n_premises=budget,
-        timeout=timeout,
+        name,
+        executable,
+        tuple(shlex.split(keys["args"])),
+        int(keys.get("n_premises", 96)),
+        float(keys.get("timeout", DEFAULT_TIMEOUT)),
     )
+
+
+def builtin_config(name: str, timeout: float = DEFAULT_TIMEOUT) -> ProverConfig:
+    """The stock configuration for a known prover name."""
+    if name not in _STOCK:
+        raise ValueError(f"unknown prover {name!r}; known: {', '.join(sorted(_STOCK))}")
+    return _prover(name, {**_STOCK[name], "timeout": str(timeout)})
 
 
 def default_provers(timeout: float = DEFAULT_TIMEOUT) -> list[ProverConfig]:
     """The bundled prover plus whichever well-known ones are installed."""
-    configs = [builtin_config("microres", timeout)]
-    for name in ("vampire", "eprover", "z3"):
-        if _env_executable(name) or shutil.which(_BUILTIN[name][0]):
-            configs.append(builtin_config(name, timeout))
-    return configs
+    return [
+        builtin_config(name, timeout)
+        for name, keys in _STOCK.items()
+        if name == "microres" or _env_executable(name) or shutil.which(keys["executable"])
+    ]
 
 
 def load_prover_configs(path: str | Path) -> list[ProverConfig]:
@@ -199,31 +206,17 @@ def load_prover_configs(path: str | Path) -> list[ProverConfig]:
 
     One section per prover; keys executable, args, n_premises, timeout.
     Known prover names inherit their stock values for missing keys.
+    Values are taken as written: ``%`` is an ordinary character.
     """
-    parser = ConfigParser()
+    parser = ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
     except ConfigError as e:
         raise ValueError(f"bad prover config {path}: {e}") from None
-    configs = []
-    for name in parser.sections():
-        sect = parser[name]
-        base = _BUILTIN.get(name)
-        executable = _env_executable(name) or sect.get("executable") or (
-            base[0] if base else None
-        )
-        if executable is None:
-            raise ValueError(f"prover {name!r}: no executable given")
-        if "args" in sect:
-            args = tuple(shlex.split(sect["args"]))
-        elif base:
-            args = base[1]
-        else:
-            raise ValueError(f"prover {name!r}: no argument template given")
-        budget = sect.getint("n_premises", base[2] if base else 96)
-        timeout = sect.getfloat("timeout", DEFAULT_TIMEOUT)
-        configs.append(ProverConfig(name, executable, args, budget, timeout))
+    configs = [
+        _prover(name, {**_STOCK.get(name, {}), **parser[name]}) for name in parser.sections()
+    ]
     if not configs:
         raise ValueError(f"prover config {path} defines no provers")
     return configs
@@ -305,6 +298,12 @@ class _Run:
 _ERRORS_KEPT = 200
 
 
+def _last_line(errors: bytes) -> str:
+    """The last line of the last ``_ERRORS_KEPT`` bytes of error output."""
+    lines = errors[-_ERRORS_KEPT:].decode("utf-8", "replace").strip().splitlines()
+    return lines[-1] if lines else ""
+
+
 def _popen(argv: Sequence[str]) -> subprocess.Popen:
     """A prover process leading a new process group, so that a kill
     reaches whatever it starts.  Every prover but this interpreter's
@@ -330,13 +329,13 @@ def _answer(
 ) -> tuple[_Run, bool]:
     """One prover call's output, and whether ``proc`` can take another.
 
-    A worker is sent ``request`` and answers with one reply line; it can
-    then take the next call.  A worker that writes anything else, or ends
-    without a reply, raises ConnectionError.  Any other process is a
-    one-shot prover: its output is what it writes until its output
-    streams end, and it is then waited for.  Of a one-shot prover's error
-    output only the last ``_ERRORS_KEPT`` bytes are kept.  A process that
-    has not answered or exited by the deadline has timed out.
+    A worker is sent ``request`` and answers with one reply line (see
+    ``_worker_main``); it can then take the next call.  A worker that
+    writes anything else, or ends without a reply, raises ConnectionError.
+    Any other process is a one-shot prover: its output is what it writes
+    until its output streams end, and it is then waited for.  Either
+    kind of error output is cut to its last line.  A process that has not
+    answered or exited by the deadline has timed out.
     """
     if request is not None:
         with suppress(BrokenPipeError):
@@ -363,8 +362,8 @@ def _answer(
                     data += chunk
                     if request is not None and data.endswith(b"\n"):
                         try:
-                            status, output = json.loads(data)
-                            return _Run(str(output), int(status)), True
+                            status, output, errors = json.loads(data)
+                            return _Run(str(output), int(status), errors=str(errors)), True
                         except (ValueError, TypeError):
                             raise ConnectionError("prover worker wrote no reply line") from None
         if not sel.get_map():
@@ -374,8 +373,7 @@ def _answer(
         if code is not None:
             raise ConnectionError(f"prover worker ended with exit code {code} and no reply")
         return _Run("", timed_out=True), False
-    lines = errors.decode("utf-8", "replace").strip().splitlines()
-    run = _Run(data.decode("utf-8", "replace"), code or 0, code is None, lines[-1] if lines else "")
+    run = _Run(data.decode("utf-8", "replace"), code or 0, code is None, _last_line(errors))
     return run, False
 
 
@@ -395,7 +393,15 @@ def _stop(proc: subprocess.Popen | _Worker) -> None:
 
 
 def _worker_main(requests: int, replies: int) -> NoReturn:
-    """The forked child's whole life (see ``_Worker``)."""
+    """The forked child's whole life (see ``_Worker``): answer calls of
+    the bundled prover until the request pipe ends.
+
+    Each request is one line, the JSON list of the arguments that follow
+    ``-m hammerkit.provers.microres``.  Each reply is one line, the JSON
+    list ``[exit code, output, last error line]``: what ``microres.main``
+    returned, printed to stdout and printed last to stderr, exactly as the
+    one-problem command would have, its usage errors and tracebacks
+    included."""
     code = 1
     # The parent's stdio objects are never finalized here: their buffers
     # and file descriptors are the parent's.
@@ -410,26 +416,40 @@ def _worker_main(requests: int, replies: int) -> NoReturn:
         os.dup2(replies, 1)
         os.dup2(null, 2)
         os.closerange(3, os.sysconf("SC_OPEN_MAX"))
-        sys.stdin = open(0, encoding="utf-8", closefd=False)
-        sys.stdout = open(1, "w", encoding="utf-8", closefd=False)
-        sys.stderr = open(2, "w", encoding="utf-8", errors="backslashreplace", closefd=False)
-        code = microres.serve(sys.stdin, sys.stdout)
+        # A problem file named "-" reads nothing, not the request stream.
+        sys.stdin = io.StringIO()
+        with open(0, encoding="utf-8", closefd=False) as calls, open(
+            1, "w", encoding="utf-8", closefd=False
+        ) as answers:
+            for line in calls:
+                sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
+                try:
+                    status = microres.main(json.loads(line))
+                except SystemExit as e:
+                    status = e.code if isinstance(e.code, int) else int(e.code is not None)
+                except Exception:
+                    traceback.print_exc()
+                    status = 1
+                errors = _last_line(sys.stderr.getvalue().encode(errors="backslashreplace"))
+                answers.write(json.dumps([status, sys.stdout.getvalue(), errors]) + "\n")
+                answers.flush()
+        code = 0
     finally:
         os._exit(code)
 
 
 class _Worker:
     """A fork of the running interpreter that answers one-problem calls
-    with ``microres.serve`` (see the microres docstring) on a request
-    pipe and a reply pipe.  The parent holds it as it holds a one-shot
-    prover's Popen: ``pid``, ``stdin``, ``stdout``, ``returncode`` and
-    ``wait``, so ``_answer`` and ``_stop`` serve both.
+    of the bundled prover (see ``_worker_main``) on a request pipe and a
+    reply pipe.  The parent holds it as it holds a one-shot prover's
+    Popen: ``pid``, ``stdin``, ``stdout``, ``returncode`` and ``wait``, so
+    ``_answer`` and ``_stop`` serve both.
 
     The child starts from this process's memory, so it imports nothing.
     It is forked on a pool thread while other threads run, so it takes no
     lock another thread may have held at the fork: it leads a session of
     its own like every prover process, keeps only the two pipes (as fds 0
-    and 1, with /dev/null as fd 2) and fresh stdio objects on them, and
+    and 1, with /dev/null as fd 2) and stdio objects of its own, and
     leaves only through ``os._exit``, so that no buffer, ``atexit`` hook
     or ``with`` block of this process runs in it.
     """
@@ -449,7 +469,7 @@ class _Worker:
         os.close(replies)
         self.stdin = open(to_worker, "wb")
         self.stdout = open(from_worker, "rb", buffering=0)
-        self.stderr = None  # /dev/null in the child
+        self.stderr = None  # each reply carries the call's error output
         self.returncode: int | None = None
 
     def wait(self, timeout: float | None = None) -> int:

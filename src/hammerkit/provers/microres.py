@@ -23,28 +23,18 @@ Terms are tuples: ("v", name) or ("f", sym, args).  A literal is
 a tuple of literals with canonically numbered variables.
 
 Run as ``python -m hammerkit.provers.microres FILE --timeout T`` it
-proves one problem and prints the verdict.  ``serve`` answers such calls
-one after another: each request line is a JSON list of the arguments
-that would follow the module name, and each reply is one line, the JSON
-list ``[exit code, output]`` with exactly what the one-problem command
-would have printed and returned.  The harness forks its workers from the
-running interpreter, which has this module imported already, and each
-forked worker runs ``serve`` on its pipes.
+proves one problem and prints the verdict.
 """
 
 from __future__ import annotations
 
 import argparse
 import heapq
-import io
-import json
 import sys
 import time
-import traceback
-from contextlib import redirect_stdout
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator
 
 from ..corpus import ParseError
 from ..fof import BinOp, Eq, FofFormula, FofProblem, FofVar, Not, Pred
@@ -703,26 +693,6 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     out, _ = prove(problem, timeout=args.timeout, max_clauses=args.max_clauses)
     sys.stdout.write(out)
-    return 0
-
-
-def serve(requests: TextIO, replies: TextIO) -> int:
-    """Answer one-problem calls read from ``requests`` until it ends,
-    each with one line on ``replies`` (see the module docstring)."""
-    # A problem file named "-" reads nothing, not the request stream.
-    sys.stdin = io.StringIO()
-    for line in requests:
-        out = io.StringIO()
-        with redirect_stdout(out):
-            try:
-                code = main(json.loads(line))
-            except SystemExit as e:
-                code = e.code if isinstance(e.code, int) else int(e.code is not None)
-            except Exception:
-                traceback.print_exc()
-                code = 1
-        replies.write(json.dumps([code, out.getvalue()]) + "\n")
-        replies.flush()
     return 0
 
 

@@ -4,6 +4,8 @@ checks and printers that only the tests use."""
 from __future__ import annotations
 
 import random
+from importlib import resources
+from pathlib import Path
 from typing import Sequence
 
 from hammerkit.corpus import Corpus, _build_corpus, parse_thy, parse_tt
@@ -43,6 +45,9 @@ from hammerkit.hol import (
     mk_fun_chain,
     show_name,
 )
+
+# The bundled toy corpus.
+TOY = Path(str(resources.files("hammerkit") / "data" / "toy"))
 
 NAT = TyApp("nat")
 LIST_NAT = TyApp("list", (NAT,))

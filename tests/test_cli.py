@@ -3,6 +3,7 @@ where a real signal must reach a real process."""
 
 import io
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import time
 import pytest
 
 from hammerkit import cli, harness
-from .helpers import CONNECTIVES_AS_CONSTANTS, TOY_DECLS
+from .helpers import CONNECTIVES_AS_CONSTANTS, TOY, TOY_DECLS
 
 THY = "theory(arith, []).\ntheory(club, [arith]).\n"
 
@@ -98,6 +99,24 @@ def test_parse_bad_file_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "parse", str(path))
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["parse"], ["features"], ["translate", "ADD_0"], ["predict", "--goal", "ADD 0 0 = 0"]],
+    ids=lambda argv: argv[0],
+)
+def test_dependency_on_a_later_theorem_is_input_error(tmp_path, capsys, argv):
+    root = tmp_path / "toy"
+    shutil.copytree(TOY, root)
+    deps = root / "nat.deps"
+    text = deps.read_text(encoding="utf-8")
+    assert "deps(ADD_1, [ADD_0, ADD_SUC]).\n" in text
+    deps.write_text(text.replace("ADD_1, [ADD_0, ADD_SUC]", "ADD_1, [ADD_0, MAX_SUC]"))
+    code, out, err = run(capsys, *argv, "--corpus", str(root))
+    assert code == 2
+    assert out == ""
+    assert err == "error: ADD_1 depends on MAX_SUC, which does not precede it\n"
 
 
 # ------------------------------------------------------------------ deps
@@ -439,6 +458,19 @@ def test_unknown_prover_is_usage_error(corpus_dir, tmp_path, capsys):
     code, _, err = run(capsys, "minimize", str(problem), "--provers", ",")
     assert code == 2
     assert err == "error: --provers ',' names no prover\n"
+
+
+def test_percent_in_a_prover_config_is_an_ordinary_character(tmp_path, capsys):
+    config = tmp_path / "provers.cfg"
+    config.write_text(
+        "[sh]\nexecutable = sh\nargs = -c 'echo % SZS status Theorem' {problem}\n",
+        encoding="utf-8",
+    )
+    code, out, _ = run(
+        capsys, "advise", "--goal", "ADD 0 0 = 0", "--prover-config", str(config), "--provers", "sh"
+    )
+    assert code == 0
+    assert "proved by sh (Theorem)" in out
 
 
 def test_budget_must_name_active_prover(corpus_dir, capsys):

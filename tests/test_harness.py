@@ -447,20 +447,75 @@ def test_forked_workers_hold_only_their_own_pipes():
         harness._stop(b)
 
 
+def test_worker_answers_exactly_as_main(tmp_path, capsys):
+    good = write_problem(tmp_path, trivial_problem())
+    bad = tmp_path / "bad.p"
+    bad.write_text("fof(goal, conjecture, p.\n", encoding="utf-8")
+    calls = [[str(good), "--timeout", "5"], [str(bad)], [str(good), "--no-such-flag"], [str(good)]]
+    expected = []
+    for argv in calls:
+        try:
+            code = microres.main(argv)
+        except SystemExit as e:
+            code = e.code
+        out, err = capsys.readouterr()
+        expected.append([code, out, harness._last_line(err.encode())])
+    worker = harness._Worker()
+    try:
+        deadline = time.monotonic() + 60
+        runs = [harness._answer(worker, deadline, argv)[0] for argv in calls]
+        # The end of the requests ends the worker cleanly.
+        worker.stdin.close()
+        assert worker.wait(10) == 0
+    finally:
+        harness._stop(worker)
+    assert not any(r.timed_out for r in runs)
+    assert [[r.exit_code, r.output, r.errors] for r in runs] == expected
+    assert [code for code, _, _ in expected] == [0, 1, 2, 0]
+    assert expected[2][2] == "hammer-microres: error: unrecognized arguments: --no-such-flag"
+
+
+def test_usage_error_reads_the_same_from_a_worker_and_a_process(tmp_path, monkeypatch):
+    spawned = []
+    popen = harness._popen
+    monkeypatch.setattr(harness, "_popen", lambda argv: spawned.append(argv) or popen(argv))
+    path = write_problem(tmp_path, trivial_problem())
+    flagged = replace(micro(), args=micro().args + ("--no-such-flag",))
+    # Under env, the same command is no worker: it runs as a process of its own.
+    process = replace(flagged, executable="env", args=(sys.executable, *flagged.args))
+    statuses = [str(run_prover(path, cfg).status) for cfg in (flagged, process)]
+    assert len(spawned) == 1
+    assert statuses == [
+        "Error(exit code 2 without SZS status: "
+        "hammer-microres: error: unrecognized arguments: --no-such-flag)"
+    ] * 2
+
+
+def test_worker_error_carries_the_last_line_of_its_traceback(tmp_path, monkeypatch):
+    def main(argv):
+        raise RuntimeError("boom")
+
+    # Forked workers inherit the patch.
+    monkeypatch.setattr(microres, "main", main)
+    path = write_problem(tmp_path, trivial_problem())
+    status = run_prover(path, micro()).status
+    assert status.kind == "Error"
+    assert status.detail == "exit code 1 without SZS status: RuntimeError: boom"
+
+
 def test_worker_that_prints_no_reply_line_gets_an_error(tmp_path, monkeypatch):
     pids = tmp_path / "pids"
 
-    # Forked workers inherit the patch: each prints a verdict, not a reply
-    # line, and keeps serving.
-    def serve(requests, replies):
+    # Forked workers inherit the patch: each writes a verdict straight to
+    # the reply pipe, past the capture of its output, and does not return.
+    def main(argv):
         with open(pids, "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()}\n")
-        replies.write("% SZS status Theorem\n")
-        replies.flush()
+        os.write(1, b"% SZS status Theorem\n")
         time.sleep(60)
         return 0
 
-    monkeypatch.setattr(microres, "serve", serve)
+    monkeypatch.setattr(microres, "main", main)
     path = write_problem(tmp_path, trivial_problem())
     start = time.monotonic()
     with contextlib.closing(harness._Workers()) as workers:

@@ -1,8 +1,5 @@
 """The bundled saturation prover: unification, ordering, proofs, verdicts."""
 
-import json
-import subprocess
-import sys
 import time
 from importlib import resources
 from pathlib import Path
@@ -468,53 +465,3 @@ def test_main_reports_input_error(tmp_path, capsys):
     path = problem_file(tmp_path, "fof(goal, conjecture, p.\n")
     assert main([path]) == 1
     assert "% SZS status InputError" in capsys.readouterr().out
-
-
-# Two places ``serve`` runs: "module" is the harness's worker, a fork of this
-# interpreter that has the module imported already; "script" is a fresh
-# interpreter that imports it and serves its own stdio, so ``serve`` needs
-# nothing the fork inherits.
-SERVE_SCRIPT = (
-    "import sys; from hammerkit.provers.microres import serve; "
-    "sys.exit(serve(sys.stdin, sys.stdout))"
-)
-
-
-@pytest.mark.parametrize("launcher", ["module", "script"])
-def test_serve_answers_exactly_as_main(tmp_path, capsys, launcher):
-    good = problem_file(tmp_path, "fof(a1, axiom, p).\nfof(goal, conjecture, p).\n")
-    bad = str(tmp_path / "bad.p")
-    with open(bad, "w", encoding="utf-8") as fh:
-        fh.write("fof(goal, conjecture, p.\n")
-    calls = [[good, "--timeout", "5"], [bad], ["--no-such-flag"], [good]]
-    expected = []
-    for argv in calls:
-        try:
-            code = main(argv)
-        except SystemExit as e:
-            code = e.code
-        expected.append([code, capsys.readouterr().out])
-    if launcher == "module":
-        worker = harness._Worker()
-        try:
-            deadline = time.monotonic() + 60
-            runs = [harness._answer(worker, deadline, argv)[0] for argv in calls]
-            # The end of the requests ends the worker cleanly.
-            worker.stdin.close()
-            assert worker.wait(10) == 0
-        finally:
-            harness._stop(worker)
-        assert not any(r.timed_out for r in runs)
-        answers = [[r.exit_code, r.output] for r in runs]
-    else:
-        proc = subprocess.run(
-            [sys.executable, "-c", SERVE_SCRIPT],
-            input="".join(json.dumps(argv) + "\n" for argv in calls),
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert proc.returncode == 0
-        answers = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert answers == expected
-    assert expected[0][0] == 0 and expected[1][0] == 1 and expected[2][0] == 2
