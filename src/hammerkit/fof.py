@@ -19,6 +19,10 @@ axiom speaks only of terms tagged ``one``.
 The reserved symbols are ``s``, ``ap``, ``bool`` and ``fn`` (the arrow in
 flattened types).  Everything else is mangled to prover-friendly names,
 with a reverse table for reading unsat cores back.
+
+``hol`` owns term structure; every walk over the formula skeleton
+dispatches on one view of a formula layer, ``_connective``, and one
+function, ``_unique``, numbers a name apart from those already taken.
 """
 
 from __future__ import annotations
@@ -35,20 +39,22 @@ from .hol import (
     HolTerm,
     HolType,
     Signature,
-    TyApp,
     TyVar,
     Var,
     alpha_key,
     beta_normalize,
     dest_binder,
-    dest_binop,
     dest_fun,
     free_vars,
     is_fun,
+    list_mk_comb,
     mk_conj,
+    mk_const_app,
     mk_eq,
     mk_exists,
     mk_foralls,
+    mk_fun_chain,
+    strip_comb,
     strip_fun,
     term_ty_vars,
     ty_vars,
@@ -128,6 +134,17 @@ class FofProblem:
 _SYMBOL_OK = re.compile(r"[A-Za-z0-9_]")
 
 
+def _unique(base: str, taken: set[str], start: int = 0) -> str:
+    """base if it is not taken, else base followed by the least number from
+    start on that gives a name not taken; the name is added to taken."""
+    name, k = base, start
+    while name in taken:
+        name = f"{base}{k}"
+        k += 1
+    taken.add(name)
+    return name
+
+
 def _encode(name: str) -> str:
     out = []
     for ch in name:
@@ -163,16 +180,6 @@ class NameMangler:
             enc = "x" + enc
         return enc
 
-    def _unique(self, base: str, taken: set[str]) -> str:
-        if base not in taken:
-            taken.add(base)
-            return base
-        k = 0
-        while f"{base}{k}" in taken:
-            k += 1
-        taken.add(f"{base}{k}")
-        return f"{base}{k}"
-
     def symbol(self, kind: str, name: str) -> str:
         """kind distinguishes namespaces sharing one spelling: "const",
         "type", and minted kinds like "proxy" or "lifted"."""
@@ -183,11 +190,11 @@ class NameMangler:
                 base = "fn"  # the reserved arrow symbol, shared on purpose
                 self._symbols[key] = base
                 return base
-            self._symbols[key] = self._unique(base, self._taken_symbols)
+            self._symbols[key] = _unique(base, self._taken_symbols)
         return self._symbols[key]
 
     def axiom_name(self, source: str) -> str:
-        mangled = self._unique(self._candidate(source), self._taken_names)
+        mangled = _unique(self._candidate(source), self._taken_names)
         self.reverse[mangled] = source
         return mangled
 
@@ -207,15 +214,7 @@ class VarScope:
         base = re.sub(r"[^A-Za-z0-9_]", "", name)
         if not base or not base[0].isalpha():
             base = "V" + base
-        base = base[0].upper() + base[1:]
-        if base not in self.used:
-            self.used.add(base)
-            return base
-        k = 0
-        while f"{base}{k}" in self.used:
-            k += 1
-        self.used.add(f"{base}{k}")
-        return f"{base}{k}"
+        return _unique(base[0].upper() + base[1:], self.used)
 
     def tyvar(self, name: str) -> str:
         if name not in self.tyvars:
@@ -238,20 +237,20 @@ def flatten_type(ty: HolType, scope: VarScope, mangler: NameMangler) -> FofTerm:
 # ------------------------------------------------------------ lambda lifting
 
 
-def _formula_parts(t: HolTerm):
-    """Decompose one formula layer: ("bin", op, l, r), ("not", b),
-    ("quant", kind, abs_or_term, ty), ("iff", l, r) or None for atoms."""
-    if isinstance(t, App) and isinstance(t.fun, App) and isinstance(t.fun.fun, Const):
-        c = t.fun.fun
-        if c.name in ("&", "|", "=>"):
-            return ("bin", c.name, t.fun.arg, t.arg)
-        if c.name == "=" and c.inst and c.inst[0] == BOOL:
-            return ("iff", t.fun.arg, t.arg)
-    if isinstance(t, App) and isinstance(t.fun, Const):
-        if t.fun.name == "~":
-            return ("not", t.arg)
-        if t.fun.name in ("!", "?"):
-            return ("quant", t.fun.name, t.arg, t.fun.inst[0])
+def _connective(t: HolTerm) -> Const | None:
+    """The connective heading one formula layer, or None for an atom:
+    ``&``, ``|``, ``=>`` or ``=`` at bool applied to two operands, or
+    ``~``, ``!`` or ``?`` applied to one.  ``strip_comb`` gives the
+    operands."""
+    if not isinstance(t, App):
+        return None
+    if isinstance(t.fun, Const):
+        return t.fun if t.fun.name in ("~", "!", "?") else None
+    c = t.fun.fun if isinstance(t.fun, App) else None
+    if isinstance(c, Const) and (
+        c.name in ("&", "|", "=>") or c.name == "=" and c.inst and c.inst[0] == BOOL
+    ):
+        return c
     return None
 
 
@@ -259,19 +258,16 @@ def _map_atoms(t: HolTerm, atom: Callable[[HolTerm], HolTerm]) -> HolTerm:
     """Rebuild the connective and quantifier skeleton of a formula, passing
     each atom through ``atom``.  A quantifier applied to something other
     than an abstraction is an atom."""
-    parts = _formula_parts(t)
-    if parts is None:
+    c = _connective(t)
+    if c is None:
         return atom(t)
-    if parts[0] in ("bin", "iff"):
-        return App(
-            App(t.fun.fun, _map_atoms(t.fun.arg, atom)),
-            _map_atoms(t.arg, atom),
-        )
-    if parts[0] == "not":
-        return App(t.fun, _map_atoms(t.arg, atom))
-    if not isinstance(t.arg, Abs):
+    _, args = strip_comb(t)
+    if c.name not in ("!", "?"):
+        return list_mk_comb(c, [_map_atoms(a, atom) for a in args])
+    (body,) = args
+    if not isinstance(body, Abs):
         return atom(t)
-    return App(t.fun, Abs(t.arg.var, _map_atoms(t.arg.body, atom)))
+    return App(c, Abs(body.var, _map_atoms(body.body, atom)))
 
 
 def lambda_lift(t: HolTerm, state: "TranslationState") -> HolTerm:
@@ -299,29 +295,21 @@ def lambda_lift(t: HolTerm, state: "TranslationState") -> HolTerm:
         captured = free_vars(lifted)
         key = (alpha_key(lifted), tuple((v.name, v.ty) for v in captured))
         name = state.lam_cache.get(key)
-        if name is None:
-            chain_ty = type_of(lifted, state.sig)
-            for v in reversed(captured):
-                chain_ty = TyApp("fun", (v.ty, chain_ty))
-            tyvars = tuple(v.name for v in ty_vars(chain_ty))
-            name = state.fresh_const_name("lam")
-            state.sig.declare_const(name, tyvars, chain_ty)
+        new = name is None
+        if new:
+            chain_ty = mk_fun_chain([v.ty for v in captured], type_of(lifted, state.sig))
+            # Lifted constants are lam1, lam2, ...: the bare base counts as taken.
+            name = _unique("lam", {"lam", *state.sig.consts}, 1)
+            state.sig.declare_const(name, tuple(v.name for v in ty_vars(chain_ty)), chain_ty)
             state.arity[name] = len(captured)
             state.symbol_kind[name] = "lifted"
             state.lam_cache[key] = name
-            head_ax: HolTerm = Const(name, tuple(TyVar(a) for a in tyvars))
-            for v in captured:
-                head_ax = App(head_ax, v)
+        inst = tuple(TyVar(a) for a in state.sig.const_decl(name).tyvars)
+        head = mk_const_app(name, inst, captured)
+        if new:
             x = lifted.var
-            axiom = mk_foralls(
-                captured + [x],
-                mk_eq(App(head_ax, x), body, type_of(body, state.sig)),
-            )
-            state.pending_defs.append((name, axiom))
-        decl = state.sig.const_decl(name)
-        head: HolTerm = Const(name, tuple(TyVar(a) for a in decl.tyvars))
-        for v in captured:
-            head = App(head, v)
+            eq = mk_eq(App(head, x), body, type_of(body, state.sig))
+            state.pending_defs.append((name, mk_foralls(captured + [x], eq)))
         return head
 
     return formula(t)
@@ -347,15 +335,6 @@ def remove_bool_args(t: HolTerm, sig: Signature) -> HolTerm:
             names(t.body)
 
     names(t)
-    counter = [0]
-
-    def fresh_bool() -> Var:
-        while True:
-            name = f"B{counter[0]}" if counter[0] else "B"
-            counter[0] += 1
-            if name not in taken:
-                taken.add(name)
-                return Var(name, BOOL)
 
     def formula(t: HolTerm) -> HolTerm:
         return _map_atoms(t, atom)
@@ -374,7 +353,7 @@ def remove_bool_args(t: HolTerm, sig: Signature) -> HolTerm:
             # through their proxy, whose bridge axiom ties them back to
             # the formula world.  Everything else is pulled out.
             if not isinstance(arg, (Var, Const)) and type_of(arg, sig) == BOOL:
-                b = fresh_bool()
+                b = Var(_unique("B", taken, 1), BOOL)
                 extracted.append((b, arg))
                 return App(fun, b)
             return App(fun, scan(arg))
@@ -403,14 +382,6 @@ class TranslationState:
     pending_defs: list[tuple[str, HolTerm]] = field(default_factory=list)
     pending_proxy_axioms: list[tuple[str, HolTerm]] = field(default_factory=list)
     lam_cache: dict[object, str] = field(default_factory=dict)
-    _fresh: dict[str, int] = field(default_factory=dict)
-
-    def fresh_const_name(self, base: str) -> str:
-        k = self._fresh.get(base, 0) + 1
-        while self.sig.has_const(f"{base}{k}"):
-            k += 1
-        self._fresh[base] = k
-        return f"{base}{k}"
 
     def const_arity(self, name: str) -> int:
         if name not in self.arity:
@@ -444,12 +415,8 @@ class TranslationState:
             inst = tuple(TyVar(a) for a in decl.tyvars)
             args, res = strip_fun(decl.ty)
             xs = [Var(f"X{i}", a) for i, a in enumerate(args)]
-            lhs: HolTerm = Const(pname, inst)
-            rhs: HolTerm = Const(name, inst)
-            for x in xs:
-                lhs = App(lhs, x)
-                rhs = App(rhs, x)
-            axiom = mk_foralls(xs, mk_eq(lhs, rhs, res))
+            lhs = mk_const_app(pname, inst, xs)
+            axiom = mk_foralls(xs, mk_eq(lhs, mk_const_app(name, inst, xs), res))
             self.pending_proxy_axioms.append((pname, axiom))
         return self.proxies[name]
 
@@ -479,29 +446,16 @@ class _Translator:
         flat = flatten_type(ty, self.scope, self.state.mangler)
         return FofApp("s", (flat, t))
 
-    def _chain(self, t: HolTerm) -> tuple[HolTerm, list[HolTerm], list[HolTerm]]:
-        args: list[HolTerm] = []
-        spine: list[HolTerm] = []
-        while isinstance(t, App):
-            args.append(t.arg)
-            spine.append(t)
-            t = t.fun
-        args.reverse()
-        spine.reverse()
-        return t, args, spine
-
     def term(self, t: HolTerm, env: Mapping[Var, str]) -> FofTerm:
         """t encoded and tagged with its type."""
-        sig = self.state.sig
         if isinstance(t, Var):
             return self._wrap(t.ty, FofVar(env[t]))
-        if isinstance(t, Abs):
-            raise TranslateError("abstraction survived lambda lifting")
-        head, args, spine = self._chain(t) if isinstance(t, App) else (t, [], [])
+        head, args = strip_comb(t) if isinstance(t, App) else (t, ())
         if isinstance(head, Abs):
             raise TranslateError("abstraction survived lambda lifting")
         # The head consumes the first `done` arguments, the rest go
-        # through ``ap`` one at a time.
+        # through ``ap`` one at a time; each argument consumed peels one
+        # arrow off the head's instance type.
         done = 0
         if isinstance(head, Var):
             out: FofTerm = FofVar(env[head])
@@ -509,59 +463,52 @@ class _Translator:
         else:
             name = head.name
             k = self.state.const_arity(name)
+            ty = self.state.sig.const_type(head)
             # A predicate's saturated form is a formula; terms use its proxy.
             if not self.state.is_pred(name) and len(args) >= k:
-                out = FofApp(
-                    self.state.symbol(name),
-                    tuple(self.term(a, env) for a in args[:k]),
-                )
-                ty = type_of(spine[k - 1] if k else head, sig)
+                sym = self.state.symbol(name)
+                out = FofApp(sym, tuple(self.term(a, env) for a in args[:k]))
+                ty = _strip_arrows(ty, k)
                 done = k
             else:
                 out = FofApp(self.state.symbol(self.state.proxy_for(name)))
-                ty = sig.const_type(head)
         out = self._wrap(ty, out)
-        for i in range(done, len(args)):
-            out = FofApp("ap", (out, self.term(args[i], env)))
-            out = self._wrap(type_of(spine[i], sig), out)
+        for a in args[done:]:
+            _, ty = dest_fun(ty)
+            out = self._wrap(ty, FofApp("ap", (out, self.term(a, env))))
         return out
 
     def formula(self, t: HolTerm, env: Mapping[Var, str]) -> FofFormula:
-        parts = _formula_parts(t)
-        if parts is not None:
-            if parts[0] == "bin":
-                _, op, l, r = parts
-                return BinOp(op, self.formula(l, env), self.formula(r, env))
-            if parts[0] == "iff":
-                _, l, r = parts
-                return BinOp("<=>", self.formula(l, env), self.formula(r, env))
-            if parts[0] == "not":
-                return Not(self.formula(parts[1], env))
-            _, kind, body, ty = parts
-            if not isinstance(body, Abs):
-                # Eta-expand a point-free quantifier application.
-                v = Var("Q", ty)
-                while v.name in {x.name for x in free_vars(body)}:
-                    v = Var(v.name + "0", ty)
-                body = Abs(v, App(body, v))
-            name = self.scope.term_var(body.var)
-            inner = self.formula(body.body, {**env, body.var: name})
-            return Quant(kind, (name,), inner)
-        # Equality over non-boolean types is the remaining binary atom.
-        eq = dest_binop(t, "=")
-        if eq is not None:
-            return Eq(self.term(eq[0], env), self.term(eq[1], env))
-        head, args, _ = self._chain(t) if isinstance(t, App) else (t, [], [])
-        if (
-            isinstance(head, Const)
-            and head.name not in _CONNECTIVES
-            and self.state.is_pred(head.name)
-            and len(args) == self.state.const_arity(head.name)
-        ):
-            return Pred(
-                self.state.symbol(head.name),
-                tuple(self.term(a, env) for a in args),
-            )
+        c = _connective(t)
+        head, args = strip_comb(t)
+        if c is not None:
+            if c.name == "~":
+                return Not(self.formula(args[0], env))
+            if c.name in ("!", "?"):
+                (body,) = args
+                if not isinstance(body, Abs):
+                    # Eta-expand a point-free quantifier application.
+                    taken = {x.name for x in free_vars(body)}
+                    v = Var("Q", c.inst[0])
+                    while v.name in taken:
+                        v = Var(v.name + "0", v.ty)
+                    body = Abs(v, App(body, v))
+                name = self.scope.term_var(body.var)
+                inner = self.formula(body.body, {**env, body.var: name})
+                return Quant(c.name, (name,), inner)
+            op = "<=>" if c.name == "=" else c.name
+            return BinOp(op, self.formula(args[0], env), self.formula(args[1], env))
+        if isinstance(head, Const):
+            # Equality over non-boolean types is the remaining binary atom.
+            if head.name == "=" and len(args) == 2:
+                return Eq(self.term(args[0], env), self.term(args[1], env))
+            if (
+                head.name not in _CONNECTIVES
+                and self.state.is_pred(head.name)
+                and len(args) == self.state.const_arity(head.name)
+            ):
+                sym = self.state.symbol(head.name)
+                return Pred(sym, tuple(self.term(a, env) for a in args))
         return Pred("bool", (self.term(t, env),))
 
     def statement(self, t: HolTerm) -> FofFormula:

@@ -73,6 +73,7 @@ from .tptp import (
 )
 
 DEFAULT_TIMEOUT = 30.0
+DEFAULT_PREMISES = 96
 DEFAULT_K = 40
 
 # Extra seconds the process gets beyond its own soft limit before the
@@ -119,7 +120,7 @@ class ProverConfig:
     name: str
     executable: str
     args: tuple[str, ...]
-    n_premises: int = 96
+    n_premises: int = DEFAULT_PREMISES
     timeout: float = DEFAULT_TIMEOUT
 
     def __post_init__(self) -> None:
@@ -167,10 +168,13 @@ def _env_executable(name: str) -> str | None:
 
 def _prover(name: str, keys: Mapping[str, str]) -> ProverConfig:
     """The one way a prover is built: from its name and the keys of its
-    config section (executable, args, n_premises, timeout).  The
-    HAMMER_PROVER_<NAME> environment variable overrides the executable,
-    ``args`` is split as a shell would, and the premise budget defaults
-    to 96."""
+    config section (executable, args, n_premises, timeout; any other key
+    is an error).  The HAMMER_PROVER_<NAME> environment variable overrides
+    the executable, ``args`` is split as a shell would, and the premise
+    budget defaults to DEFAULT_PREMISES."""
+    for key in keys:
+        if key not in ("executable", "args", "n_premises", "timeout"):
+            raise ValueError(f"prover {name!r}: unknown key {key!r}")
     executable = _env_executable(name) or keys.get("executable")
     if not executable:
         raise ValueError(f"prover {name!r}: no executable given")
@@ -180,7 +184,7 @@ def _prover(name: str, keys: Mapping[str, str]) -> ProverConfig:
         name,
         executable,
         tuple(shlex.split(keys["args"])),
-        int(keys.get("n_premises", 96)),
+        int(keys.get("n_premises", DEFAULT_PREMISES)),
         float(keys.get("timeout", DEFAULT_TIMEOUT)),
     )
 
@@ -192,10 +196,10 @@ def builtin_config(name: str, timeout: float = DEFAULT_TIMEOUT) -> ProverConfig:
     return _prover(name, {**_STOCK[name], "timeout": str(timeout)})
 
 
-def default_provers(timeout: float = DEFAULT_TIMEOUT) -> list[ProverConfig]:
+def default_provers() -> list[ProverConfig]:
     """The bundled prover plus whichever well-known ones are installed."""
     return [
-        builtin_config(name, timeout)
+        builtin_config(name)
         for name, keys in _STOCK.items()
         if name == "microres" or _env_executable(name) or shutil.which(keys["executable"])
     ]
@@ -204,9 +208,10 @@ def default_provers(timeout: float = DEFAULT_TIMEOUT) -> list[ProverConfig]:
 def load_prover_configs(path: str | Path) -> list[ProverConfig]:
     """Prover configs from a plain-text key-value file.
 
-    One section per prover; keys executable, args, n_premises, timeout.
-    Known prover names inherit their stock values for missing keys.
-    Values are taken as written: ``%`` is an ordinary character.
+    One section per prover; keys executable, args, n_premises, timeout,
+    and no others, ``[DEFAULT]``'s included.  Known prover names inherit
+    their stock values for missing keys.  Values are taken as written:
+    ``%`` is an ordinary character.
     """
     parser = ConfigParser(interpolation=None)
     try:

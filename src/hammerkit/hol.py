@@ -303,12 +303,8 @@ def _tm(t: HolTerm, lvl: int) -> str:
             right = own + 1 if op == "=" else own
             s = f"{_tm(b[0], own + 1)} {op} {_tm(b[1], right)}"
             return f"({s})" if lvl > own else s
-    parts = []
-    while isinstance(t, App):
-        parts.append(t.arg)
-        t = t.fun
-    parts.append(t)
-    s = " ".join(_tm(p, _LVL_ATOM) for p in reversed(parts))
+    head, args = strip_comb(t)
+    s = " ".join(_tm(p, _LVL_ATOM) for p in [head, *args])
     return f"({s})" if lvl > _LVL_APP else s
 
 
@@ -350,11 +346,8 @@ def _rename_apart(t: HolTerm) -> HolTerm:
             return App(walk(t.fun, taken), walk(t.arg, taken))
         v, body = t.var, t.body
         if v.name in taken:
-            fresh = v.name + "'"
-            while fresh in names:
-                fresh += "'"
-            names.add(fresh)
-            v2 = Var(fresh, v.ty)
+            v2 = _rename_avoiding(v, names)
+            names.add(v2.name)
             body = subst(body, v, v2)
             v = v2
         return Abs(v, walk(body, taken | {v.name}))
@@ -534,11 +527,15 @@ def alpha_key(t: HolTerm):
 # ----------------------------------------------------- formula constructors
 
 
-def mk_const_app(name: str, inst: tuple[HolType, ...], args: Iterable[HolTerm]) -> HolTerm:
-    t: HolTerm = Const(name, inst)
+def list_mk_comb(head: HolTerm, args: Iterable[HolTerm]) -> HolTerm:
+    """``head`` applied to ``args``, first to last; undoes ``strip_comb``."""
     for a in args:
-        t = App(t, a)
-    return t
+        head = App(head, a)
+    return head
+
+
+def mk_const_app(name: str, inst: tuple[HolType, ...], args: Iterable[HolTerm]) -> HolTerm:
+    return list_mk_comb(Const(name, inst), args)
 
 
 def mk_eq(lhs: HolTerm, rhs: HolTerm, ty: HolType) -> HolTerm:
@@ -587,6 +584,16 @@ def strip_binders(t: HolTerm, name: str) -> tuple[list[Var], HolTerm]:
         vs.append(d[0])
         t = d[1]
     return vs, t
+
+
+def strip_comb(t: HolTerm) -> tuple[HolTerm, list[HolTerm]]:
+    """The head of an application chain and its arguments, first to last."""
+    args = []
+    while isinstance(t, App):
+        args.append(t.arg)
+        t = t.fun
+    args.reverse()
+    return t, args
 
 
 def dest_binop(t: HolTerm, name: str) -> tuple[HolTerm, HolTerm] | None:

@@ -635,9 +635,12 @@ def saturate(
 
 # ------------------------------------------------------------------ driving
 
+# Kept clauses after which the search gives up, unless told otherwise.
+MAX_CLAUSES = 100000
+
 
 def prove(
-    problem: FofProblem, timeout: float | None = None, max_clauses: int = 100000
+    problem: FofProblem, timeout: float | None = None, max_clauses: int = MAX_CLAUSES
 ) -> tuple[str, Result]:
     """Run the prover on a parsed problem; returns the SZS-formatted
     output text and the raw result.  The timeout covers clausification
@@ -675,7 +678,7 @@ def prove(
 _ARGS = argparse.ArgumentParser(prog="hammer-microres", description="small resolution prover")
 _ARGS.add_argument("file", help="TPTP problem file, or - for stdin")
 _ARGS.add_argument("--timeout", type=float, default=30.0, help="seconds")
-_ARGS.add_argument("--max-clauses", type=int, default=100000)
+_ARGS.add_argument("--max-clauses", type=int, default=MAX_CLAUSES)
 
 
 def main(argv: list[str] | None = None) -> int:

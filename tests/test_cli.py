@@ -473,6 +473,17 @@ def test_percent_in_a_prover_config_is_an_ordinary_character(tmp_path, capsys):
     assert "proved by sh (Theorem)" in out
 
 
+def test_unknown_prover_config_key_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "provers.cfg"
+    config.write_text("[microres]\nn_premise = 8\ntimout = 1\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, "advise", "--goal", "ADD 0 0 = 0", "--prover-config", str(config)
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: prover 'microres': unknown key 'n_premise'\n"
+
+
 def test_budget_must_name_active_prover(corpus_dir, capsys):
     code, _, err = run(
         capsys,

@@ -1,12 +1,14 @@
 """First-order encoding: tags, lambda lifting, boolean cleanup, linting."""
 
+import hashlib
 import random
+from functools import reduce
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from hammerkit.corpus import load_corpus
+from hammerkit.corpus import Role, load_corpus, parse_tt
 from hammerkit.fof import (
     NameMangler,
     TranslateError,
@@ -18,13 +20,26 @@ from hammerkit.hol import (
     Abs,
     App,
     Const,
+    Signature,
+    TyApp,
+    TyVar,
     Var,
+    mk_const_app,
     mk_eq,
     mk_forall,
+    mk_foralls,
     mk_fun,
+    mk_fun_chain,
 )
 from hammerkit.tptp import parse_problem, print_problem
-from .helpers import LIST_NAT, NAT, check_problem, random_closed_formula, toy_sig
+from .helpers import (
+    CONNECTIVES_AS_CONSTANTS,
+    LIST_NAT,
+    NAT,
+    check_problem,
+    random_closed_formula,
+    toy_sig,
+)
 
 ZERO = Const("0")
 SUC = Const("SUC")
@@ -155,9 +170,71 @@ def test_partially_applied_predicate_gets_proxy_and_bridge():
     p = translate_goal(goal)
     text = text_of(p)
     assert "lE_p_ax" in p.helpers
+    # The proxy and HD past its arity each take an argument through ap.
+    assert (
+        "fof(goal, conjecture, bool(s(bool0,ap(s(fn(nat,bool0),hD(s(list(fn(nat,bool0)),"
+        "cONS(s(fn(nat,bool0),ap(s(fn(nat,fn(nat,bool0)),lE_p),s(nat,x0))),"
+        "s(list(fn(nat,bool0)),nIL))))),s(nat,x0)))))." in text
+    )
     # The bridge relates the proxy applied through ap to the predicate.
     assert "<=> lE(s(nat,X0),s(nat,X1))" in text
     # Every first-order invariant still holds on the mixed problem.
+    check_problem(p)
+
+
+# ------------------------------------------------------- application chains
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_long_chain_under_a_bound_function_variable_is_pinned():
+    xs = [Var(f"x{i}", NAT) for i in range(1, 41)]
+    f = Var("f", mk_fun_chain([NAT] * 40, NAT))
+    goal = mk_foralls([f, *xs], mk_eq(reduce(App, xs, f), ZERO, NAT))
+    p = translate_goal(goal)
+    text = text_of(p)
+    # One ap per argument, each tagged with the type left after it.
+    assert text.count("ap(") == 40
+    assert "s(fn(nat,nat),ap(s(fn(nat,fn(nat,nat)),ap(" in text
+    assert ",s(nat,X39))),s(nat,X40))) = s(nat,x0))." in text
+    assert sha256(text) == "e6ac5c5fb3fdda5abaccd5f60a9c4859b3893b01087661d1411c8556d8272339"
+    check_problem(p)
+
+
+def test_polymorphic_constant_applied_past_its_arity_is_pinned():
+    a = TyVar("A")
+    fn_ty = mk_fun_chain([NAT, a], NAT)
+    lst = Var("l", TyApp("list", (fn_ty,)))
+    x = Var("a", a)
+    # HD : list A > A takes one argument; the other two go through ap.
+    goal = mk_foralls(
+        [lst, x], mk_eq(mk_const_app("HD", (fn_ty,), [lst, ZERO, x]), ZERO, NAT)
+    )
+    assert text_of(translate_goal(goal)) == (
+        "fof(goal, conjecture, ! [A] : ! [L] : ! [A0] : "
+        "s(nat,ap(s(fn(A,nat),ap(s(fn(nat,fn(A,nat)),"
+        "hD(s(list(fn(nat,fn(A,nat))),L))),s(nat,x0))),s(A,A0))) = s(nat,x0)).\n"
+    )
+
+
+def test_connectives_as_constants_translate_as_pinned():
+    # Point-free quantifiers are eta-expanded; connectives used as
+    # constants go through proxies with bridge axioms.
+    sig = Signature()
+    entries = parse_tt(CONNECTIVES_AS_CONSTANTS, sig)
+    theorems = [(e.name, e.formula) for e in entries if e.role is Role.THEOREM]
+    p = translate_problem(theorems[:-1], theorems[-1], sig)
+    text = text_of(p)
+    assert "fof(x7, conjecture, (! [Q] : s0(s(nat,Q)) | ? [Q0] : s0(s(nat,Q0))))." in text
+    assert "| ? [Q] : s(nat,x0) = s(nat,Q)))." in text
+    assert "s(fn(bool0,fn(bool0,bool0)),'x%3d%3e_p')" in text
+    assert "fof('x%257c_p_ax', axiom, " in text
+    assert sorted(p.helpers) == [
+        "lam1_def", "x%2526_p_ax", "x%253d%253e_p_ax", "x%253d_p_ax", "x%257c_p_ax"
+    ]
+    assert sha256(text) == "174ee67d38e9b0089f4514ec1452cb3f6bb43fb5a23dd3a50462fe3a242d5db5"
     check_problem(p)
 
 

@@ -150,6 +150,22 @@ def test_load_prover_configs_requires_executable(tmp_path):
         load_prover_configs(path)
 
 
+@pytest.mark.parametrize(
+    "text, section, key",
+    [
+        ("[microres]\nn_premise = 8\ntimout = 1\n", "'microres'", "'n_premise'"),
+        ("[DEFAULT]\ntimout = 1\n[microres]\nn_premises = 8\n", "'microres'", "'timout'"),
+    ],
+    ids=["section", "default"],
+)
+def test_load_prover_configs_rejects_unknown_keys(tmp_path, text, section, key):
+    path = tmp_path / "provers.cfg"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_prover_configs(path)
+    assert section in str(err.value) and key in str(err.value)
+
+
 def test_load_prover_configs_rejects_empty(tmp_path):
     path = tmp_path / "provers.cfg"
     path.write_text("", encoding="utf-8")

@@ -1,5 +1,7 @@
 """No module of the package or of its tests imports a name it never uses,
-and every module of the package is reachable from the command line."""
+every module of the package is reachable from the command line, and every
+module-level function and class is named by package code other than its
+own definition."""
 
 import ast
 from pathlib import Path
@@ -73,3 +75,32 @@ def test_every_module_is_imported_from_the_cli():
         package = name.rpartition(".")[0]
         todo.extend(m for m in {package, *_imported_modules(modules[name])} if m in modules)
     assert sorted(set(modules) - reached) == []
+
+
+def _definitions_and_references(path):
+    """The module-level functions and classes ``path`` defines, and the
+    names it reads as a ``Name`` or an attribute, each statement's own
+    name left out of what that statement reads."""
+    defined, read = [], set()
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        names = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(stmt)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        }
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append(stmt.name)
+            names.discard(stmt.name)
+        read |= names
+    return defined, read
+
+
+def test_every_function_and_class_is_referenced_from_the_package():
+    # A definition that only its own body or the tests name is code
+    # nothing runs.
+    defined, read = [], set()
+    for path in sorted((SRC / "hammerkit").rglob("*.py")):
+        names, refs = _definitions_and_references(path)
+        defined += [f"{path.relative_to(ROOT)}: {name}" for name in names]
+        read |= refs
+    assert [d for d in defined if d.rpartition(" ")[2] not in read] == []
