@@ -72,7 +72,7 @@ from .tptp import (
     print_problem,
 )
 
-DEFAULT_TIMEOUT = 30.0
+DEFAULT_TIMEOUT = microres.DEFAULT_TIMEOUT
 DEFAULT_PREMISES = 96
 DEFAULT_K = 40
 

@@ -10,13 +10,18 @@ system, but complete enough for modest problems and it reports verdicts
 and derivations in the same SZS dialect the big provers use, so the rest
 of the pipeline treats it uniformly.
 
-The search does each job once.  Normal forms are memoized together with
-the rules that reach them; the memo holds only while the rules stay the
-same, so it starts afresh whenever a rule is registered (and when it
-grows past ``_MEMO_LIMIT`` terms).  A clause is in normal form when it
-is pushed, so when it is selected it is re-demodulated only if a rule
-other than its own arrived after it.  An active clause's renamed copy
-and paramodulation sides are worked out on its first use as a partner.
+The search does each job once.  A conclusion comes out of
+``_inferences`` with its unifier unapplied, and one walk, ``_instance``,
+applies the unifier, renames the variables canonically, drops duplicate
+literals and weighs the clause; it is built again only if demodulation
+changes it.  Normal forms are memoized together with the rules that
+reach them; the memo holds only while the rules stay the same, so it
+starts afresh whenever a rule is registered (and when it grows past
+``_MEMO_LIMIT`` terms).  A clause is in normal form when it is pushed,
+so when it is selected it is re-demodulated only if a rule other than
+its own arrived after it.  The given clause takes part in inferences as
+it is; an active clause's renamed copy and paramodulation sides are
+worked out on its first use as a partner.
 
 Terms are tuples: ("v", name) or ("f", sym, args).  A literal is
 (positive, predicate, args); equality is the predicate "=".  A clause is
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import heapq
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -150,22 +156,53 @@ class _Clausifier:
 # --------------------------------------------------------------- clause ops
 
 
-def _canon(lits: list[Literal]) -> Clause:
-    """Deduplicate and rename variables to v0.. in order of appearance,
-    giving a structural identity for duplicate detection."""
-    seen: dict[str, Term] = {}
+# The canonical variables, built once: a clause's n-th variable in order
+# of appearance is _VARS[n], past the table a fresh ("v", "vn").
+_VARS = tuple(("v", f"v{n}") for n in range(32))
 
-    def walk(t: Term) -> Term:
+
+def _instance(lits: Iterable[Literal], s: dict) -> tuple[Clause, int]:
+    """The clause of ``lits`` under the substitution ``s``, in canonical
+    form, and its weight, in one walk: bindings applied, variables
+    renamed v0, v1, ... in order of appearance, duplicate literals
+    dropped.  The canonical form is the clause's identity for duplicate
+    detection; the weight counts each literal and each symbol and
+    variable occurrence once."""
+    # variable -> its instance and the instance's weight
+    names: dict[str, tuple[Term, int]] = {}
+    fresh = 0
+
+    def walk(t: Term) -> tuple[Term, int]:
+        nonlocal fresh
         if t[0] == "v":
-            if t[1] not in seen:
-                seen[t[1]] = ("v", f"v{len(seen)}")
-            return seen[t[1]]
-        return ("f", t[1], tuple(walk(a) for a in t[2]))
+            hit = names.get(t[1])
+            if hit is None:
+                bound = s.get(t[1])
+                if bound is None:
+                    hit = (_VARS[fresh] if fresh < len(_VARS) else ("v", f"v{fresh}"), 1)
+                    fresh += 1
+                else:
+                    hit = walk(bound)
+                names[t[1]] = hit
+            return hit
+        weight = 1
+        args = []
+        for a in t[2]:
+            na, wa = walk(a)
+            args.append(na)
+            weight += wa
+        return ("f", t[1], tuple(args)), weight
 
-    out = []
-    for pos, p, args in dict.fromkeys(lits):
-        out.append((pos, p, tuple(walk(a) for a in args)))
-    return tuple(dict.fromkeys(out))
+    out: dict[Literal, None] = {}
+    total = 0
+    for pos, p, args in lits:
+        # A literal weighs what a term of its predicate would.
+        (_, _, nargs), weight = walk(("f", p, args))
+        lit = (pos, p, nargs)
+        if lit not in out:
+            out[lit] = None
+            total += weight
+    return tuple(out), total
 
 
 def _rename(c: Clause, tag: str) -> Clause:
@@ -227,10 +264,6 @@ def apply_subst(t: Term, s: dict) -> Term:
     return ("f", t[1], tuple(apply_subst(a, s) for a in t[2]))
 
 
-def _apply_clause(lits, s) -> list[Literal]:
-    return [(pos, p, tuple(apply_subst(a, s) for a in args)) for pos, p, args in lits]
-
-
 def _match(pat: Term, t: Term, s: dict) -> dict | None:
     """One-way matching: ``s`` extended so that ``pat`` under it is
     ``t``, or None.  Variables of ``t`` are constants here.  Subsumption
@@ -288,10 +321,6 @@ def _term_weight(t: Term) -> int:
     if t[0] == "v":
         return 1
     return 1 + sum(_term_weight(a) for a in t[2])
-
-
-def _weight(c: Clause) -> int:
-    return sum(1 + sum(_term_weight(a) for a in args) for _, _, args in c)
 
 
 def _var_counts(t: Term, out: dict[str, int]) -> None:
@@ -481,47 +510,54 @@ class Result:
 
 
 def _inferences(
-    given_r: Clause, gi: int, active: list[int], entries: list[_Entry]
-) -> Iterator[tuple[list[Literal], tuple[int, ...]]]:
-    """Every conclusion of the given clause (renamed apart as given_r),
-    as (literals, parent indices), in a fixed order: factoring, equality
-    resolution, then for each active clause and a fresh copy of the given
-    clause itself, resolution, paramodulation from the given clause into
-    the partner and from the partner into the given clause."""
-    given_sides = _paramod_sides(given_r)
-    for i, (pi, pp, pa) in enumerate(given_r):
-        for j in range(i + 1, len(given_r)):
-            qi, qp, qa = given_r[j]
+    given: Clause, gi: int, active: list[int], entries: list[_Entry]
+) -> Iterator[tuple[list[Literal], dict, tuple[int, ...]]]:
+    """Every conclusion of the given clause, as (literals, unifier,
+    parent indices) with the unifier not yet applied, in a fixed order:
+    factoring, equality resolution, then for each active clause and a
+    fresh copy of the given clause itself, resolution, paramodulation
+    from the given clause into the partner and from the partner into the
+    given clause.  The given clause's canonical variables never clash
+    with a partner's, which are renamed apart."""
+    given_sides = _paramod_sides(given)
+    for i, (pi, pp, pa) in enumerate(given):
+        for j in range(i + 1, len(given)):
+            qi, qp, qa = given[j]
             if pi == qi and pp == qp and len(pa) == len(qa):
                 s = _unify_args(pa, qa, {})
                 if s is not None:
-                    yield _apply_clause([l for k, l in enumerate(given_r) if k != j], s), (gi,)
-    for i, (pi, pp, pa) in enumerate(given_r):
+                    yield [l for k, l in enumerate(given) if k != j], s, (gi,)
+    for i, (pi, pp, pa) in enumerate(given):
         if not pi and pp == "=":
             s = unify(pa[0], pa[1], {})
             if s is not None:
-                yield _apply_clause([l for k, l in enumerate(given_r) if k != i], s), (gi,)
+                yield [l for k, l in enumerate(given) if k != i], s, (gi,)
     for ai in active + [gi]:
         other, other_sides = entries[ai].partner
-        for i, (pi, pp, pa) in enumerate(given_r):
+        for i, (pi, pp, pa) in enumerate(given):
             for j, (qi, qp, qa) in enumerate(other):
                 if pi != qi and pp == qp and len(pa) == len(qa):
                     s = _unify_args(pa, qa, {})
                     if s is not None:
-                        lits = [l for k, l in enumerate(given_r) if k != i]
+                        lits = [l for k, l in enumerate(given) if k != i]
                         lits += [l for k, l in enumerate(other) if k != j]
-                        yield _apply_clause(lits, s), (gi, ai)
-        for sides, si, dst, di in ((given_sides, gi, other, ai), (other_sides, ai, given_r, gi)):
+                        yield lits, s, (gi, ai)
+        for sides, si, dst, di in ((given_sides, gi, other, ai), (other_sides, ai, given, gi)):
             for rest, l, r in sides:
+                # No side is a variable, so a subterm under another head
+                # symbol or arity cannot unify with it.
+                head, arity = l[1], len(l[2])
                 for lj, (qpos, qp, qargs) in enumerate(dst):
                     for aj, arg in enumerate(qargs):
                         for path, sub in _positions(arg):
+                            if sub[1] != head or len(sub[2]) != arity:
+                                continue
                             s = unify(l, sub, {})
                             if s is None:
                                 continue
                             new_args = qargs[:aj] + (_replace(arg, path, r),) + qargs[aj + 1 :]
                             lits = rest + [x for k, x in enumerate(dst) if k != lj]
-                            yield _apply_clause(lits + [(qpos, qp, new_args)], s), (si, di)
+                            yield lits + [(qpos, qp, new_args)], s, (si, di)
 
 
 def saturate(
@@ -537,23 +573,29 @@ def saturate(
     demods: list[tuple[int, Term, Term]] = []
     normal_forms: dict[Term, tuple[Term, frozenset[int]]] = {}
 
-    def push(lits: list[Literal], parents: tuple[int, ...], source: str | None) -> bool:
+    def push(
+        lits: Iterable[Literal], s: dict, parents: tuple[int, ...], source: str | None
+    ) -> bool:
+        """Keep the clause of ``lits`` under ``s``, in normal form, unless
+        it is a tautology or kept already; True for the empty clause."""
         if len(normal_forms) > _MEMO_LIMIT:
             normal_forms.clear()
+        c, weight = _instance(lits, s)
         used: set[int] = set()
-        lits = _demodulate(lits, demods, normal_forms, used)
+        lits = _demodulate(c, demods, normal_forms, used)
         # Literals refuting themselves contribute nothing.
         lits = [
             l for l in lits if l[0] or l[1] != "=" or l[2][0] != l[2][1]
         ]
+        if used or len(lits) < len(c):
+            c, weight = _instance(lits, {})
         if used:
             parents = parents + tuple(sorted(used))
-        c = _canon(lits)
         if c in seen or _is_tautology(c):
             return False
         seen.add(c)
         idx = len(entries)
-        heapq.heappush(by_weight, (_weight(c), idx))
+        heapq.heappush(by_weight, (weight, idx))
         heapq.heappush(by_age, (idx, idx))
         if len(c) == 1 and c[0][0] and c[0][1] == "=":
             # Renamed apart so rule variables never collide with the
@@ -566,7 +608,7 @@ def saturate(
         return not c  # empty clause
 
     for c, src in inputs:
-        if push(list(c), (), src):
+        if push(c, {}, (), src):
             break
 
     processed: set[int] = set()
@@ -600,12 +642,12 @@ def saturate(
             used_d: set[int] = set()
             renorm = _demodulate(given, [d for d in demods if d[0] != gi], {}, used_d)
             if used_d:
-                push(renorm, (gi,) + tuple(sorted(used_d)), None)
+                push(renorm, {}, (gi,) + tuple(sorted(used_d)), None)
                 continue
         if any(subsumes(entries[a].clause, given) for a in active):
             continue
-        for lits, parents in _inferences(_rename(given, "g"), gi, active, entries):
-            if push(lits, parents, None):
+        for lits, s, parents in _inferences(given, gi, active, entries):
+            if push(lits, s, parents, None):
                 break
         else:
             active.append(gi)
@@ -635,8 +677,10 @@ def saturate(
 
 # ------------------------------------------------------------------ driving
 
-# Kept clauses after which the search gives up, unless told otherwise.
+# Kept clauses after which the search gives up, and seconds the
+# command line allows, unless told otherwise.
 MAX_CLAUSES = 100000
+DEFAULT_TIMEOUT = 30.0
 
 
 def prove(
@@ -654,7 +698,7 @@ def prove(
         for name, f, negate in formulas:
             for lits in cl.clauses(f, negate):
                 cl.check_clock()
-                inputs.append((_canon(lits), name))
+                inputs.append((lits, name))
     except _OutOfTime:
         res = Result("Timeout", [], 0)
     else:
@@ -674,11 +718,34 @@ def prove(
     return "\n".join(lines) + "\n", res
 
 
+def _seconds(text: str) -> float:
+    """A --timeout value: a positive finite number, as a prover config's
+    timeout must be."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not (x > 0 and math.isfinite(x)):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, not {text!r}")
+    return x
+
+
+def _clause_cap(text: str) -> int:
+    """A --max-clauses value: an integer of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, not {text!r}")
+    return n
+
+
 # Built once: a worker answers every call with it.
 _ARGS = argparse.ArgumentParser(prog="hammer-microres", description="small resolution prover")
 _ARGS.add_argument("file", help="TPTP problem file, or - for stdin")
-_ARGS.add_argument("--timeout", type=float, default=30.0, help="seconds")
-_ARGS.add_argument("--max-clauses", type=int, default=MAX_CLAUSES)
+_ARGS.add_argument("--timeout", type=_seconds, default=DEFAULT_TIMEOUT, help="seconds")
+_ARGS.add_argument("--max-clauses", type=_clause_cap, default=MAX_CLAUSES)
 
 
 def main(argv: list[str] | None = None) -> int:

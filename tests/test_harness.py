@@ -507,6 +507,21 @@ def test_usage_error_reads_the_same_from_a_worker_and_a_process(tmp_path, monkey
     ] * 2
 
 
+def test_prover_config_without_clause_allowance_is_an_error(tmp_path):
+    config = tmp_path / "provers.ini"
+    config.write_text(
+        "[microres]\n"
+        "args = -m hammerkit.provers.microres {problem} --timeout {timeout} --max-clauses 0\n",
+        encoding="utf-8",
+    )
+    [cfg] = harness.load_prover_configs(config)
+    path = write_problem(tmp_path, trivial_problem())
+    assert str(run_prover(path, cfg).status) == (
+        "Error(exit code 2 without SZS status: hammer-microres: error: "
+        "argument --max-clauses: must be an integer of at least 1, not '0')"
+    )
+
+
 def test_worker_error_carries_the_last_line_of_its_traceback(tmp_path, monkeypatch):
     def main(argv):
         raise RuntimeError("boom")

@@ -1,5 +1,6 @@
 """The bundled saturation prover: unification, ordering, proofs, verdicts."""
 
+import random
 import time
 from importlib import resources
 from pathlib import Path
@@ -10,7 +11,7 @@ from hammerkit import harness
 from hammerkit.corpus import AccessRelation, load_corpus
 from hammerkit.provers import microres
 from hammerkit.provers.microres import (
-    _canon,
+    _instance,
     _kbo_greater,
     _normal_form,
     apply_subst,
@@ -22,7 +23,7 @@ from hammerkit.provers.microres import (
 )
 from hammerkit.tptp import parse_problem, parse_szs
 
-from . import rewrite_oracle
+from . import instance_oracle, rewrite_oracle
 
 
 def v(name):
@@ -67,16 +68,20 @@ def test_unify_chains_resolve_through_subst():
     assert apply_subst(v("Y"), s) == A
 
 
+def canon(lits):
+    return _instance(lits, {})[0]
+
+
 def test_subsumes_instance_and_sublause():
-    gen = _canon([(True, "p", (v("X"),))])
-    spec = _canon([(True, "p", (A,)), (True, "q", (B,))])
+    gen = canon([(True, "p", (v("X"),))])
+    spec = canon([(True, "p", (A,)), (True, "q", (B,))])
     assert subsumes(gen, spec)
     assert not subsumes(spec, gen)
 
 
 def test_subsumes_respects_polarity():
-    pos = _canon([(True, "p", (A,))])
-    neg = _canon([(False, "p", (A,))])
+    pos = canon([(True, "p", (A,))])
+    neg = canon([(False, "p", (A,))])
     assert not subsumes(pos, neg)
 
 
@@ -432,6 +437,94 @@ def test_normal_forms_agree_with_the_oracle(monkeypatch, toy_problems):
     assert terms > 10000 and rewritten > 1000
 
 
+# ------------------------------------------------------------ conclusions
+
+
+def test_conclusions_agree_with_the_oracle(monkeypatch, toy_problems):
+    instance = microres._instance
+    calls = bound = merged = 0
+
+    def checked(lits, s):
+        nonlocal calls, bound, merged
+        lits = list(lits)
+        out = instance(lits, s)
+        assert out == instance_oracle.instance(lits, s)
+        calls += 1
+        bound += bool(s)
+        merged += len(out[0]) < len(lits)
+        return out
+
+    monkeypatch.setattr(microres, "_instance", checked)
+    exact, ranked = toy_problems
+    for problem in exact:
+        prove(problem, timeout=None)
+    for problem in ranked:
+        prove(problem, timeout=None, max_clauses=ORACLE_CAP)
+    assert calls > 10000 and bound > 5000 and merged > 100
+
+
+def random_term(rng, names, depth):
+    if depth == 0 or rng.random() < 0.4:
+        return v(rng.choice(names)) if names and rng.random() < 0.7 else f(rng.choice("abc"))
+    return f(rng.choice("ghm"), *(random_term(rng, names, depth - 1) for _ in range(rng.randint(1, 3))))
+
+
+def one_step(t, s):
+    """t with each variable replaced by its binding, bindings not followed."""
+    if t[0] == "v":
+        return s.get(t[1], t)
+    return ("f", t[1], tuple(one_step(a, s) for a in t[2]))
+
+
+def random_case(rng):
+    """Literals and a unifier as unification leaves one: the variables
+    come in three tiers, and a bound variable's term uses only variables
+    of the tiers after its own, so bindings chain, never cycle and stay
+    small.  Each literal is also repeated with its variables bound one
+    step, which makes it a duplicate under the unifier."""
+    names = [f"X{i}" for i in range(rng.choice((3, 10, 90)))]
+    tiers = [names[k::3] for k in range(3)]
+    s = {}
+    for k in (0, 1):
+        later = tiers[k + 1] + tiers[2] if k == 0 else tiers[2]
+        for name in tiers[k]:
+            if rng.random() < 0.5:
+                s[name] = v(rng.choice(later)) if later and rng.random() < 0.5 else random_term(rng, later, 2)
+    lits = []
+    for _ in range(rng.randint(1, 5)):
+        args = tuple(random_term(rng, names, 3) for _ in range(rng.randint(0, 3)))
+        lit = (rng.random() < 0.5, rng.choice("pq="), args)
+        lits.append(lit)
+        if rng.random() < 0.5:
+            lits.append((lit[0], lit[1], tuple(one_step(a, s) for a in args)))
+    # Every variable in one literal: more than the name table holds.
+    if len(names) > 40 and rng.random() < 0.5:
+        lits.append((True, "r", tuple(v(name) for name in names)))
+    rng.shuffle(lits)
+    return lits, s
+
+
+def test_random_conclusions_agree_with_the_oracle():
+    rng = random.Random(23)
+    chained = merged = most = 0
+    for _ in range(600):
+        lits, s = random_case(rng)
+        out = _instance(lits, s)
+        assert out == instance_oracle.instance(lits, s)
+        chained += any(b[0] == "v" and b[1] in s for b in s.values())
+        merged += len(out[0]) < len(set(lits))
+        most = max(most, len({t for lit in out[0] for a in lit[2] for t in variables(a)}))
+    assert chained > 150 and merged > 150 and most > len(microres._VARS)
+
+
+def variables(t):
+    if t[0] == "v":
+        yield t
+    else:
+        for a in t[2]:
+            yield from variables(a)
+
+
 # ------------------------------------------------------------ command line
 
 
@@ -465,3 +558,24 @@ def test_main_reports_input_error(tmp_path, capsys):
     path = problem_file(tmp_path, "fof(goal, conjecture, p.\n")
     assert main([path]) == 1
     assert "% SZS status InputError" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--timeout", "nan"], "argument --timeout: must be a positive finite number, not 'nan'"),
+        (["--timeout", "inf"], "argument --timeout: must be a positive finite number, not 'inf'"),
+        (["--timeout", "-1"], "argument --timeout: must be a positive finite number, not '-1'"),
+        (["--timeout", "0"], "argument --timeout: must be a positive finite number, not '0'"),
+        (["--max-clauses", "-3"], "argument --max-clauses: must be an integer of at least 1, not '-3'"),
+        (["--max-clauses", "0"], "argument --max-clauses: must be an integer of at least 1, not '0'"),
+    ],
+)
+def test_main_refuses_limits_that_mean_nothing(tmp_path, capsys, flags, message):
+    path = problem_file(tmp_path, "fof(goal, conjecture, p).\n")
+    with pytest.raises(SystemExit) as e:
+        main([path, *flags])
+    assert e.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == f"hammer-microres: error: {message}"
