@@ -6,8 +6,9 @@ One executable, one subcommand per pipeline stage: inspect a corpus
 single goal (advise, minimize).
 
 A goal given on the command line is ranked against the whole corpus, so
-only ``experiment`` takes ``--relation``; only the commands that cut
-ranked premises to a budget (``experiment``, ``advise``) take ``--budget``.
+only ``experiment`` takes ``--relation``.  A prover's premise budget has
+one source: the ``n_premises`` key of its ``--prover-config`` section,
+or the stock value when no section sets it.
 
 Every problem is emitted in one encoding, with every term tagged by its
 type.  No option chooses the encoding: the old flag that asked for all
@@ -46,7 +47,6 @@ from .fof import TranslateError
 from .harness import (
     DEFAULT_K,
     ExperimentReport,
-    NoProofFound,
     ProverConfig,
     SpawnError,
     UnsatCore,
@@ -99,21 +99,8 @@ def _goal(args: argparse.Namespace, corpus: Corpus):
     return parse_goal(text, corpus.signature)
 
 
-def _budgets(pairs: list[str]) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for pair in pairs:
-        name, eq, value = pair.partition("=")
-        if not eq or not name:
-            raise ValueError(f"--budget wants NAME=INT, not {pair!r}")
-        try:
-            out[name] = int(value)
-        except ValueError:
-            raise ValueError(f"--budget {name}: {value!r} is not an integer") from None
-    return out
-
-
-def _provers(args: argparse.Namespace, budget: list[str] | None = None) -> list[ProverConfig]:
-    """The provers the options name, with the ``NAME=INT`` premise budgets in ``budget``."""
+def _provers(args: argparse.Namespace) -> list[ProverConfig]:
+    """The provers the options name."""
     configured = load_prover_configs(args.prover_config) if args.prover_config else []
     named = {c.name: c for c in configured}
     if args.provers:
@@ -127,11 +114,7 @@ def _provers(args: argparse.Namespace, budget: list[str] | None = None) -> list[
         configs = default_provers()
     if args.timeout is not None:
         configs = [replace(c, timeout=args.timeout) for c in configs]
-    budgets = _budgets(budget or [])
-    unknown = set(budgets) - {c.name for c in configs}
-    if unknown:
-        raise ValueError(f"--budget for provers not in use: {', '.join(sorted(unknown))}")
-    return [replace(c, n_premises=budgets.get(c.name, c.n_premises)) for c in configs]
+    return configs
 
 
 # ------------------------------------------------------------- subcommands
@@ -171,7 +154,7 @@ def _cmd_deps(args: argparse.Namespace) -> int:
 
 def _cmd_features(args: argparse.Namespace) -> int:
     corpus = _load(args)
-    if args.goal:
+    if args.goal is not None:
         _, term = _goal(args, corpus)
         for feat in sorted(extract(term)):
             print(feat)
@@ -209,7 +192,7 @@ def _cmd_translate(args: argparse.Namespace) -> int:
         premises = conjunct_premises(corpus, frozenset().union(*entry.dependencies))
         conjecture = (entry.name, entry.statement)
     else:
-        if not args.goal:
+        if args.goal is None:
             raise ValueError("translate wants a theorem NAME or --goal")
         gname, term = _goal(args, corpus)
         k = DEFAULT_K if args.k is None else args.k
@@ -245,31 +228,24 @@ def _cmd_reprove(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     corpus = _load(args)
-    provers = _provers(args, args.budget)
+    provers = _provers(args)
     report = experiment(corpus, args.relation, provers, k=args.k, jobs=args.jobs)
     return _print_report(report, args.report)
 
 
 def _cmd_advise(args: argparse.Namespace) -> int:
     corpus = _load(args)
-    provers = _provers(args, args.budget)
+    provers = _provers(args)
     gname, term = _goal(args, corpus)
-    try:
-        advice = advise(
-            corpus,
-            term,
-            provers,
-            k=args.k,
-            jobs=args.jobs,
-            goal_name=gname,
-        )
-    except NoProofFound as e:
-        print(f"no proof: {e}")
-        for r in e.results:
+    advice = advise(corpus, term, provers, k=args.k, jobs=args.jobs, goal_name=gname)
+    if advice.core is None:
+        attempts = ", ".join(f"{r.prover}: {r.status}" for r in advice.results)
+        print(f"no proof: no prover proved the goal ({attempts})")
+        for r in advice.results:
             print(f"  {r.prover}: {r.status} in {r.wall_time:.2f}s")
-        _print_timings(e.timings or {})
+        _print_timings(advice.timings)
         return 1
-    print(f"proved by {advice.prover} ({advice.status})")
+    print(f"proved by {advice.prover} ({advice.results[-1].status})")
     _print_timings(advice.timings)
     print(f"premises given: {len(advice.premises)}")
     print("core:")
@@ -279,9 +255,7 @@ def _cmd_advise(args: argparse.Namespace) -> int:
 
 
 def _print_timings(timings) -> None:
-    if timings:
-        parts = " ".join(f"{k}={v:.3f}s" for k, v in timings.items())
-        print(f"timings: {parts}")
+    print("timings:", " ".join(f"{k}={v:.3f}s" for k, v in timings.items()))
 
 
 def _cmd_minimize(args: argparse.Namespace) -> int:
@@ -340,14 +314,6 @@ def _build_parser() -> argparse.ArgumentParser:
     jobs_opt = argparse.ArgumentParser(add_help=False)
     jobs_opt.add_argument(
         "--jobs", type=int, metavar="N", help="parallel prover processes"
-    )
-
-    budget_opt = argparse.ArgumentParser(add_help=False)
-    budget_opt.add_argument(
-        "--budget",
-        action="append",
-        metavar="NAME=INT",
-        help="premise budget override per prover (repeatable)",
     )
 
     p = sub.add_parser(
@@ -418,7 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "experiment",
-        parents=[corpus_opt, learn_opt, prover_opt, jobs_opt, budget_opt],
+        parents=[corpus_opt, learn_opt, prover_opt, jobs_opt],
         help="prove everything under one accessibility relation",
     )
     p.add_argument(
@@ -426,14 +392,14 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=[r.value for r in AccessRelation],
         default=AccessRelation.LOADED_THEORIES.value,
         help="accessibility relation (default: loaded); exact gives each prover "
-        "the recorded dependencies whole, so --budget and --k do not apply",
+        "the recorded dependencies whole, so premise budgets and --k do not apply",
     )
     p.add_argument("--report", metavar="PATH", help="write CSV and text reports here")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser(
         "advise",
-        parents=[corpus_opt, learn_opt, prover_opt, jobs_opt, budget_opt],
+        parents=[corpus_opt, learn_opt, prover_opt, jobs_opt],
         help="select premises for a goal and try to prove it",
     )
     p.add_argument("--goal", required=True, metavar="FILE|TEXT")

@@ -416,8 +416,6 @@ class ObjectEntry:
     name: str
     role: Role
     formula: Union[int, ConstDecl, HolTerm]
-    theory: str = ""
-    seq: int = 0
 
 
 _ROLE_TEXT = {
@@ -454,11 +452,11 @@ def _declaration(p: _Hol, name: str) -> tuple[Role, int | ConstDecl]:
     return Role.CONST_DECL, ConstDecl(tuple(tyvars), ty)
 
 
-def parse_tt(text: str, signature: Signature | None = None, theory: str = "") -> list[ObjectEntry]:
+def parse_tt(text: str, signature: Signature) -> list[ObjectEntry]:
     """Parse a .tt file.  Declarations are added to ``signature`` in place."""
-    p = _Hol(text, signature if signature is not None else Signature())
+    p = _Hol(text, signature)
     entries: list[ObjectEntry] = []
-    for seq, _ in enumerate(p.entries("tt")):
+    for _ in p.entries("tt"):
         name = p.name()
         p.expect(",")
         tok = p.peek()
@@ -471,7 +469,7 @@ def parse_tt(text: str, signature: Signature | None = None, theory: str = "") ->
         else:
             role = Role.THEOREM if tag == "ax" else Role.CONJECTURE
             formula = _statement(p, name)
-        entries.append(ObjectEntry(name, role, formula, theory, seq))
+        entries.append(ObjectEntry(name, role, formula))
     return entries
 
 
@@ -498,10 +496,10 @@ def _typecheck(p: _Hol, term: HolTerm, tok: tuple[str, str, int]) -> HolType:
 
 def print_tt(entry: ObjectEntry) -> str:
     """One canonical line, for every entry ``parse_tt`` accepts: read back
-    with the same signature, theory and position, it is that entry again
-    and prints the same line.  The one exception is a binder that reuses
-    the name of an enclosing binder, a free variable or a constant: it
-    comes back renamed with primes, and the line it prints is the same."""
+    with the same signature, it is that entry again and prints the same
+    line.  The one exception is a binder that reuses the name of an
+    enclosing binder, a free variable or a constant: it comes back renamed
+    with primes, and the line it prints is the same."""
     if entry.role is Role.TYPE_DECL:
         payload = " > ".join(["$t"] * (entry.formula + 1))
     elif entry.role is Role.CONST_DECL:
@@ -811,7 +809,7 @@ def _build_corpus(
         if theory not in theory_files:
             raise ParseError(f"missing .tt file for theory {theory}")
         tt_text, deps_text = theory_files[theory]
-        entries = parse_tt(tt_text, corpus.signature, theory=theory)
+        entries = parse_tt(tt_text, corpus.signature)
         _ingest_theory(corpus, theory, entries)
         if deps_text is not None:
             _ingest_deps(corpus, parse_deps(deps_text))

@@ -85,22 +85,6 @@ class SpawnError(Exception):
     """A prover binary could not be launched."""
 
 
-class NoProofFound(Exception):
-    """No prover closed the goal; carries the attempt diagnostics."""
-
-    def __init__(
-        self,
-        message: str,
-        results: tuple["AtpResult", ...] = (),
-        timings: Mapping[str, float] | None = None,
-        suggested: tuple[tuple[str, float], ...] = (),
-    ) -> None:
-        super().__init__(message)
-        self.results = results
-        self.timings = dict(timings or {})
-        self.suggested = suggested
-
-
 # ------------------------------------------------------------ prover configs
 
 
@@ -180,12 +164,20 @@ def _prover(name: str, keys: Mapping[str, str]) -> ProverConfig:
         raise ValueError(f"prover {name!r}: no executable given")
     if "args" not in keys:
         raise ValueError(f"prover {name!r}: no argument template given")
+
+    def number(key: str, kind: type, default: float) -> float:
+        try:
+            return kind(keys.get(key, default))
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ValueError(f"prover {name!r}: {key} must be {what}, not {keys[key]!r}") from None
+
     return ProverConfig(
         name,
         executable,
         tuple(shlex.split(keys["args"])),
-        int(keys.get("n_premises", DEFAULT_PREMISES)),
-        float(keys.get("timeout", DEFAULT_TIMEOUT)),
+        number("n_premises", int, DEFAULT_PREMISES),
+        number("timeout", float, DEFAULT_TIMEOUT),
     )
 
 
@@ -1002,12 +994,14 @@ def _ranked_task(
 
 @dataclass(frozen=True)
 class Advice:
-    """A successful advice call: the premise set that proved the goal."""
+    """What an advice call found.  When a prover proved the goal,
+    ``prover`` names it, ``premises`` are the ones it was given, ``core``
+    is its unsat core and its result ends ``results``; when none did,
+    ``prover`` and ``core`` are None and ``premises`` is empty."""
 
-    status: SzsStatus
-    prover: str
+    prover: str | None
     premises: tuple[str, ...]
-    core: UnsatCore
+    core: UnsatCore | None
     suggested: tuple[tuple[str, float], ...]
     timings: Mapping[str, float]
     results: tuple[AtpResult, ...]
@@ -1032,8 +1026,9 @@ def advise(
     processes.  The first proving prover (in the order given) wins; its
     unsat core is the advice, and its result ends ``results``.  The
     provers listed before it are awaited, and those after it are stopped
-    as soon as it has proved.  Raises NoProofFound with every prover's
-    result when nobody closes the goal.
+    as soon as it has proved.  When nobody closes the goal, the advice
+    has no prover and no core, and ``results`` holds every prover's
+    result.
     """
     _check_run(provers, jobs)
 
@@ -1060,24 +1055,15 @@ def advise(
                 break
     t_prove = time.monotonic() - t0
 
-    timings = {"parse": t_parse, "predict": t_predict, "prove": t_prove}
-    results = tuple(tried)
-    if result.status.proved:
-        return Advice(
-            status=result.status,
-            prover=cfg.name,
-            premises=tuple(label for label, _ in task.premises[: task.cutoff(cfg)]),
-            core=result.core,
-            suggested=suggested,
-            timings=timings,
-            results=results,
-        )
-    attempts = ", ".join(f"{r.prover}: {r.status}" for r in results)
-    raise NoProofFound(
-        f"no prover proved the goal ({attempts})",
-        results=results,
-        timings=timings,
+    won = result.status.proved
+    given = task.premises[: task.cutoff(cfg)] if won else ()
+    return Advice(
+        prover=cfg.name if won else None,
+        premises=tuple(label for label, _ in given),
+        core=result.core,
         suggested=suggested,
+        timings={"parse": t_parse, "predict": t_predict, "prove": t_prove},
+        results=tuple(tried),
     )
 
 

@@ -338,6 +338,13 @@ def test_tag_all_is_a_usage_error(corpus_dir):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["features", "predict", "translate", "advise"])
+def test_empty_goal_is_input_error(corpus_dir, capsys, command):
+    code, out, err = run(capsys, command, "--corpus", corpus_dir, "--goal", "")
+    assert (code, out) == (2, "")
+    assert err == "error: line 1, column 1: unexpected ''\n"
+
+
 def test_translate_rejects_malformed_goal(corpus_dir, capsys):
     code, _, err = run(
         capsys, "translate", "--corpus", corpus_dir, "--goal", "ADD 0 ("
@@ -484,34 +491,43 @@ def test_unknown_prover_config_key_is_usage_error(tmp_path, capsys):
     assert err == "error: prover 'microres': unknown key 'n_premise'\n"
 
 
-def test_budget_must_name_active_prover(corpus_dir, capsys):
-    code, _, err = run(
+# A config file is the one way to set a prover's premise budget.
+def test_prover_config_sets_the_premise_budget(corpus_dir, tmp_path, capsys):
+    config = tmp_path / "provers.cfg"
+    config.write_text("[microres]\nn_premises = 1\n", encoding="utf-8")
+    code, out, _ = run(
         capsys,
-        "experiment",
+        "advise",
         "--corpus",
         corpus_dir,
-        "--provers",
-        "microres",
-        "--budget",
-        "vampire=9",
+        "--goal",
+        "ADD 0 (SUC 0) = SUC 0",
+        "--prover-config",
+        str(config),
+        "--timeout",
+        "10",
     )
-    assert code == 2
-    assert "vampire" in err
+    assert code == 0
+    assert "proved by microres (Theorem)" in out
+    assert "premises given: 1\n" in out
 
 
-def test_budget_value_must_be_integer(corpus_dir, capsys):
-    code, _, err = run(
-        capsys,
-        "experiment",
-        "--corpus",
-        corpus_dir,
-        "--provers",
-        "microres",
-        "--budget",
-        "microres=lots",
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("n_premises = lots", "n_premises must be an integer, not 'lots'"),
+        ("timeout = soon", "timeout must be a number, not 'soon'"),
+    ],
+    ids=["n_premises", "timeout"],
+)
+def test_prover_config_value_errors_name_prover_and_key(tmp_path, capsys, line, message):
+    config = tmp_path / "provers.cfg"
+    config.write_text(f"[microres]\n{line}\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, "advise", "--goal", "ADD 0 0 = 0", "--prover-config", str(config)
     )
-    assert code == 2
-    assert "not an integer" in err
+    assert (code, out) == (2, "")
+    assert err == f"error: prover 'microres': {message}\n"
 
 
 # --------------------------------------------------------------- minimize
@@ -547,8 +563,9 @@ def test_minimize_unprovable_file_exits_one(tmp_path, capsys):
     assert "unconfirmed" in out
 
 
-# Options that these commands once accepted and never read.  Each case
-# is complete otherwise, so only the option makes it a usage error.
+# Options that these commands once accepted and never read, and the
+# --budget that a config file's n_premises replaced.  Each case is
+# complete otherwise, so only the option makes it a usage error.
 @pytest.mark.parametrize(
     "argv",
     [
@@ -556,6 +573,8 @@ def test_minimize_unprovable_file_exits_one(tmp_path, capsys):
         ["translate", "--goal", "ADD 0 0 = 0", "--relation", "exact"],
         ["advise", "--goal", "ADD 0 0 = 0", "--provers", "microres", "--relation", "exact"],
         ["reprove", "--provers", "microres", "--budget", "microres=1"],
+        ["experiment", "--provers", "microres", "--budget", "microres=1"],
+        ["advise", "--goal", "ADD 0 0 = 0", "--provers", "microres", "--budget", "microres=1"],
         ["minimize", "PROBLEM", "--provers", "microres", "--jobs", "1"],
         ["minimize", "PROBLEM", "--provers", "microres", "--budget", "microres=1"],
     ],

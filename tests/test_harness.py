@@ -23,7 +23,6 @@ from hammerkit.corpus import AccessRelation, accessible_set, load_corpus, parse_
 from hammerkit.features import extract
 from hammerkit.fof import translate_problem
 from hammerkit.harness import (
-    NoProofFound,
     ProverConfig,
     SpawnError,
     UnsatCore,
@@ -591,10 +590,8 @@ def test_no_process_outlives_a_batch(tmp_path, monkeypatch, entry, ending):
             if entry == "reprove":
                 kinds = {r.status.kind for r in reprove(c, [cfg], jobs=2).results}
             elif entry == "advise":
-                try:
-                    kinds = {advise(c, c.theorem_named("ADD_1").statement, [cfg]).status.kind}
-                except NoProofFound as e:
-                    kinds = {r.status.kind for r in e.results}
+                advice = advise(c, c.theorem_named("ADD_1").statement, [cfg])
+                kinds = {r.status.kind for r in advice.results}
             else:
                 problem = write_problem(tmp_path, trivial_problem())
                 kinds = {run_prover(problem, cfg).status.kind}
@@ -978,7 +975,7 @@ def test_advise_proves_and_times_stages():
     c = tiny_corpus()
     goal = c.theorem_named("ADD_1").statement
     advice = advise(c, goal, [micro()])
-    assert advice.status.proved
+    assert advice.results[-1].status.proved
     assert advice.prover == "microres"
     assert set(advice.timings) == {"parse", "predict", "prove"}
     assert all(t >= 0 for t in advice.timings.values())
@@ -1000,13 +997,12 @@ def test_advise_failure_carries_diagnostics():
     c = tiny_corpus()
     goal = c.theorem_named("ADD_1").statement
     hopeless = ProverConfig("true", "true", (), timeout=1.0)
-    with pytest.raises(NoProofFound) as exc:
-        advise(c, goal, [hopeless])
-    err = exc.value
-    assert len(err.results) == 1
-    assert err.results[0].status.kind == "GaveUp"
-    assert set(err.timings) == {"parse", "predict", "prove"}
-    assert err.suggested
+    advice = advise(c, goal, [hopeless])
+    assert (advice.prover, advice.core, advice.premises) == (None, None, ())
+    assert len(advice.results) == 1
+    assert advice.results[0].status.kind == "GaveUp"
+    assert set(advice.timings) == {"parse", "predict", "prove"}
+    assert advice.suggested
 
 
 def test_advise_first_listed_prover_wins_with_its_budget():
@@ -1022,7 +1018,7 @@ def test_advise_first_listed_prover_wins_with_its_budget():
     assert advice.premises == (advice.suggested[0][0],)
     # The results end at the winner.
     assert [r.prover for r in advice.results] == ["eager"]
-    assert advice.status.proved
+    assert advice.results[-1].status.proved
 
     advice = advise(c, goal, [micro(), eager])
     assert advice.prover == "microres"
@@ -1049,9 +1045,9 @@ def test_advise_first_listed_prover_wins_with_its_budget():
 
     # With no winner, every prover's result is kept.
     unsure = ProverConfig("unsure", "sh", ("-c", "echo '% SZS status GaveUp'"))
-    with pytest.raises(NoProofFound) as exc:
-        advise(c, goal, [unsure, replace(unsure, name="unsure2")])
-    assert [r.prover for r in exc.value.results] == ["unsure", "unsure2"]
+    advice = advise(c, goal, [unsure, replace(unsure, name="unsure2")])
+    assert advice.core is None
+    assert [r.prover for r in advice.results] == ["unsure", "unsure2"]
 
 
 # ------------------------------------------------------------ core shrinking
