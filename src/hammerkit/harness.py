@@ -108,10 +108,11 @@ class ProverConfig:
     timeout: float = DEFAULT_TIMEOUT
 
     def __post_init__(self) -> None:
+        who = f"prover {self.name!r}"
         if self.n_premises < 1:
-            raise ValueError(f"{self.name}: premise budget must be positive")
+            raise ValueError(f"{who}: n_premises must be a positive integer, not {self.n_premises}")
         if not (self.timeout > 0 and math.isfinite(self.timeout)):
-            raise ValueError(f"{self.name}: timeout must be a positive finite number")
+            raise ValueError(f"{who}: timeout must be a positive finite number, not {self.timeout}")
 
     def command(self, problem_path: str | Path) -> list[str]:
         subs = {"problem": str(problem_path), "timeout": _fmt_seconds(self.timeout)}
@@ -885,10 +886,10 @@ class _Learner:
         self.known = {id(s): (s, fs) for s, fs in zip(statements, features)}
         # theory -> the spans of its strict ancestors
         self.ancestors = {
-            theory: _merge(
+            theory: tuple(_merge(
                 self.theory_span[t] for t in corpus.theory_closure(theory) - {theory}
                 if t in self.theory_span
-            )
+            ))
             for theory in corpus.theories
         }
 
@@ -901,7 +902,7 @@ class _Learner:
 
     def accessible(
         self, corpus: Corpus, target: TheoremId | None, relation: AccessRelation
-    ) -> list[tuple[int, int]]:
+    ) -> Sequence[tuple[int, int]]:
         """The conjuncts ``target`` may use, as sorted, disjoint spans.  A
         fresh goal (no target) sits past the end of the corpus:
         everything is accessible."""
@@ -912,8 +913,11 @@ class _Learner:
         if relation is AccessRelation.LINEAR_ORDER:
             return [(0, first)]
         if relation is AccessRelation.LOADED_THEORIES:
-            own = (self.theory_span[target.theory][0], first)
-            return _merge([*self.ancestors[target.theory], own])
+            # Ancestors precede the theory: its own prefix goes last.
+            spans, lo = self.ancestors[target.theory], self.theory_span[target.theory][0]
+            if spans and spans[-1][1] == lo:
+                spans, lo = spans[:-1], spans[-1][0]
+            return spans if lo == first else (*spans, (lo, first))
         tids = accessible_set(corpus, target, relation) - {target}
         return _merge(self.span[t] for t in tids)
 
@@ -926,10 +930,11 @@ class _Learner:
         relation: AccessRelation = AccessRelation.LOADED_THEORIES,
         target: TheoremId | None = None,
     ) -> list[tuple[ConjunctId, float]]:
+        """The top conjuncts for the query, with weights: ``knn`` ranks by
+        number, summing votes in neighbour order; numbers map to ids last."""
         spans = self.accessible(corpus, target, relation)
         neighbors = knn.k_nearest(self.index, query, k, spans=spans)
-        deps = {nb.id: knn.within(self.deps[nb.id], spans) for nb in neighbors}
-        ranked = knn.rank_premises(self.index, neighbors, deps, n_premises)
+        ranked = knn.rank_premises(neighbors, self.deps, spans, n_premises)
         return [(self.ids[i], weight) for i, weight in ranked]
 
 
@@ -962,13 +967,16 @@ def suggest(
     target: TheoremId | None = None,
     feature_cache: dict[ConjunctId, frozenset[str]] | None = None,
 ) -> list[tuple[ConjunctId, float]]:
-    """Conjuncts ranked by predicted relevance to the goal.
+    """Conjuncts ranked by predicted relevance to the goal, as (conjunct
+    id, weight) pairs, heaviest first, ties in linear order.
 
     The first call on a corpus builds its learner (features and index for
-    every conjunct); later calls only filter and rank.  A goal that is
-    the corpus's own statement object of a one-conjunct theorem, or of
-    one conjunct, reuses the features the learner holds; any other goal,
-    a multi-conjunct statement or an equal copy included, is extracted.
+    every conjunct, numbered in linear order); later calls rank numbers
+    alone, each neighbour voting for itself and its dependencies, the
+    votes summed in neighbour order.  A goal that is the corpus's own
+    statement object of a one-conjunct theorem, or of one conjunct,
+    reuses the features the learner holds; any other goal, a
+    multi-conjunct statement or an equal copy included, is extracted.
     ``feature_cache`` has no effect and stays only because the benchmark
     passes it.
     """

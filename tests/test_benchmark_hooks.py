@@ -1,7 +1,7 @@
 """The benchmark's hooks into the harness, run on the toy corpus.
 
-``perfbench/tracing.py`` replaces harness functions by name and reads the
-arguments of ``harness.run_prover``; the ``reprove`` round of
+``perfbench/tracing.py`` replaces harness and knn functions by name and
+reads the arguments of ``harness.run_prover``; the ``reprove`` round of
 ``perfbench/run.py`` wraps ``harness.run_prover`` to time its reference
 after every call.  These tests install both the same way, so that a
 change to what they patch fails here before a benchmark run.  They only
@@ -46,6 +46,12 @@ def test_tracer_sees_every_prover_call_and_uninstalls(monkeypatch):
     assert tracer.counts["harness.prover_calls"] == len(report.results)
     assert len(tracer.problems) == len(report.results)
     assert tracer.seconds("harness.suggest") > 0
+    # The learner pass, as a traced select run reads it: one index, and
+    # the ranking called through the knn module.
+    assert tracer.counts["knn.build_index_calls"] == 1
+    assert tracer.seconds("knn.k_nearest") > 0
+    assert tracer.seconds("knn.rank_premises") > 0
+    assert tracer.counts["knn.candidates_scored"] > 0
 
 
 def test_run_prover_is_called_once_per_pair_off_the_main_thread(monkeypatch):

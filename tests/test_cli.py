@@ -273,9 +273,11 @@ def test_jobs_below_one_is_usage_error(corpus_dir, capsys, monkeypatch, command,
 
 
 @pytest.mark.parametrize(
-    "timeout", ["nan", "inf", "1e309", "config nan"], ids=lambda t: t.replace(" ", "-")
+    "timeout, value",
+    [("nan", "nan"), ("inf", "inf"), ("1e309", "inf"), ("config nan", "nan")],
+    ids=["nan", "inf", "1e309", "config-nan"],
 )
-def test_timeout_that_is_not_finite_is_usage_error(corpus_dir, tmp_path, capsys, timeout):
+def test_timeout_that_is_not_finite_is_usage_error(corpus_dir, tmp_path, capsys, timeout, value):
     if timeout == "config nan":
         config = tmp_path / "provers.cfg"
         config.write_text("[microres]\ntimeout = nan\n", encoding="utf-8")
@@ -284,7 +286,9 @@ def test_timeout_that_is_not_finite_is_usage_error(corpus_dir, tmp_path, capsys,
         options = ["--provers", "microres", "--timeout", timeout]
     code, out, err = run(capsys, "reprove", "--corpus", corpus_dir, *options)
     assert (code, out) == (2, "")
-    assert err == "error: microres: timeout must be a positive finite number\n"
+    assert err == (
+        f"error: prover 'microres': timeout must be a positive finite number, not {value}\n"
+    )
 
 
 # -------------------------------------------------------------- translate
@@ -517,8 +521,9 @@ def test_prover_config_sets_the_premise_budget(corpus_dir, tmp_path, capsys):
     [
         ("n_premises = lots", "n_premises must be an integer, not 'lots'"),
         ("timeout = soon", "timeout must be a number, not 'soon'"),
+        ("n_premises = 0", "n_premises must be a positive integer, not 0"),
     ],
-    ids=["n_premises", "timeout"],
+    ids=["n_premises", "timeout", "n_premises-range"],
 )
 def test_prover_config_value_errors_name_prover_and_key(tmp_path, capsys, line, message):
     config = tmp_path / "provers.cfg"

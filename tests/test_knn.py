@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from hammerkit.knn import Neighbor, build_index, k_nearest, rank_premises
+from hammerkit.knn import build_index, k_nearest, rank_premises
 
 
 def index_of(rows: dict[str, set[str]], order=None):
@@ -14,24 +14,21 @@ def index_of(rows: dict[str, set[str]], order=None):
 
 def test_identical_statement_is_distance_zero():
     idx = index_of({"a": {"f1", "f2"}, "b": {"f2", "f3"}})
-    got = k_nearest(idx, {"f1", "f2"}, 2)
-    assert got[0] == Neighbor("a", 0, 1.0)
-    assert got[1].id == "b"
-    assert got[1].d2 == 2  # one missing, one extra
-    assert got[1].weight == pytest.approx(1.0 / 3.0)
+    # b: one query feature missing, one extra
+    assert k_nearest(idx, {"f1", "f2"}, 2) == [(0, 0), (1, 2)]
 
 
 def test_candidates_must_share_a_feature():
     idx = index_of({"a": {"f1"}, "b": {"f2"}})
-    assert [n.id for n in k_nearest(idx, {"f1"}, 5)] == ["a"]
+    assert k_nearest(idx, {"f1"}, 5) == [(0, 0)]
     assert k_nearest(idx, {"zzz"}, 5) == []
 
 
 def test_ties_break_by_linear_order():
     rows = {"late": {"f1"}, "early": {"f1"}}
-    idx = index_of(rows, order=["early", "late"])
-    got = k_nearest(idx, {"f1"}, 2)
-    assert [n.id for n in got] == ["early", "late"]
+    order = ["early", "late"]
+    idx = index_of(rows, order=order)
+    assert [order[i] for i, _ in k_nearest(idx, {"f1"}, 2)] == ["early", "late"]
 
 
 def test_k_truncates_and_validates():
@@ -43,51 +40,46 @@ def test_k_truncates_and_validates():
 
 
 def test_rank_premises_votes_for_deps_and_self():
-    idx = index_of({"a": {"f"}, "b": {"g"}, "p": {"h"}, "q": {"i"}})
-    neighbors = [Neighbor("a", 0, 1.0), Neighbor("b", 2, 1.0 / 3.0)]
-    deps = {"a": ["p"], "b": ["p", "q"]}
-    got = rank_premises(idx, neighbors, deps, 4)
-    scores = dict(got)
-    assert scores["p"] == pytest.approx(1.0 + 1.0 / 3.0)
-    assert scores["a"] == pytest.approx(1.0)
-    assert scores["q"] == pytest.approx(1.0 / 3.0)
-    assert scores["b"] == pytest.approx(1.0 / 3.0)
-    # Sorted by relevance, position breaking ties.
-    assert [p for p, _ in got] == ["p", "a", "b", "q"]
-    assert len(rank_premises(idx, neighbors, deps, 2)) == 2
-    assert rank_premises(idx, neighbors, deps, 0) == []
+    # p = 0, q = 1, a = 2, b = 3; a uses p, b uses p and q.
+    neighbors = [(2, 0), (3, 2)]
+    deps = [[], [], [0], [0, 1]]
+    spans = [(0, 4)]
+    got = rank_premises(neighbors, deps, spans, 4)
+    # Sorted by weight, number breaking ties.
+    assert got == [(0, 1.0 + 1.0 / 3.0), (2, 1.0), (1, 1.0 / 3.0), (3, 1.0 / 3.0)]
+    assert rank_premises(neighbors, deps, spans, 2) == got[:2]
+    assert rank_premises(neighbors, deps, spans, 0) == []
+    # A dependency outside the spans gets no vote.
+    assert rank_premises(neighbors, deps, [(1, 4)], 4) == [(2, 1.0), (1, 1.0 / 3.0), (3, 1.0 / 3.0)]
     with pytest.raises(ValueError, match="negative"):
-        rank_premises(idx, neighbors, deps, -1)
+        rank_premises(neighbors, deps, spans, -1)
 
 
 def test_rank_premises_is_deterministic_under_ties():
-    idx = index_of({"a": {"f"}, "b": {"f"}, "c": {"f"}})
-    neighbors = [Neighbor("a", 1, 0.5), Neighbor("b", 1, 0.5)]
-    got = rank_premises(idx, neighbors, {}, 3)
-    assert [p for p, _ in got] == ["a", "b"]
+    got = rank_premises([(1, 1), (0, 1)], [[], [], []], [(0, 3)], 3)
+    assert got == [(0, 0.5), (1, 0.5)]
 
 
 # ------------------------------------------------------------------ oracle
 
 
 def naive_k_nearest(rows, order, query, k, allowed):
-    pos = {t: i for i, t in enumerate(order)}
-    cands = [t for t in order if rows[t] & query and t in allowed]
+    cands = [i for i, t in enumerate(order) if rows[t] & query and i in allowed]
     scored = sorted(
-        (len(rows[t]) + len(query) - 2 * len(rows[t] & query), pos[t], t)
-        for t in cands
+        (len(rows[order[i]]) + len(query) - 2 * len(rows[order[i]] & query), i) for i in cands
     )
-    return [(t, d2) for d2, _, t in scored[:k]]
+    return [(i, d2) for d2, i in scored[:k]]
 
 
-def naive_rank(rows, order, neighbors, deps, n):
-    pos = {t: i for i, t in enumerate(order)}
-    rel: dict[str, float] = {}
-    for t, d2 in neighbors:
+def naive_rank(neighbors, deps, allowed, n):
+    """Votes summed in neighbour order, as the program and the benchmark's
+    reference do, so that weights compare with ``==``."""
+    rel: dict[int, float] = {}
+    for i, d2 in neighbors:
         w = 1.0 / (1.0 + d2)
-        for p in set(deps.get(t, [])) | {t}:
+        for p in {d for d in deps[i] if d in allowed} | {i}:
             rel[p] = rel.get(p, 0.0) + w
-    ranked = sorted(rel.items(), key=lambda kv: (-kv[1], pos[kv[0]]))
+    ranked = sorted(rel.items(), key=lambda kv: (-kv[1], kv[0]))
     return ranked[:n]
 
 
@@ -99,10 +91,8 @@ def random_instance(rng):
         t: set(rng.sample(feats, rng.randrange(1, min(8, len(feats)) + 1)))
         for t in order
     }
-    deps = {
-        t: rng.sample(order[:i], min(i, rng.randrange(0, 4)))
-        for i, t in enumerate(order)
-    }
+    # Each statement's dependencies: distinct earlier numbers, increasing.
+    deps = [sorted(rng.sample(range(i), min(i, rng.randrange(0, 6)))) for i in range(n)]
     query = set(rng.sample(feats, rng.randrange(1, min(8, len(feats)) + 1)))
     k = rng.randrange(1, n + 2)
     # What the target may use: everything, or sorted disjoint position
@@ -116,26 +106,30 @@ def random_instance(rng):
 
 def test_matches_naive_oracle_on_random_instances():
     rng = random.Random(77)
-    for _ in range(200):
+    # How the neighbours' dependency lists met the spans: inside one span,
+    # partly inside (cut) and wholly outside.
+    seen = {"inside": 0, "cut": 0, "outside": 0}
+    for _ in range(300):
         rows, order, deps, query, k, spans = random_instance(rng)
-        allowed = set(order) if spans is None else {
-            order[i] for lo, hi in spans for i in range(lo, hi)
-        }
+        if spans is None:
+            allowed = set(range(len(order)))
+        else:
+            allowed = {i for lo, hi in spans for i in range(lo, hi)}
         idx = build_index(rows, order)
-        got = [(n.id, n.d2) for n in k_nearest(idx, query, k, spans=spans)]
-        assert got == naive_k_nearest(rows, order, query, k, allowed)
         neighbors = k_nearest(idx, query, k, spans=spans)
-        mine = rank_premises(idx, neighbors, deps, 10)
-        theirs = naive_rank(rows, order, got, deps, 10)
-        assert [p for p, _ in mine] == [p for p, _ in theirs]
-        for (p1, s1), (p2, s2) in zip(mine, theirs):
-            assert s1 == pytest.approx(s2)
+        assert neighbors == naive_k_nearest(rows, order, query, k, allowed)
+        for i, _ in neighbors:
+            if deps[i] and spans is not None:
+                kept = [d for d in deps[i] if d in allowed]
+                inside = any(lo <= deps[i][0] and deps[i][-1] < hi for lo, hi in spans)
+                seen["inside" if inside else "cut" if kept else "outside"] += 1
+        mine = rank_premises(neighbors, deps, spans or [(0, len(order))], 10)
+        assert mine == naive_rank(neighbors, deps, allowed, 10)
+    assert all(seen.values()), seen
 
 
 def test_unrelated_theorem_does_not_change_ranking():
     rows = {"a": {"f1", "f2"}, "b": {"f2"}}
-    idx1 = build_index(rows, ["a", "b"])
-    base = [(n.id, n.d2) for n in k_nearest(idx1, {"f1"}, 5)]
+    base = k_nearest(build_index(rows, ["a", "b"]), {"f1"}, 5)
     rows2 = dict(rows, z={"zzz"})
-    idx2 = build_index(rows2, ["a", "b", "z"])
-    assert [(n.id, n.d2) for n in k_nearest(idx2, {"f1"}, 5)] == base
+    assert k_nearest(build_index(rows2, ["a", "b", "z"]), {"f1"}, 5) == base
