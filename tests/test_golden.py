@@ -3,12 +3,16 @@
 Every canonical echo, dependency listing, feature set, emitted problem and
 ranking the pipeline produces on the toy corpus is hashed per kind, and so is the
 bundled prover's answer to each exact-dependency problem read back from
-its TPTP text and, under a clause cap, to each ranked problem.  A refactor must leave all of them byte-identical; a change
+its TPTP text and, under a clause cap, to each ranked problem.  So are the
+exact-dependency reports, unsplit and per conjunct, with their wall times
+masked.  A refactor must leave all of them byte-identical; a change
 that means to alter one of these outputs recomputes its digest and says
 why.
 """
 
+import csv
 import hashlib
+import io
 from importlib import resources
 from pathlib import Path
 
@@ -16,7 +20,13 @@ import pytest
 
 from hammerkit.corpus import AccessRelation, Signature, load_corpus, parse_tt, print_tt
 from hammerkit.features import extract
-from hammerkit.harness import build_problem, conjunct_premises, suggest
+from hammerkit.harness import (
+    build_problem,
+    builtin_config,
+    conjunct_premises,
+    reprove,
+    suggest,
+)
 from hammerkit.provers import microres
 from hammerkit.tptp import parse_problem, print_problem
 
@@ -35,11 +45,22 @@ GOLDEN = {
     "problems_transitive": "84fd451f94468c0e9f555e714edac3fbaafe75f3bb0da6dfd3f630ba3bff6666",
     "verdicts": "3baa128ad233a7bef4d3e5a081a826c37cbd8f0f9a5e01ed6c742a6512b147be",
     "search": "069a351b1fb0260fa7d4ebc5f44b7fd0aca572664f8fe24251c35662b2ba2d5f",
+    "report_exact": "73c8e0149df54ac48943e2a7da5cd38cc3751c44d87cd2ce54522201af1c4529",
+    "report_conjuncts": "60268b047edd23e2d1268a357f577b2b381c9c670856019c978262fa15ccca46",
 }
 
 
 def _digest(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+def _report_lines(report) -> list[str]:
+    """The summary and the CSV rows, with the wall_time column masked."""
+    rows = list(csv.reader(io.StringIO(report.csv_text())))
+    column = rows[0].index("wall_time")
+    for row in rows[1:]:
+        row[column] = "-"
+    return report.summary_text().splitlines() + [",".join(row) for row in rows]
 
 
 def golden_outputs() -> dict[str, list[str]]:
@@ -116,6 +137,10 @@ def golden_outputs() -> dict[str, list[str]]:
         microres.prove(parse_problem(text), timeout=None, max_clauses=100)[0]
         for text in out["problems_loaded"]
     ]
+
+    for split, kind in (("unsplit", "report_exact"), ("conjuncts", "report_conjuncts")):
+        report = reprove(corpus, [builtin_config("microres")], split=split, jobs=2)
+        out[kind] = _report_lines(report)
     return out
 
 
