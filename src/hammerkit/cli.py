@@ -2,8 +2,10 @@
 
 One executable, one subcommand per pipeline stage: inspect a corpus
 (parse, deps, features), query the learner (predict), emit problems
-(translate), and run provers at scale (reprove, experiment) or for a
-single goal (advise, minimize).
+(translate), and run provers at scale (experiment) or for a single goal
+(advise, minimize).  ``experiment --relation exact`` re-proves every
+theorem from its recorded dependencies, whole or (``--split
+conjuncts``) one conjunct at a time.
 
 A goal given on the command line is ranked against the whole corpus, so
 only ``experiment`` takes ``--relation``.  A prover's premise budget has
@@ -56,7 +58,6 @@ from .harness import (
     default_provers,
     load_prover_configs,
     minimize_core,
-    reprove,
     suggest,
     experiment,
     advise,
@@ -219,17 +220,14 @@ def _print_report(report: ExperimentReport, path: str | None) -> int:
     return 0
 
 
-def _cmd_reprove(args: argparse.Namespace) -> int:
-    corpus = _load(args)
-    provers = _provers(args)
-    report = reprove(corpus, provers, split=args.split, jobs=args.jobs)
-    return _print_report(report, args.report)
-
-
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    # Exact dependencies rank nothing; the harness refuses a ranked split.
+    if args.relation == AccessRelation.EXACT_DEPS.value and args.k is not None:
+        raise ValueError("experiment --relation exact does not read --k")
     corpus = _load(args)
     provers = _provers(args)
-    report = experiment(corpus, args.relation, provers, k=args.k, jobs=args.jobs)
+    k = DEFAULT_K if args.k is None else args.k
+    report = experiment(corpus, args.relation, provers, k=k, jobs=args.jobs, split=args.split)
     return _print_report(report, args.report)
 
 
@@ -368,31 +366,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", metavar="FILE", help="write here instead of stdout")
     p.set_defaults(func=_cmd_translate)
 
-    p = sub.add_parser(
-        "reprove",
-        parents=[corpus_opt, prover_opt, jobs_opt],
-        help="re-prove every theorem from its exact dependencies",
-    )
-    p.add_argument(
-        "--split",
-        choices=["unsplit", "conjuncts"],
-        default="unsplit",
-        help="problem granularity (default: unsplit)",
-    )
-    p.add_argument("--report", metavar="PATH", help="write CSV and text reports here")
-    p.set_defaults(func=_cmd_reprove)
-
+    # --k and --split have no default here, so that the relation that
+    # does not read one is told apart and refused.
     p = sub.add_parser(
         "experiment",
-        parents=[corpus_opt, learn_opt, prover_opt, jobs_opt],
-        help="prove everything under one accessibility relation",
+        parents=[corpus_opt, prover_opt, jobs_opt],
+        help="prove every theorem under one accessibility relation; exact re-proves "
+        "each from its recorded dependencies",
     )
     p.add_argument(
         "--relation",
         choices=[r.value for r in AccessRelation],
         default=AccessRelation.LOADED_THEORIES.value,
         help="accessibility relation (default: loaded); exact gives each prover "
-        "the recorded dependencies whole, so premise budgets and --k do not apply",
+        "the recorded dependencies whole",
+    )
+    p.add_argument(
+        "--k", type=int, help="ranked relations: nearest neighbours (default: 40)"
+    )
+    p.add_argument(
+        "--split",
+        choices=["unsplit", "conjuncts"],
+        help="exact: one problem per theorem or per conjunct (default: unsplit)",
     )
     p.add_argument("--report", metavar="PATH", help="write CSV and text reports here")
     p.set_defaults(func=_cmd_experiment)

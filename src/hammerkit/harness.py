@@ -804,9 +804,21 @@ def _report(
 # ------------------------------------------------------------------ reprove
 
 
-def _exact_dep_tasks(corpus: Corpus, split: str) -> list[_Task]:
-    """One task per non-definition theorem, or per conjunct of one, with
-    its recorded dependencies as premises."""
+def reprove(
+    corpus: Corpus,
+    provers: Sequence[ProverConfig],
+    split: str = "unsplit",
+    jobs: int | None = None,
+) -> ExperimentReport:
+    """Re-prove every non-definition theorem from its exact dependencies.
+
+    This is the benchmark's entry point; the command line reaches it as
+    ``experiment --relation exact``.  No relevance filtering: each problem
+    gets the recorded dependencies in full.  ``unsplit`` targets whole
+    statements with the union of the per-conjunct dependencies;
+    ``conjuncts`` targets each conjunct with its own recovered
+    dependencies.
+    """
     if split not in ("unsplit", "conjuncts"):
         raise ValueError(f"split must be 'unsplit' or 'conjuncts', not {split!r}")
     tasks: list[_Task] = []
@@ -826,23 +838,7 @@ def _exact_dep_tasks(corpus: Corpus, split: str) -> list[_Task]:
         for label, deps, statement in targets:
             premises = tuple(conjunct_premises(corpus, deps))
             tasks.append(_Task(tid.theory, premises, (label, statement), ranked=False))
-    return tasks
-
-
-def reprove(
-    corpus: Corpus,
-    provers: Sequence[ProverConfig],
-    split: str = "unsplit",
-    jobs: int | None = None,
-) -> ExperimentReport:
-    """Re-prove every non-definition theorem from its exact dependencies.
-
-    No relevance filtering: each problem gets the recorded dependencies
-    in full.  ``unsplit`` targets whole statements with the union of the
-    per-conjunct dependencies; ``conjuncts`` targets each conjunct with
-    its own recovered dependencies.
-    """
-    return _report(corpus, _exact_dep_tasks(corpus, split), provers, jobs)
+    return _report(corpus, tasks, provers, jobs)
 
 
 # ---------------------------------------------------------------- prediction
@@ -1131,36 +1127,38 @@ def experiment(
     provers: Sequence[ProverConfig],
     k: int = DEFAULT_K,
     jobs: int | None = None,
+    split: str | None = None,
 ) -> ExperimentReport:
     """Prove every non-definition theorem under one accessibility relation.
 
-    Exact dependencies use the recorded premises directly; the other
-    relations rank the accessible conjuncts with the learner and give
-    each prover its budgeted prefix.
+    Exact dependencies are ``reprove``, with its ``split`` (unsplit when
+    None); the other relations take no split, and rank the accessible
+    conjuncts with the learner to give each prover its budgeted prefix.
     """
     if isinstance(relation, str):
         try:
             relation = AccessRelation(relation)
         except ValueError:
             raise ValueError(f"unknown relation {relation!r}") from None
-    _check_run(provers, jobs)
     if relation is AccessRelation.EXACT_DEPS:
-        tasks = _exact_dep_tasks(corpus, "unsplit")
-    else:
-        tasks = []
-        budget = max(c.n_premises for c in provers)
-        for tid in corpus.order():
-            entry = corpus.theorem(tid)
-            if entry.is_definition:
-                continue
-            ranked = suggest(
-                corpus,
-                entry.statement,
-                k=k,
-                n_premises=budget,
-                relation=relation,
-                target=tid,
-            )
-            conjecture = (entry.name, entry.statement)
-            tasks.append(_ranked_task(corpus, tid.theory, conjecture, ranked))
+        return reprove(corpus, provers, split=split or "unsplit", jobs=jobs)
+    if split is not None:
+        raise ValueError(f"split {split!r} applies only to the exact relation")
+    _check_run(provers, jobs)
+    tasks = []
+    budget = max(c.n_premises for c in provers)
+    for tid in corpus.order():
+        entry = corpus.theorem(tid)
+        if entry.is_definition:
+            continue
+        ranked = suggest(
+            corpus,
+            entry.statement,
+            k=k,
+            n_premises=budget,
+            relation=relation,
+            target=tid,
+        )
+        conjecture = (entry.name, entry.statement)
+        tasks.append(_ranked_task(corpus, tid.theory, conjecture, ranked))
     return _report(corpus, tasks, provers, jobs)

@@ -24,7 +24,7 @@ from hammerkit.harness import (
     build_problem,
     builtin_config,
     conjunct_premises,
-    reprove,
+    experiment,
     suggest,
 )
 from hammerkit.provers import microres
@@ -139,7 +139,9 @@ def golden_outputs() -> dict[str, list[str]]:
     ]
 
     for split, kind in (("unsplit", "report_exact"), ("conjuncts", "report_conjuncts")):
-        report = reprove(corpus, [builtin_config("microres")], split=split, jobs=2)
+        report = experiment(
+            corpus, "exact", [builtin_config("microres")], jobs=2, split=split
+        )
         out[kind] = _report_lines(report)
     return out
 

@@ -1104,12 +1104,19 @@ def test_minimize_core_unprovable_set_is_incomplete():
 # --------------------------------------------------------------- experiment
 
 
-def test_experiment_exact_matches_reprove():
+def test_experiment_exact_splits_and_ranked_refuses_split():
     c = tiny_corpus()
-    exp = experiment(c, "exact", [micro()])
-    rep = reprove(c, [micro()])
-    assert exp.targets == rep.targets
-    assert exp.solved("microres") == rep.solved("microres")
+    report = experiment(c, "exact", [micro()], split="conjuncts")
+    assert set(report.targets) == {
+        "ADD_0_c1",
+        "ADD_1_c1",
+        "ADD_BOTH_c1",
+        "ADD_BOTH_c2",
+    }
+    assert report.percent() == 100.0
+    # Only the exact relation proves conjunct by conjunct.
+    with pytest.raises(ValueError, match="applies only to the exact relation"):
+        experiment(c, AccessRelation.LINEAR_ORDER, [micro()], split="conjuncts")
 
 
 def test_experiment_ranked_relation_and_reports(tmp_path):
