@@ -256,14 +256,17 @@ def test_negative_premise_count_is_usage_error(corpus_dir, capsys, command):
     assert "premise count -1 is negative" in err
 
 
+# Each id names the harness entry point the command reaches: a ranked
+# experiment, the exact relation's reprove, and advise.
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 @pytest.mark.parametrize(
     "command",
     [
+        ["experiment"],
         ["experiment", "--relation", "exact"],
         ["advise", "--goal", "ADD 0 0 = 0"],
     ],
-    ids=["experiment", "advise"],
+    ids=["experiment", "reprove", "advise"],
 )
 def test_jobs_below_one_is_usage_error(corpus_dir, capsys, monkeypatch, command, jobs):
     def no_prover(*args, **kwargs):
