@@ -41,7 +41,7 @@ from hammerkit.harness import (
 )
 from hammerkit.provers import microres
 from hammerkit.tptp import print_problem
-from .helpers import TOY_DECLS, load_corpus_files, result_for, toy_sig
+from .helpers import TOY, TOY_DECLS, load_corpus_files, result_for, toy_sig
 
 THY = "theory(arith, []).\ntheory(club, [arith]).\n"
 
@@ -722,6 +722,62 @@ def test_report_tables_and_files(tmp_path):
     assert csv_path.read_text(encoding="utf-8") == csv_text
     assert txt_path.read_text(encoding="utf-8") == summary
     assert result_for(report, "ADD_0", "microres").status.proved
+
+
+# Theorem for the conjectures whose names start with E to L (the
+# printer lower-cases a name's first letter), CounterSatisfiable for
+# the rest.
+HALF_SCRIPT = """\
+if grep -q '^fof([e-l][A-Za-z0-9_]*, conjecture' "$0"
+then echo '% SZS status Theorem'
+else echo '% SZS status CounterSatisfiable'
+fi"""
+
+TWO_PROVER_SUMMARY = """\
+prover    solved  total  percent  unique  countersat
+microres      53     59    89.83      34           0
+half          22     59    37.29       3          37
+union         56     59    94.92
+
+theory  total  microres  half  union
+logic      14        14     4     14
+nat        19        17     6     18
+list       17        15     9     15
+hof         9         7     3      9
+"""
+
+
+def test_two_prover_report_text():
+    # Under 20 kept clauses microres gives up on six toy targets; half
+    # proves three of them (EVERY_ONE, EVERY_LE_ONE, LE_DOUBLE), so each
+    # prover solves targets the other does not, and half's refusals fill
+    # the countersat column.
+    stock = micro()
+    capped = replace(stock, args=stock.args + ("--max-clauses", "20"))
+    half = ProverConfig("half", "sh", ("-c", HALF_SCRIPT, "{problem}"))
+    report = reprove(load_corpus(TOY), [capped, half], jobs=2)
+    assert report.summary_text() == TWO_PROVER_SUMMARY
+    neither = {"MAX_LE", "MEM_THERE", "MEM_TWO"}
+    assert {r.target for r in report.results if not r.status.proved} >= neither
+    assert all(
+        result_for(report, t, p).status.kind in ("GaveUp", "CounterSatisfiable")
+        for t in neither
+        for p in ("microres", "half")
+    )
+
+
+def test_report_without_targets(tmp_path):
+    c = load_corpus_files(
+        "theory(arith, []).\n", {"arith": (TOY_DECLS + "tt(ZERO_DEF, ax, 0 = 0).\n", None)}
+    )
+    report = reprove(c, [micro()], jobs=1)
+    assert report.targets == report.results == ()
+    assert report.summary_text() == (
+        "prover    solved  total  percent  unique  countersat\n"
+        "microres       0      0     0.00       0           0\n"
+        "union          0      0     0.00\n"
+    )
+    assert report.csv_text() == "target,theory,prover,status,wall_time,core_size,core\n"
 
 
 # --------------------------------------------------------------- prediction
