@@ -213,10 +213,11 @@ def _cmd_translate(args: argparse.Namespace) -> int:
 
 
 def _print_report(report: ExperimentReport, path: str | None) -> int:
+    # Files first: a reader of stdout that stops early must not cost them.
+    written = write_report(report, path) if path else None
     print(report.summary_text())
-    if path:
-        csv_path, txt_path = write_report(report, path)
-        print(f"written: {csv_path} {txt_path}")
+    if written:
+        print(f"written: {written[0]} {written[1]}")
     return 0
 
 

@@ -44,6 +44,7 @@ import tempfile
 import threading
 import time
 import traceback
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from configparser import ConfigParser, Error as ConfigError
 from contextlib import closing, nullcontext, suppress
@@ -559,73 +560,46 @@ class ExperimentReport:
     results: tuple[AtpResult, ...]
     theory_of: Mapping[str, str]
 
-    def solved(self, prover: str) -> frozenset[str]:
-        return frozenset(
-            r.target for r in self.results if r.prover == prover and r.status.proved
-        )
-
-    def countersat(self, prover: str) -> frozenset[str]:
-        return frozenset(
-            r.target
-            for r in self.results
-            if r.prover == prover and r.status.kind == "CounterSatisfiable"
-        )
-
-    @property
-    def union_solved(self) -> frozenset[str]:
-        return frozenset(r.target for r in self.results if r.status.proved)
-
-    def unique(self, prover: str) -> frozenset[str]:
-        others: set[str] = set()
-        for p in self.provers:
-            if p != prover:
-                others |= self.solved(p)
-        return self.solved(prover) - others
-
-    def percent(self, prover: str | None = None) -> float:
-        if not self.targets:
-            return 0.0
-        won = self.union_solved if prover is None else self.solved(prover)
-        return 100.0 * len(won) / len(self.targets)
-
-    def per_theory(self) -> dict[str, dict[str, int]]:
-        """theory -> {"total": n, <prover>: solved, "union": solved}."""
-        theories: list[str] = []
-        for t in self.targets:
-            thy = self.theory_of[t]
-            if thy not in theories:
-                theories.append(thy)
-        out: dict[str, dict[str, int]] = {}
-        union = self.union_solved
-        for thy in theories:
-            members = [t for t in self.targets if self.theory_of[t] == thy]
-            row = {"total": len(members)}
-            for p in self.provers:
-                won = self.solved(p)
-                row[p] = sum(1 for t in members if t in won)
-            row["union"] = sum(1 for t in members if t in union)
-            out[thy] = row
-        return out
-
     def summary_text(self) -> str:
-        total = str(len(self.targets))
+        """The per-prover table, then the per-theory one, both counted
+        from one pass over the results: the provers that proved each
+        target, and each prover's CounterSatisfiable answers."""
+        proved_by: dict[str, set[str]] = {t: set() for t in self.targets}
+        countersat: Counter[str] = Counter()
+        for r in self.results:
+            if r.status.proved:
+                proved_by[r.target].add(r.prover)
+            elif r.status.kind == "CounterSatisfiable":
+                countersat[r.prover] += 1
+        won = proved_by.values()
+        solved = Counter(p for ps in won for p in ps)
+        unique = Counter(p for ps in won if len(ps) == 1 for p in ps)
+        union = sum(1 for ps in won if ps)
+        total = len(self.targets)
+
+        def percent(n: int) -> str:
+            return f"{100.0 * n / total if total else 0.0:.2f}"
+
         rows = [["prover", "solved", "total", "percent", "unique", "countersat"]]
         for p in self.provers:
             rows.append([
-                p, str(len(self.solved(p))), total, f"{self.percent(p):.2f}",
-                str(len(self.unique(p))), str(len(self.countersat(p))),
+                p, str(solved[p]), str(total), percent(solved[p]),
+                str(unique[p]), str(countersat[p]),
             ])
-        rows.append(["union", str(len(self.union_solved)), total, f"{self.percent():.2f}", "", ""])
+        rows.append(["union", str(union), str(total), percent(union), "", ""])
         blocks = [_align(rows)]
-        breakdown = self.per_theory()
-        if breakdown:
+        # theory -> [total, solved by each prover..., union]
+        per_theory: dict[str, list[int]] = {}
+        for t in self.targets:
+            ps = proved_by[t]
+            row = per_theory.setdefault(self.theory_of[t], [0] * (len(self.provers) + 2))
+            row[0] += 1
+            for i, p in enumerate(self.provers, 1):
+                row[i] += p in ps
+            row[-1] += bool(ps)
+        if per_theory:
             rows = [["theory", "total", *self.provers, "union"]]
-            for thy, row in breakdown.items():
-                rows.append(
-                    [thy, str(row["total"])]
-                    + [str(row[p]) for p in self.provers]
-                    + [str(row["union"])]
-                )
+            rows += [[thy, *map(str, row)] for thy, row in per_theory.items()]
             blocks.append(_align(rows))
         return "\n\n".join(blocks) + "\n"
 
@@ -639,7 +613,7 @@ class ExperimentReport:
             core = "" if r.core is None else "|".join(r.core.premises)
             size = "" if r.core is None else str(len(r.core.premises))
             w.writerow([
-                r.target, self.theory_of.get(r.target, ""), r.prover, str(r.status),
+                r.target, self.theory_of[r.target], r.prover, str(r.status),
                 f"{r.wall_time:.3f}", size, core,
             ])
         return buf.getvalue()

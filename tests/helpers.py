@@ -288,6 +288,10 @@ def result_for(report: ExperimentReport, target: str, prover: str) -> AtpResult:
     raise KeyError((target, prover))
 
 
+def solved_targets(report: ExperimentReport, prover: str) -> set[str]:
+    return {r.target for r in report.results if r.prover == prover and r.status.proved}
+
+
 def check_problem(problem: FofProblem) -> dict[str, int]:
     """Verify the first-order invariants: every symbol at one arity, no
     symbol both predicate and function.  Returns the symbol-arity map."""

@@ -191,6 +191,23 @@ def test_closed_output_pipe_ends_quietly(corpus_dir, tmp_path, capsys, monkeypat
         os.close(fd)
 
 
+def test_report_is_written_when_output_pipe_is_closed(corpus_dir, tmp_path, capsys, monkeypatch):
+    fd = os.open(tmp_path / "out", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        code = cli.main([
+            "experiment", "--relation", "exact", "--corpus", corpus_dir,
+            "--provers", "microres", "--report", str(tmp_path / "rep"),
+        ])
+    finally:
+        os.close(fd)
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    lines = (tmp_path / "rep.csv").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 1 + 3
+    assert "100.00" in (tmp_path / "rep.txt").read_text(encoding="utf-8")
+
+
 def test_interrupt_exits_130_without_traceback(corpus_dir, capsys, monkeypatch):
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt

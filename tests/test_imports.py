@@ -1,9 +1,10 @@
 """No module of the package or of its tests imports a name it never uses,
 every module of the package is reachable from the command line, and every
-module-level function and class is named by package code other than its
-own definition."""
+module-level function and class, and every method of such a class, is
+named by package code other than its own definition."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -104,3 +105,38 @@ def test_every_function_and_class_is_referenced_from_the_package():
         defined += [f"{path.relative_to(ROOT)}: {name}" for name in names]
         read |= refs
     assert [d for d in defined if d.rpartition(" ")[2] not in read] == []
+
+
+def _methods_and_reads(path):
+    """The non-dunder methods of ``path``'s module-level classes, each with
+    the names its own body reads, and every name ``path`` reads, counted
+    once per place it is read."""
+
+    def reads(node):
+        return Counter(
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+        )
+
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    methods = [
+        (f"{cls.name}.{fn.name}", fn.name, reads(fn))
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (fn.name.startswith("__") and fn.name.endswith("__"))
+    ]
+    return methods, reads(tree)
+
+
+def test_every_method_is_referenced_from_the_package():
+    # A method that only its own body or the tests call is code nothing
+    # runs, like a view on a report that only the tests ask for.
+    methods, read = [], Counter()
+    for path in sorted((SRC / "hammerkit").rglob("*.py")):
+        found, refs = _methods_and_reads(path)
+        methods += [(f"{path.relative_to(ROOT)}: {q}", name, own) for q, name, own in found]
+        read += refs
+    assert [q for q, name, own in methods if read[name] <= own[name]] == []
