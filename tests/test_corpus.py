@@ -529,3 +529,83 @@ def test_accessibility_laws_on_random_corpora():
             assert td == transitive_oracle(c, tid)
             assert lt == loaded_oracle(c, tid)
             assert lo == set(linear[: c.position(tid)])
+
+
+# ------------------------------------------------------- error placement
+
+
+@pytest.mark.parametrize(
+    "line2, where, message",
+    [
+        (
+            "tt(bad, ax, 0 & T & SUC T).",
+            (2, 13),
+            "in '&' 0: expected argument of type bool, got 0 : nat",
+        ),
+        (
+            "tt(bad, ax,  ~(SUC T = 0)).",
+            (2, 14),
+            "in SUC T: expected argument of type nat, got T : bool",
+        ),
+        (
+            "tt(bad, ax, SUC 0 = SUC (SUC T)).",
+            (2, 13),
+            "in SUC T: expected argument of type nat, got T : bool",
+        ),
+        (
+            "tt(bad, ax, T & ![n:nat]: SUC n).",
+            (2, 13),
+            "in ![n:nat]: (SUC n): expected argument of type nat > bool, "
+            "got ^[n:nat]: (SUC n) : nat > nat",
+        ),
+        (
+            "tt(bad, ax, T => (SUC T = 0) & (0 0 = 0)).",
+            (2, 33),
+            "applying non-function 0 : nat",
+        ),
+    ],
+    ids=["bool-operand-then-later", "under-negation", "right-of-eq", "quantifier-body", "later-eq"],
+)
+def test_type_error_wording_and_place(line2, where, message):
+    """The first error of a statement in the checker's order, placed at the
+    statement, or at an ``=`` whose left side has no type."""
+    with pytest.raises(ParseError) as info:
+        parse_tt(f"tt(T, ty, bool).\n{line2}\n", toy_sig())
+    assert info.value.msg == message
+    assert (info.value.line, info.value.col) == where
+    assert str(info.value) == f"line {where[0]}, column {where[1]}: {message}"
+
+
+@pytest.mark.parametrize(
+    "read, text, where, message",
+    [
+        (parse_thy, "theory(a, []).\ntheory(b, [a]) λ\n", (2, 16), "unexpected character 'λ'"),
+        (parse_thy, "% first\n\ntheory(a, []).\n  theory(b [a]).\n", (4, 12), "expected ',', found '['"),
+        (parse_deps, "deps(a_c1, []).\n  deps(b_c1, [a, $]).\n", (2, 18), "unexpected character '$'"),
+        (parse_deps, "deps(a_c1, []). % x\ndeps(b_c1, [a b]).\n", (2, 15), "expected ']', found 'b'"),
+        (
+            lambda t: parse_goal(t, toy_sig()),
+            "LE 0\n  (SUC #0)",
+            (2, 8),
+            "unexpected character '#'",
+        ),
+        (
+            lambda t: parse_goal(t, toy_sig()),
+            "LE 0 % comment\n  (SUC 0",
+            (2, 9),
+            "expected ')', found 'end of input'",
+        ),
+        (
+            lambda t: parse_tt(t, toy_sig()),
+            "tt(x, ax, LE 0 0).\n\ttt(y, ax, LE 0 ;).\n",
+            (2, 17),
+            "unexpected character ';'",
+        ),
+    ],
+    ids=["thy-char", "thy-grammar", "deps-char", "deps-grammar", "goal-char", "goal-grammar", "tt-char"],
+)
+def test_lexical_and_grammar_errors_report_their_position(read, text, where, message):
+    with pytest.raises(ParseError) as info:
+        read(text)
+    assert info.value.msg == message
+    assert (info.value.line, info.value.col) == where

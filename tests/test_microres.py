@@ -561,6 +561,19 @@ def test_main_reports_input_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "text, line",
+    [
+        ("fof(goal, conjecture, p.\n", "% line 1, column 24: expected ')', found '.'"),
+        ("% a problem\nfof(goal, conjecture,\n   p @ q).\n", "% line 3, column 6: unexpected character '@'"),
+    ],
+    ids=["grammar", "char"],
+)
+def test_main_prints_where_the_input_error_is(tmp_path, capsys, text, line):
+    assert main([problem_file(tmp_path, text)]) == 1
+    assert capsys.readouterr().out.splitlines() == ["% SZS status InputError", line]
+
+
+@pytest.mark.parametrize(
     "flags, message",
     [
         (["--timeout", "nan"], "argument --timeout: must be a positive finite number, not 'nan'"),

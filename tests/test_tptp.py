@@ -194,3 +194,26 @@ def test_extract_core_quoted_names():
     )
     out = "fof('odd name', axiom, p).\n"
     assert extract_core(out, p).premises == ("odd name",)
+
+
+@pytest.mark.parametrize(
+    "text, where, message",
+    [
+        (
+            "fof(a, axiom, p).\nfof(b, axiom, p @ q).\nfof(c, conjecture, q).\n",
+            (2, 17),
+            "unexpected character '@'",
+        ),
+        (
+            "% header\nfof(a, axiom, p).\nfof(b, axiom, (p & q | r)).\nfof(c, conjecture, q).\n",
+            (3, 22),
+            "cannot mix '&' and '|' without parentheses",
+        ),
+    ],
+    ids=["char", "grammar"],
+)
+def test_parse_errors_report_their_position(text, where, message):
+    with pytest.raises(ParseError) as info:
+        parse_problem(text)
+    assert info.value.msg == message
+    assert (info.value.line, info.value.col) == where
