@@ -25,12 +25,13 @@ HOL printer; ``print_tt`` here adds only the entry syntax around it.
 Every text format hammerkit reads (``.thy``, ``.tt``, ``.deps``, goals
 and TPTP problems) goes through the one lexer ``_lex`` and the one token
 cursor ``_Parser`` defined here; ``_Parser.entries`` reads
-``head( ... ).`` entries to the end of input.  A format passes in only its
-token regex, whose groups come from one vocabulary: ``ws`` (skipped,
-comments included), ``name``, ``qname`` and ``op``, plus ``tyt`` (``$t``)
-for HOL and ``var`` for TPTP variables.  Tokens are ``(kind, text,
-offset)`` tuples; a ParseError's line and column are computed from the
-offset when it is raised.
+``head( ... ).`` entries to the end of input.  A format passes in its
+token regex, built by ``_tokens``, and the kinds of its tokens by their
+first character: ``name``, ``qname``, ``tyt`` (``$t``) for HOL, ``var``
+for TPTP variables, and ``op`` for anything else.  ``_lex`` is one
+``findall``: each token is a ``(space, text)`` pair, the whitespace and
+comments before it and its text, and an empty text ends the input.  A
+ParseError's line and column are computed only when it is raised.
 """
 
 from __future__ import annotations
@@ -38,7 +39,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import chain
 from pathlib import Path
+from string import ascii_letters, digits
 from typing import Sequence, Union
 
 from .hol import (
@@ -58,6 +61,7 @@ from .hol import (
     UnknownSymbol,
     Var,
     _ty,
+    is_fun,
     mk_const_app,
     mk_eq,
     mk_exists,
@@ -89,15 +93,17 @@ class CycleDetected(ParseError):
 
 # ------------------------------------------------------------------- lexing
 
-_TOKEN = re.compile(
-    rf"""(?P<ws>\s+|%[^\n]*)
-      | (?P<tyt>\$t)
-      | (?P<name>{_BARE_NAME.pattern})
-      | (?P<qname>'(?:[^'\\\n]|\\.)*')
-      | (?P<op>=>|[=>!?^~&|()\[\],:.])
-    """,
-    re.VERBOSE,
-)
+def _tokens(alternatives: str) -> re.Pattern:
+    """A format's token regex: the whitespace and comments before a token,
+    then the token, which is empty at the end of the input and at a
+    character that no alternative matches."""
+    return re.compile(rf"((?:\s+|%[^\n]*)*)({alternatives}|)")
+
+
+_TOKEN = _tokens(rf"\$t|{_BARE_NAME.pattern}|'(?:[^'\\\n]|\\.)*'|=>|[=>!?^~&|()\[\],:.]")
+_NAME_START = ascii_letters + digits + "_"
+_KINDS = {**dict.fromkeys(_NAME_START, "name"), "'": "qname", "$": "tyt", "": "eof"}
+_ATOM_START = frozenset(_NAME_START + "'$(")
 
 
 def _unquote(text: str) -> str:
@@ -110,44 +116,50 @@ def _position(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _lex(text: str, pattern: re.Pattern) -> list[tuple[str, str, int]]:
-    """(kind, text, offset) tokens, ending with an ("eof", "", len) token."""
-    toks = []
-    pos = 0
-    for m in pattern.finditer(text):
-        if m.start() != pos:
-            break
-        kind = m.lastgroup
-        if kind != "ws":
-            toks.append((kind, m.group(), pos))
-        pos = m.end()
-    if pos != len(text):
+def _offset(toks: list[tuple[str, str]], i: int) -> int:
+    """Where the text of token ``i`` starts."""
+    return sum(map(len, chain.from_iterable(toks[:i]))) + len(toks[i][0])
+
+
+def _lex(text: str, pattern: re.Pattern) -> list[tuple[str, str]]:
+    """(space, text) tokens, ending with one or two (space, "") tokens.
+    They cover the text unless some character matched no token; the first
+    empty token stands at the first such character."""
+    toks = pattern.findall(text)
+    if sum(map(len, chain.from_iterable(toks))) != len(text):
+        pos = _offset(toks, next(i for i, t in enumerate(toks) if not t[1]))
         raise ParseError(f"unexpected character {text[pos]!r}", *_position(text, pos))
-    toks.append(("eof", "", pos))
     return toks
 
 
 class _Parser:
     """A cursor over the tokens of one text.  Grammars read through it;
-    the only thing a format passes in is its token regex."""
+    a format passes in its token regex and the kinds of its tokens by
+    their first character."""
 
-    def __init__(self, text: str, pattern: re.Pattern = _TOKEN):
+    def __init__(self, text: str, pattern: re.Pattern = _TOKEN, kinds: dict = _KINDS):
         self.text = text
         self.toks = _lex(text, pattern)
+        self.kinds = kinds
         self.pos = 0
 
-    def peek(self) -> tuple[str, str, int]:
+    def peek(self) -> tuple[str, str]:
         return self.toks[self.pos]
 
-    def take(self) -> tuple[str, str, int]:
+    def take(self) -> tuple[str, str]:
         t = self.toks[self.pos]
-        if t[0] != "eof":
+        if t[1]:
             self.pos += 1
         return t
 
-    def fail(self, msg: str, tok: tuple[str, str, int] | None = None) -> ParseError:
+    def kind(self, tok: tuple[str, str]) -> str:
+        return self.kinds.get(tok[1][:1], "op")
+
+    def fail(self, msg: str, tok: tuple[str, str] | None = None) -> ParseError:
         """An error at ``tok``, by default the next token."""
-        return ParseError(msg, *_position(self.text, (tok or self.peek())[2]))
+        tok = tok or self.peek()
+        i = next(i for i, t in enumerate(self.toks) if t is tok)
+        return ParseError(msg, *_position(self.text, _offset(self.toks, i)))
 
     # Operators are punctuation and names are words or quoted, so a token's
     # text alone tells an operator apart.
@@ -155,15 +167,17 @@ class _Parser:
         return self.toks[self.pos][1] == op
 
     def expect(self, op: str) -> None:
-        t = self.take()
+        t = self.toks[self.pos]
         if t[1] != op:
             raise self.fail(f"expected {op!r}, found {t[1] or 'end of input'!r}", t)
+        self.pos += 1
 
     def name(self) -> str:
         t = self.take()
-        if t[0] == "name":
+        kind = self.kind(t)
+        if kind == "name":
             return t[1]
-        if t[0] == "qname":
+        if kind == "qname":
             return _unquote(t[1])
         raise self.fail(f"expected a name, found {t[1]!r}", t)
 
@@ -178,7 +192,7 @@ class _Parser:
     def entries(self, *heads: str):
         """Read ``head( ... ).`` entries to the end of input, yielding each
         head after its opening parenthesis; the caller reads the arguments."""
-        while self.toks[self.pos][0] != "eof":
+        while self.toks[self.pos][1]:
             t = self.peek()
             head = self.name()
             if head not in heads:
@@ -189,7 +203,12 @@ class _Parser:
             self.expect(".")
 
 
-# The HOL grammar: a precedence ladder, loosest first.
+# The HOL grammar: a precedence ladder, loosest first.  It checks types as
+# it builds terms: a term rule returns the term and its type, or None once
+# an application in it does not check.  Only then does ``hol.typecheck``
+# walk the term (from ``_statement``, or ``_eq``), to name the fault.
+
+Typed = tuple[HolTerm, Union[HolType, None]]
 
 
 class _Hol(_Parser):
@@ -203,57 +222,65 @@ class _Hol(_Parser):
         self.tyvars: set[str] = set()
 
     def at_atom(self, ahead: int = 0) -> bool:
-        kind, value, _ = self.toks[self.pos + ahead]
-        return kind in ("name", "qname", "tyt") or value == "("
+        return self.toks[self.pos + ahead][1][:1] in _ATOM_START
 
 
 def _right(p: _Hol, op: str, operand, join):
-    """operand (op operand)*, folded to the right by ``join(lhs, rhs)``."""
+    """operand (op operand)*, folded to the right by ``join(op, lhs, rhs)``."""
     parts = [operand(p)]
     while p.at_op(op):
         p.take()
         parts.append(operand(p))
     out = parts.pop()
     while parts:
-        out = join(parts.pop(), out)
+        out = join(op, parts.pop(), out)
     return out
 
 
-def _expr(p: _Hol) -> HolTerm:
-    return _right(p, "=>", _disj, lambda l, r: mk_const_app("=>", (), [l, r]))
+def _connective(op: str, l: Typed, r: Typed) -> Typed:
+    return mk_const_app(op, (), [l[0], r[0]]), BOOL if l[1] == r[1] == BOOL else None
 
 
-def _disj(p: _Hol) -> HolTerm:
-    return _right(p, "|", _conj, lambda l, r: mk_const_app("|", (), [l, r]))
+def _expr(p: _Hol) -> Typed:
+    return _right(p, "=>", _disj, _connective)
 
 
-def _conj(p: _Hol) -> HolTerm:
-    return _right(p, "&", _neg, lambda l, r: mk_const_app("&", (), [l, r]))
+def _disj(p: _Hol) -> Typed:
+    return _right(p, "|", _conj, _connective)
+
+
+def _conj(p: _Hol) -> Typed:
+    return _right(p, "&", _neg, _connective)
 
 
 _BINDERS = {"!": mk_forall, "?": mk_exists, "^": Abs}
 
 
-def _neg(p: _Hol) -> HolTerm:
+def _neg(p: _Hol) -> Typed:
     if p.at_op("~"):
         p.take()
-        return mk_const_app("~", (), [_neg(p)])
+        t, ty = _neg(p)
+        return mk_const_app("~", (), [t]), BOOL if ty == BOOL else None
     if p.peek()[1] in _BINDERS:
         return _binder(p)
     return _eq(p)
 
 
-def _binder(p: _Hol) -> HolTerm:
+def _binder(p: _Hol) -> Typed:
     """A binder group and its body; the bound names go out of scope after."""
     kind = p.take()[1]
     scope = p.vars.copy(), p.tyvars.copy()
     binds = _group(p, kind)
-    body = _neg(p)
+    body, ty = _neg(p)
     p.vars, p.tyvars = scope
     for v in reversed(binds):
         if isinstance(v, Var):
             body = _BINDERS[kind](v, body)
-    return body
+            if kind != "^":
+                ty = BOOL if ty == BOOL else None
+            elif ty:
+                ty = mk_fun(v.ty, ty)
+    return body, ty
 
 
 def _group(p: _Hol, kind: str, decl: str | None = None) -> list[Var | str]:
@@ -272,7 +299,7 @@ def _bind(p: _Hol, kind: str, decl: str | None) -> Var | str:
     name = p.name()
     p.expect(":")
     tok = p.peek()
-    if tok[0] != "tyt":
+    if tok[1] != "$t":
         if decl is not None:
             raise p.fail(f"constant declaration {decl} binds a term variable", tok)
         v = p.vars[name] = Var(name, _type(p))
@@ -284,34 +311,39 @@ def _bind(p: _Hol, kind: str, decl: str | None) -> Var | str:
     return name
 
 
-def _eq(p: _Hol) -> HolTerm:
+def _eq(p: _Hol) -> Typed:
     start = p.pos
-    l = _app(p)
+    l, lty = _app(p)
     if not p.at_op("="):
-        return l
+        return l, lty
     p.take()
-    r = _app(p)
+    r, rty = _app(p)
     if p.at_op("="):
         raise p.fail("chained = needs parentheses")
+    if lty is not None:
+        return mk_eq(l, r, lty), BOOL if rty == lty else None
     try:
         ty = type_of(l, p.sig)
     except TypeMismatch:
         ty = _typecheck(p, l, p.toks[start])  # raises, naming the bad application
-    return mk_eq(l, r, ty)
+    return mk_eq(l, r, ty), None
 
 
-def _app(p: _Hol) -> HolTerm:
+def _app(p: _Hol) -> Typed:
     """Application by juxtaposition."""
-    t = _atom(p, head=True)
+    t, ty = _atom(p, head=True)
     while p.at_atom():
-        t = App(t, _atom(p))
+        a, aty = _atom(p)
+        t = App(t, a)
+        ty = ty.args[1] if is_fun(ty) and ty.args[0] == aty else None
     if p.at_op(">"):
         raise p.fail("type arrow in a term")
-    return t
+    return t, ty
 
 
-def _atom(p: _Hol, head: bool = False) -> HolTerm:
-    tok = kind, value, _ = p.take()
+def _atom(p: _Hol, head: bool = False) -> Typed:
+    tok = p.take()
+    kind, value = p.kind(tok), tok[1]
     if kind == "name" or kind == "qname":
         return _named(p, value if kind == "name" else _unquote(value), tok, head)
     if kind == "tyt":
@@ -323,16 +355,17 @@ def _atom(p: _Hol, head: bool = False) -> HolTerm:
     return t
 
 
-def _named(p: _Hol, name: str, tok: tuple[str, str, int], head: bool) -> HolTerm:
+def _named(p: _Hol, name: str, tok: tuple[str, str], head: bool) -> Typed:
     """A bound variable or a constant.  A polymorphic constant at the head
     of an application reads its type arguments, one type atom each."""
     if name in p.vars:
-        return p.vars[name]
-    if not p.sig.has_const(name):
+        return p.vars[name], p.vars[name].ty
+    decl = p.sig.consts.get(name)
+    if decl is None:
         raise UnknownSymbol(f"undeclared name: {name}")
-    k = len(p.sig.const_decl(name).tyvars)
+    k = len(decl.tyvars)
     if k == 0:
-        return Const(name)
+        return Const(name), decl.ty
     if not (head and p.at_atom()):
         raise p.fail(f"polymorphic constant {name} needs {k} explicit type arguments", tok)
     inst = []
@@ -348,17 +381,18 @@ def _named(p: _Hol, name: str, tok: tuple[str, str, int], head: bool) -> HolTerm
                 f"arguments before its term arguments ({why})",
                 tok,
             ) from None
-    return Const(name, tuple(inst))
+    c = Const(name, tuple(inst))
+    return c, p.sig.const_type(c)
 
 
 def _type(p: _Hol) -> HolType:
-    return _right(p, ">", _ty_app, mk_fun)
+    return _right(p, ">", _ty_app, lambda _, arg, res: mk_fun(arg, res))
 
 
 def _ty_app(p: _Hol) -> HolType:
     """A type atom, or a type constructor applied to type atoms."""
     tok = p.peek()
-    if tok[0] not in ("name", "qname") or not p.at_atom(1):
+    if p.kind(tok) not in ("name", "qname") or not p.at_atom(1):
         ty = _ty_atom(p)
         if p.at_atom():
             raise p.fail("malformed type application", tok)
@@ -384,9 +418,10 @@ def _ty_atom(p: _Hol) -> HolType:
         ty = _type(p)
         p.expect(")")
         return ty
-    if tok[0] not in ("name", "qname"):
+    kind = p.kind(tok)
+    if kind not in ("name", "qname"):
         raise p.fail("expected a type", tok)
-    name = tok[1] if tok[0] == "name" else _unquote(tok[1])
+    name = tok[1] if kind == "name" else _unquote(tok[1])
     if name in p.tyvars:
         return TyVar(name)
     arity = p.sig.type_arity(name)
@@ -430,13 +465,13 @@ def _declaration(p: _Hol, name: str) -> tuple[Role, int | ConstDecl]:
     """A ``ty`` payload, declared in the signature: a kind ``$t > ... > $t``
     for a type constructor, or ``![A:$t, ...]:`` groups and a type for a
     constant."""
-    if p.peek()[0] == "tyt":
+    if p.at_op("$t"):
         p.take()
         arity = 0
         while p.at_op(">"):
             p.take()
             tok = p.take()
-            if tok[0] != "tyt":
+            if tok[1] != "$t":
                 raise p.fail(f"malformed kind in declaration of {name}", tok)
             arity += 1
         if not p.at_op(")"):
@@ -477,13 +512,13 @@ def _statement(p: _Hol, what: str) -> HolTerm:
     """A formula, typechecked; NotBoolean unless it is a statement.
     ``what`` names the formula in the error."""
     tok = p.peek()
-    term = _expr(p)
-    if _typecheck(p, term, tok) != BOOL:
+    term, ty = _expr(p)
+    if (ty or _typecheck(p, term, tok)) != BOOL:  # _typecheck raises if ty is None
         raise NotBoolean(f"{what} is not a boolean formula")
     return term
 
 
-def _typecheck(p: _Hol, term: HolTerm, tok: tuple[str, str, int]) -> HolType:
+def _typecheck(p: _Hol, term: HolTerm, tok: tuple[str, str]) -> HolType:
     """``typecheck``, with a type error placed at ``tok``."""
     try:
         return typecheck(term, p.sig)
@@ -624,10 +659,10 @@ class Corpus:
 def linear_order(corpus: Corpus) -> list[TheoremId]:
     """Theory build order refined by naming order; checks that every
     dependency precedes its theorem."""
-    order: list[TheoremId] = []
-    for theory in corpus.theories:
-        ids = sorted(t for t in corpus.theorems if t.theory == theory)
-        order.extend(ids)
+    ids: dict[str, list[TheoremId]] = {theory: [] for theory in corpus.theories}
+    for tid in corpus.theorems:
+        ids.get(tid.theory, []).append(tid)
+    order = [tid for theory in corpus.theories for tid in sorted(ids[theory])]
     pos = {tid: i for i, tid in enumerate(order)}
     for tid, entry in corpus.theorems.items():
         for deps in entry.dependencies:
@@ -778,15 +813,17 @@ def _ingest_theory(corpus: Corpus, theory: str, entries: list[ObjectEntry]) -> N
 
 def _ingest_deps(corpus: Corpus, lines: list[tuple[str, list[str]]]) -> None:
     # Order violations surface through linear_order once loading finishes.
+    updated: dict[TheoremId, list[frozenset[ConjunctId]]] = {}
     for key, vals in lines:
         tid, k = resolve_dep_name(corpus, key)
         entry = corpus.theorem(tid)
         resolved = frozenset(c for v in vals for c in _expand_dep(corpus, v))
         indices = [k] if k is not None else range(1, len(entry.conjuncts) + 1)
-        deps = list(entry.dependencies)
+        deps = updated.setdefault(tid, list(entry.dependencies))
         for i in indices:
             deps[i - 1] = deps[i - 1] | resolved
-        corpus.theorems[tid] = replace(entry, dependencies=tuple(deps))
+    for tid, deps in updated.items():
+        corpus.theorems[tid] = replace(corpus.theorems[tid], dependencies=tuple(deps))
 
 
 def _build_corpus(
@@ -852,6 +889,6 @@ def parse_goal(text: str, sig: Signature) -> tuple[str, HolTerm]:
     term = _statement(p, "goal")
     if p.at_op("."):
         p.take()
-    if p.peek()[0] != "eof":
+    if p.peek()[1]:
         raise p.fail("trailing input after the goal formula")
     return "goal", term

@@ -163,17 +163,20 @@ BUILTIN_CONSTS = {
 
 
 class Signature:
-    """Declared type constructors (name -> arity) and constants."""
+    """Declared type constructors (name -> arity) and constants, and the
+    type of each constant instantiation asked for so far."""
 
     def __init__(self) -> None:
         self.types: dict[str, int] = dict(BUILTIN_TYPES)
         self.consts: dict[str, ConstDecl] = dict(BUILTIN_CONSTS)
+        self.instances: dict[tuple[str, tuple[HolType, ...]], HolType] = {}
 
     def declare_type(self, name: str, arity: int) -> None:
         self.types[name] = arity
 
     def declare_const(self, name: str, tyvars: tuple[str, ...], ty: HolType) -> None:
         self.consts[name] = ConstDecl(tyvars, ty)
+        self.instances.clear()
 
     def type_arity(self, name: str) -> int:
         try:
@@ -199,7 +202,10 @@ class Signature:
             )
         if not c.inst:
             return decl.ty
-        return ty_subst(decl.ty, dict(zip(decl.tyvars, c.inst)))
+        key = c.name, c.inst
+        if key not in self.instances:
+            self.instances[key] = ty_subst(decl.ty, dict(zip(decl.tyvars, c.inst)))
+        return self.instances[key]
 
     def copy(self) -> "Signature":
         s = Signature()

@@ -2,9 +2,9 @@
 
 Problems are printed one annotated formula per line, fully parenthesized,
 so that parsing a printed problem reconstructs the exact same tree.  The
-reader has no lexer or cursor of its own: it passes its token regex (with
-``var`` for upper-case variables) to the shared ``corpus._Parser`` and reads
-``fof( ... ).`` entries through its entry loop.
+reader has no lexer or cursor of its own: it passes its token regex and
+token kinds (with ``var`` for upper-case variables) to the shared
+``corpus._Parser`` and reads ``fof( ... ).`` entries through its entry loop.
 Prover verdicts are read from SZS status lines and unsatisfiable cores
 from derivation output, both tolerantly: any output maps to a verdict.
 """
@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from string import ascii_lowercase, ascii_uppercase
 
-from .corpus import _Parser, _unquote
+from .corpus import _Parser, _tokens, _unquote
 from .fof import (
     BinOp,
     Eq,
@@ -118,19 +119,14 @@ def print_problem(problem: FofProblem) -> str:
 
 # ------------------------------------------------------------------ parsing
 
-_TOKEN = re.compile(
-    r"""(?P<ws>\s+|%[^\n]*)
-      | (?P<op><=>|=>|!=|[()\[\],.:!?~&|=])
-      | (?P<name>[a-z][A-Za-z0-9_]*)
-      | (?P<var>[A-Z_][A-Za-z0-9_]*)
-      | (?P<qname>'(?:[^'\\]|\\.)*')
-    """,
-    re.VERBOSE,
-)
+_TOKEN = _tokens(r"<=>|=>|!=|[()\[\],.:!?~&|=]|[A-Za-z_][A-Za-z0-9_]*|'(?:[^'\\]|\\.)*'")
+_KINDS = {**dict.fromkeys(ascii_lowercase, "name"), **dict.fromkeys(ascii_uppercase + "_", "var")}
+_KINDS.update({"'": "qname", "": "eof"})
 
 
 def _parse_term(p: _Parser) -> FofTerm:
-    kind, val, _ = t = p.peek()
+    t = p.peek()
+    kind, val = p.kind(t), t[1]
     if kind == "var":
         p.take()
         return FofVar(val)
@@ -146,10 +142,10 @@ def _parse_term(p: _Parser) -> FofTerm:
 
 
 def _parse_var(p: _Parser) -> str:
-    kind, val, _ = t = p.take()
-    if kind != "var":
-        raise p.fail(f"expected a variable, found {val!r}", t)
-    return val
+    t = p.take()
+    if p.kind(t) != "var":
+        raise p.fail(f"expected a variable, found {t[1]!r}", t)
+    return t[1]
 
 
 def _parse_unitary(p: _Parser) -> FofFormula:
@@ -210,7 +206,7 @@ def _parse_formula(p: _Parser) -> FofFormula:
 def parse_problem(text: str) -> FofProblem:
     """Parse a printed problem back; reverse mapping and helper markers
     are not part of the syntax and come back empty."""
-    p = _Parser(text, _TOKEN)
+    p = _Parser(text, _TOKEN, _KINDS)
     axioms: list[tuple[str, FofFormula]] = []
     conjectures: list[tuple[str, FofFormula]] = []
     for _ in p.entries("fof"):

@@ -202,6 +202,21 @@ def test_load_corpus_reads_the_theory_list_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_loading_lexes_each_file_once_and_never_typechecks(monkeypatch):
+    """The reader checks types as it builds each term, so a well-typed
+    corpus is read in one lexer pass per file and no second walk."""
+    lexed, walked = [], []
+    lex, typecheck, type_of = corpus_module._lex, corpus_module.typecheck, corpus_module.type_of
+    monkeypatch.setattr(corpus_module, "_lex", lambda text, rx: lexed.append(text) or lex(text, rx))
+    monkeypatch.setattr(corpus_module, "typecheck", lambda *a: walked.append(a) or typecheck(*a))
+    monkeypatch.setattr(corpus_module, "type_of", lambda *a: walked.append(a) or type_of(*a))
+    root = Path(str(resources.files("hammerkit") / "data" / "toy"))
+    load_corpus(root)
+    texts = [f.read_text(encoding="utf-8") for f in root.iterdir() if f.suffix in (".thy", ".tt", ".deps")]
+    assert walked == []
+    assert sorted(lexed) == sorted(texts) and len(texts) > 4
+
+
 def test_chained_equality_is_rejected():
     sig = toy_sig()
     with pytest.raises(ParseError, match="parenthes"):
