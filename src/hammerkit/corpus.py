@@ -278,7 +278,7 @@ def _binder(p: _Hol) -> Typed:
             body = _BINDERS[kind](v, body)
             if kind != "^":
                 ty = BOOL if ty == BOOL else None
-            elif ty:
+            elif ty is not None:
                 ty = mk_fun(v.ty, ty)
     return body, ty
 
@@ -513,7 +513,7 @@ def _statement(p: _Hol, what: str) -> HolTerm:
     ``what`` names the formula in the error."""
     tok = p.peek()
     term, ty = _expr(p)
-    if (ty or _typecheck(p, term, tok)) != BOOL:  # _typecheck raises if ty is None
+    if (ty or _typecheck(p, term, tok)) != BOOL:  # with no type, _typecheck raises
         raise NotBoolean(f"{what} is not a boolean formula")
     return term
 
