@@ -15,9 +15,13 @@ type arguments of polymorphic constants are explicit, `` > `` is the
 right-associative type arrow, and ``![A:$t]:`` binds a type variable.
 
 The HOL reader is one pass over the tokens: every grammar rule returns a
-term or a type, and names resolve against the signature and the binders
-in scope as they are read.  A ``$t`` binder scopes over its own body and
-the binds after it in its group, like a term binder.
+term with its type, or a type, and names resolve against the signature
+and the binders in scope as they are read.  A ``$t`` binder scopes over
+its own body and the binds after it in its group, like a term binder.
+The reader is hammerkit's only type checker: it checks each application
+as it builds it and raises a ParseError at the first one that does not
+check, worded by ``hol.ill_typed`` and placed at the statement's first
+token.  An undeclared name or type constructor is placed at its token.
 
 Terms, types and names print through ``hammerkit.hol``'s printer, the one
 HOL printer; ``print_tt`` here adds only the entry syntax around it.
@@ -53,14 +57,12 @@ from .hol import (
     ConstDecl,
     HolTerm,
     HolType,
-    NotBoolean,
     Signature,
     TyApp,
     TyVar,
-    TypeMismatch,
-    UnknownSymbol,
     Var,
     _ty,
+    ill_typed,
     is_fun,
     mk_const_app,
     mk_eq,
@@ -70,8 +72,6 @@ from .hol import (
     show_name,
     split_conjuncts,
     term_text,
-    type_of,
-    typecheck,
 )
 
 
@@ -203,54 +203,73 @@ class _Parser:
             self.expect(".")
 
 
-# The HOL grammar: a precedence ladder, loosest first.  It checks types as
-# it builds terms: a term rule returns the term and its type, or None once
-# an application in it does not check.  Only then does ``hol.typecheck``
-# walk the term (from ``_statement``, or ``_eq``), to name the fault.
+# The HOL grammar: a precedence ladder, loosest first.  It is the one type
+# checker: a term rule returns the term and its type, and checks each
+# application as soon as it has read the argument, so the first ill-typed
+# application in reading order is the one named.  A type error is placed
+# at the start of the statement, ``_Hol.stmt``.
 
-Typed = tuple[HolTerm, Union[HolType, None]]
+Typed = tuple[HolTerm, HolType]
+
+_BOOL_FN = mk_fun(BOOL, BOOL)  # the type of ~, and of a connective given one operand
 
 
 class _Hol(_Parser):
     """A cursor with a scope: the signature, the bound term variables and
-    the bound type variables."""
+    the bound type variables, and the first token of the statement being
+    read."""
 
     def __init__(self, text: str, sig: Signature):
         super().__init__(text)
         self.sig = sig
         self.vars: dict[str, Var] = {}
         self.tyvars: set[str] = set()
+        self.stmt = self.peek()
 
     def at_atom(self, ahead: int = 0) -> bool:
         return self.toks[self.pos + ahead][1][:1] in _ATOM_START
 
+    def arity(self, name: str, tok: tuple[str, str]) -> int:
+        """The arity of the type constructor ``name``, read at ``tok``."""
+        if name not in self.sig.types:
+            raise self.fail(f"undeclared type constructor: {name}", tok)
+        return self.sig.types[name]
 
-def _right(p: _Hol, op: str, operand, join):
-    """operand (op operand)*, folded to the right by ``join(op, lhs, rhs)``."""
-    parts = [operand(p)]
+    def type_error(self, fun: HolTerm, fty: HolType, arg: HolTerm, aty: HolType) -> ParseError:
+        """``fun : fty`` does not apply to ``arg : aty``."""
+        return self.fail(ill_typed(fun, fty, arg, aty), self.stmt)
+
+
+def _connective(p: _Hol, op: str, operand) -> Typed:
+    """operand (op operand)*, folded to the right.  An operand is checked as
+    soon as the token after it shows whether it is the last one."""
+    t, ty = operand(p)
+    left: list[HolTerm] = []
     while p.at_op(op):
         p.take()
-        parts.append(operand(p))
-    out = parts.pop()
-    while parts:
-        out = join(op, parts.pop(), out)
-    return out
-
-
-def _connective(op: str, l: Typed, r: Typed) -> Typed:
-    return mk_const_app(op, (), [l[0], r[0]]), BOOL if l[1] == r[1] == BOOL else None
+        if ty != BOOL:
+            raise p.type_error(Const(op), mk_fun(BOOL, _BOOL_FN), t, ty)
+        left.append(t)
+        t, ty = operand(p)
+    if not left:
+        return t, ty
+    if ty != BOOL:
+        raise p.type_error(App(Const(op), left[-1]), _BOOL_FN, t, ty)
+    while left:
+        t = mk_const_app(op, (), [left.pop(), t])
+    return t, BOOL
 
 
 def _expr(p: _Hol) -> Typed:
-    return _right(p, "=>", _disj, _connective)
+    return _connective(p, "=>", _disj)
 
 
 def _disj(p: _Hol) -> Typed:
-    return _right(p, "|", _conj, _connective)
+    return _connective(p, "|", _conj)
 
 
 def _conj(p: _Hol) -> Typed:
-    return _right(p, "&", _neg, _connective)
+    return _connective(p, "&", _neg)
 
 
 _BINDERS = {"!": mk_forall, "?": mk_exists, "^": Abs}
@@ -260,7 +279,9 @@ def _neg(p: _Hol) -> Typed:
     if p.at_op("~"):
         p.take()
         t, ty = _neg(p)
-        return mk_const_app("~", (), [t]), BOOL if ty == BOOL else None
+        if ty != BOOL:
+            raise p.type_error(Const("~"), _BOOL_FN, t, ty)
+        return App(Const("~"), t), BOOL
     if p.peek()[1] in _BINDERS:
         return _binder(p)
     return _eq(p)
@@ -274,12 +295,14 @@ def _binder(p: _Hol) -> Typed:
     body, ty = _neg(p)
     p.vars, p.tyvars = scope
     for v in reversed(binds):
-        if isinstance(v, Var):
-            body = _BINDERS[kind](v, body)
-            if kind != "^":
-                ty = BOOL if ty == BOOL else None
-            elif ty is not None:
-                ty = mk_fun(v.ty, ty)
+        if not isinstance(v, Var):
+            continue
+        if kind == "^":
+            ty = mk_fun(v.ty, ty)
+        elif ty != BOOL:
+            q = Const(kind, (v.ty,))
+            raise p.type_error(q, p.sig.const_type(q), Abs(v, body), mk_fun(v.ty, ty))
+        body = _BINDERS[kind](v, body)
     return body, ty
 
 
@@ -312,7 +335,6 @@ def _bind(p: _Hol, kind: str, decl: str | None) -> Var | str:
 
 
 def _eq(p: _Hol) -> Typed:
-    start = p.pos
     l, lty = _app(p)
     if not p.at_op("="):
         return l, lty
@@ -320,13 +342,9 @@ def _eq(p: _Hol) -> Typed:
     r, rty = _app(p)
     if p.at_op("="):
         raise p.fail("chained = needs parentheses")
-    if lty is not None:
-        return mk_eq(l, r, lty), BOOL if rty == lty else None
-    try:
-        ty = type_of(l, p.sig)
-    except TypeMismatch:
-        ty = _typecheck(p, l, p.toks[start])  # raises, naming the bad application
-    return mk_eq(l, r, ty), None
+    if rty != lty:
+        raise p.type_error(mk_const_app("=", (lty,), [l]), mk_fun(lty, BOOL), r, rty)
+    return mk_eq(l, r, lty), BOOL
 
 
 def _app(p: _Hol) -> Typed:
@@ -334,8 +352,9 @@ def _app(p: _Hol) -> Typed:
     t, ty = _atom(p, head=True)
     while p.at_atom():
         a, aty = _atom(p)
-        t = App(t, a)
-        ty = ty.args[1] if is_fun(ty) and ty.args[0] == aty else None
+        if not (is_fun(ty) and ty.args[0] == aty):
+            raise p.type_error(t, ty, a, aty)
+        t, ty = App(t, a), ty.args[1]
     if p.at_op(">"):
         raise p.fail("type arrow in a term")
     return t, ty
@@ -362,7 +381,7 @@ def _named(p: _Hol, name: str, tok: tuple[str, str], head: bool) -> Typed:
         return p.vars[name], p.vars[name].ty
     decl = p.sig.consts.get(name)
     if decl is None:
-        raise UnknownSymbol(f"undeclared name: {name}")
+        raise p.fail(f"undeclared name: {name}", tok)
     k = len(decl.tyvars)
     if k == 0:
         return Const(name), decl.ty
@@ -374,11 +393,10 @@ def _named(p: _Hol, name: str, tok: tuple[str, str], head: bool) -> Typed:
             raise p.fail(f"constant {name} expects {k} explicit type arguments", tok)
         try:
             inst.append(_ty_atom(p))
-        except (ParseError, UnknownSymbol) as e:
-            why = e.msg if isinstance(e, ParseError) else e
+        except ParseError as e:
             raise p.fail(
                 f"constant {name} expects {k} explicit type "
-                f"arguments before its term arguments ({why})",
+                f"arguments before its term arguments ({e.msg})",
                 tok,
             ) from None
     c = Const(name, tuple(inst))
@@ -386,7 +404,15 @@ def _named(p: _Hol, name: str, tok: tuple[str, str], head: bool) -> Typed:
 
 
 def _type(p: _Hol) -> HolType:
-    return _right(p, ">", _ty_app, lambda _, arg, res: mk_fun(arg, res))
+    """Type applications joined by the right-associative arrow ``>``."""
+    parts = [_ty_app(p)]
+    while p.at_op(">"):
+        p.take()
+        parts.append(_ty_app(p))
+    ty = parts.pop()
+    while parts:
+        ty = mk_fun(parts.pop(), ty)
+    return ty
 
 
 def _ty_app(p: _Hol) -> HolType:
@@ -400,7 +426,7 @@ def _ty_app(p: _Hol) -> HolType:
     name = p.name()
     if name in p.tyvars:
         raise p.fail("malformed type application", tok)
-    arity = p.sig.type_arity(name)
+    arity = p.arity(name, tok)
     args = []
     while p.at_atom():
         args.append(_ty_atom(p))
@@ -424,7 +450,7 @@ def _ty_atom(p: _Hol) -> HolType:
     name = tok[1] if kind == "name" else _unquote(tok[1])
     if name in p.tyvars:
         return TyVar(name)
-    arity = p.sig.type_arity(name)
+    arity = p.arity(name, tok)
     if arity != 0:
         raise p.fail(f"type constructor {name} expects {arity} arguments", tok)
     return TyApp(name)
@@ -509,21 +535,12 @@ def parse_tt(text: str, signature: Signature) -> list[ObjectEntry]:
 
 
 def _statement(p: _Hol, what: str) -> HolTerm:
-    """A formula, typechecked; NotBoolean unless it is a statement.
-    ``what`` names the formula in the error."""
-    tok = p.peek()
+    """A formula that must be a statement; ``what`` names it in the error."""
+    p.stmt = p.peek()
     term, ty = _expr(p)
-    if (ty or _typecheck(p, term, tok)) != BOOL:  # with no type, _typecheck raises
-        raise NotBoolean(f"{what} is not a boolean formula")
+    if ty != BOOL:
+        raise p.fail(f"{what} is not a boolean formula", p.stmt)
     return term
-
-
-def _typecheck(p: _Hol, term: HolTerm, tok: tuple[str, str]) -> HolType:
-    """``typecheck``, with a type error placed at ``tok``."""
-    try:
-        return typecheck(term, p.sig)
-    except TypeMismatch as e:
-        raise p.fail(str(e), tok) from None
 
 
 # ----------------------------------------------------------------- printing
@@ -799,7 +816,7 @@ def _ingest_theory(corpus: Corpus, theory: str, entries: list[ObjectEntry]) -> N
     ]
     names = rename_overwritten([(e.name, tid) for tid, e in theorems])
     for tid, e in theorems:
-        conjs = tuple(split_conjuncts(e.formula, corpus.signature))
+        conjs = tuple(split_conjuncts(e.formula))
         corpus.theorems[tid] = TheoremEntry(
             id=tid,
             name=names[tid],

@@ -30,10 +30,6 @@ class TypeMismatch(HolError):
     pass
 
 
-class NotBoolean(HolError):
-    pass
-
-
 # --------------------------------------------------------------------- types
 
 
@@ -178,12 +174,6 @@ class Signature:
         self.consts[name] = ConstDecl(tyvars, ty)
         self.instances.clear()
 
-    def type_arity(self, name: str) -> int:
-        try:
-            return self.types[name]
-        except KeyError:
-            raise UnknownSymbol(f"undeclared type constructor: {name}") from None
-
     def const_decl(self, name: str) -> ConstDecl:
         try:
             return self.consts[name]
@@ -212,18 +202,6 @@ class Signature:
         s.types = dict(self.types)
         s.consts = dict(self.consts)
         return s
-
-
-def validate_type(ty: HolType, sig: Signature) -> None:
-    if isinstance(ty, TyVar):
-        return
-    arity = sig.type_arity(ty.con)
-    if arity != len(ty.args):
-        raise ArityMismatch(
-            f"type constructor {ty.con} has arity {arity}, applied to {len(ty.args)}"
-        )
-    for a in ty.args:
-        validate_type(a, sig)
 
 
 # ------------------------------------------------------------------ printing
@@ -437,29 +415,14 @@ def type_of(t: HolTerm, sig: Signature) -> HolType:
     return mk_fun(t.var.ty, type_of(t.body, sig))
 
 
-def typecheck(t: HolTerm, sig: Signature) -> HolType:
-    """Check and return the type of a term, naming the offending subterm on error."""
-    if isinstance(t, Var):
-        validate_type(t.ty, sig)
-        return t.ty
-    if isinstance(t, Const):
-        for i in t.inst:
-            validate_type(i, sig)
-        return sig.const_type(t)
-    if isinstance(t, App):
-        fty = typecheck(t.fun, sig)
-        aty = typecheck(t.arg, sig)
-        if not is_fun(fty):
-            raise TypeMismatch(f"applying non-function {_tm(t.fun, _LVL_IMP)} : {_ty(fty, 0)}")
-        want, res = dest_fun(fty)
-        if want != aty:
-            raise TypeMismatch(
-                f"in {_tm(t, _LVL_IMP)}: expected argument of type {_ty(want, 0)}, "
-                f"got {_tm(t.arg, _LVL_IMP)} : {_ty(aty, 0)}"
-            )
-        return res
-    validate_type(t.var.ty, sig)
-    return mk_fun(t.var.ty, typecheck(t.body, sig))
+def ill_typed(fun: HolTerm, fty: HolType, arg: HolTerm, aty: HolType) -> str:
+    """Why ``fun : fty`` cannot be applied to ``arg : aty``."""
+    if not is_fun(fty):
+        return f"applying non-function {_tm(fun, _LVL_IMP)} : {_ty(fty, 0)}"
+    return (
+        f"in {_tm(App(fun, arg), _LVL_IMP)}: expected argument of type "
+        f"{_ty(fty.args[0], 0)}, got {_tm(arg, _LVL_IMP)} : {_ty(aty, 0)}"
+    )
 
 
 # ------------------------------------------------------------- substitution
@@ -616,15 +579,13 @@ def dest_binop(t: HolTerm, name: str) -> tuple[HolTerm, HolTerm] | None:
 # ---------------------------------------------------------- conjunct splits
 
 
-def split_conjuncts(formula: HolTerm, sig: Signature) -> list[HolTerm]:
+def split_conjuncts(formula: HolTerm) -> list[HolTerm]:
     """Distribute top-level universals over conjunctions and split.
 
     Each returned conjunct re-binds, in original order, exactly the stripped
     universals it uses.  A conjunction-free formula yields a singleton.  The
-    formula must be well typed.
+    formula must be a well-typed statement.
     """
-    if type_of(formula, sig) != BOOL:
-        raise NotBoolean(f"not a boolean formula: {_tm(formula, _LVL_IMP)}")
 
     def walk(t: HolTerm) -> list[HolTerm]:
         vs, body = strip_binders(t, "!")

@@ -376,6 +376,12 @@ def test_empty_goal_is_input_error(corpus_dir, capsys, command):
     assert err == "error: line 1, column 1: unexpected ''\n"
 
 
+def test_undeclared_name_in_goal_is_placed(corpus_dir, capsys):
+    code, out, err = run(capsys, "features", "--corpus", corpus_dir, "--goal", "LE 0 (FOO 0)")
+    assert (code, out) == (2, "")
+    assert err == "error: line 1, column 7: undeclared name: FOO\n"
+
+
 def test_translate_rejects_malformed_goal(corpus_dir, capsys):
     code, _, err = run(
         capsys, "translate", "--corpus", corpus_dir, "--goal", "ADD 0 ("

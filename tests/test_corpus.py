@@ -1,12 +1,14 @@
 """Export-format parsing and printing, corpus loading, accessibility."""
 
 import random
+from dataclasses import replace
+from functools import reduce
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from hammerkit import corpus as corpus_module
+from hammerkit import corpus as corpus_module, hol
 from hammerkit.corpus import (
     AccessRelation,
     ObjectEntry,
@@ -29,23 +31,31 @@ from hammerkit.corpus import (
 )
 from hammerkit.hol import (
     BOOL,
-    NotBoolean,
+    Abs,
+    Const,
     Signature,
-    UnknownSymbol,
+    TypeMismatch,
+    Var,
+    _rename_apart,
+    mk_const_app,
     show_name,
+    term_text,
     type_of,
 )
 from hammerkit.tptp import parse_problem
 from .helpers import (
     CONNECTIVES_AS_CONSTANTS,
+    NAT,
     TOY_DECLS,
     alpha_equal,
     load_corpus_files,
     print_deps,
     print_thy,
     random_closed_formula,
+    random_poly_formula,
     toy_sig,
 )
+from .typecheck_oracle import typecheck
 
 CANONICAL_LINES = [
     "tt(int, ty, $t).",
@@ -85,10 +95,10 @@ def test_parse_is_whitespace_tolerant():
 def test_declarations_populate_signature():
     sig = Signature()
     parse_tt("\n".join(CANONICAL_LINES), sig)
-    assert sig.type_arity("list") == 1
+    assert sig.types["list"] == 1
     decl = sig.const_decl("HD")
     assert decl.tyvars == ("A",)
-    assert sig.type_arity("int") == 0
+    assert sig.types["int"] == 0
 
 
 def test_theorem_statements_typecheck_to_bool():
@@ -101,8 +111,9 @@ def test_theorem_statements_typecheck_to_bool():
 
 def test_ax_entry_must_be_boolean():
     sig = toy_sig()
-    with pytest.raises(NotBoolean):
+    with pytest.raises(ParseError) as info:
         parse_tt("tt(bad, ax, SUC 0).", sig)
+    assert str(info.value) == "line 1, column 13: bad is not a boolean formula"
 
 
 def test_polymorphic_constant_needs_type_arguments():
@@ -115,10 +126,12 @@ def test_polymorphic_constant_needs_type_arguments():
 
 def test_unknown_names_are_rejected():
     sig = toy_sig()
-    with pytest.raises(UnknownSymbol):
-        parse_tt("tt(bad, ax, FOO = FOO).", sig)
-    with pytest.raises(UnknownSymbol):
-        parse_tt("tt(bad, ty, wibble > bool).", sig)
+    with pytest.raises(ParseError) as info:
+        parse_tt("tt(ok, ax, 0 = 0).\ntt(bad, ax, 0 = FOO).", sig)
+    assert str(info.value) == "line 2, column 17: undeclared name: FOO"
+    with pytest.raises(ParseError) as info:
+        parse_tt("tt(bad, ty, nat > (list wibble)).", sig)
+    assert str(info.value) == "line 1, column 25: undeclared type constructor: wibble"
 
 
 def test_parse_error_carries_position():
@@ -162,8 +175,11 @@ def test_bad_field_reports_its_position(read, line2, where):
         ("tt(bad, ax, HD NIL = 0).", (2, 13)),
         ("tt(bad, ty, $t > nat).", (2, 18)),
         ("tt(bad, ax, ?[A:$t]: 0 = 0).", (2, 17)),
+        ("tt(bad, ty, list nat nat).", (2, 13)),
+        ("tt(bad, ty, nat > list).", (2, 19)),
+        ("tt(bad, ax, ![x:nat nat]: x = x).", (2, 17)),
     ],
-    ids=["type-argument", "kind", "type-binder"],
+    ids=["type-argument", "kind", "type-binder", "type-arity", "type-arity-atom", "type-arity-binder"],
 )
 def test_name_resolution_error_reports_its_position(line2, where):
     with pytest.raises(ParseError) as info:
@@ -177,7 +193,7 @@ def test_name_resolution_error_reports_its_position(line2, where):
         ("tt(bad, ax, (0 0) = 0).", (2, 13), "applying non-function 0 : nat"),
         ("tt(bad, ax, 0 = (0 0)).", (2, 13), "applying non-function 0 : nat"),
         ("tt(bad, ax, 0 = SUC).", (2, 13), "expected argument of type nat"),
-        ("tt(bad, ax, ~(SUC 0 0 = 0)).", (2, 15), "applying non-function SUC 0 : nat"),
+        ("tt(bad, ax, ~(SUC 0 0 = 0)).", (2, 13), "applying non-function SUC 0 : nat"),
         (
             "tt(bad, ax, ('&' 0) = 0).",
             (2, 13),
@@ -204,12 +220,11 @@ def test_load_corpus_reads_the_theory_list_once(monkeypatch):
 
 def test_loading_lexes_each_file_once_and_never_typechecks(monkeypatch):
     """The reader checks types as it builds each term, so a well-typed
-    corpus is read in one lexer pass per file and no second walk."""
+    corpus is read in one lexer pass per file and no term is typed again."""
     lexed, walked = [], []
-    lex, typecheck, type_of = corpus_module._lex, corpus_module.typecheck, corpus_module.type_of
+    lex = corpus_module._lex
     monkeypatch.setattr(corpus_module, "_lex", lambda text, rx: lexed.append(text) or lex(text, rx))
-    monkeypatch.setattr(corpus_module, "typecheck", lambda *a: walked.append(a) or typecheck(*a))
-    monkeypatch.setattr(corpus_module, "type_of", lambda *a: walked.append(a) or type_of(*a))
+    monkeypatch.setattr(hol, "type_of", lambda *a: walked.append(a) or type_of(*a))
     root = Path(str(resources.files("hammerkit") / "data" / "toy"))
     load_corpus(root)
     texts = [f.read_text(encoding="utf-8") for f in root.iterdir() if f.suffix in (".thy", ".tt", ".deps")]
@@ -461,8 +476,9 @@ def test_parse_goal_forms():
     name, g2 = parse_goal("LE 0 0", sig)
     assert name == "goal"
     assert alpha_equal(g, g2)
-    with pytest.raises(NotBoolean):
-        parse_goal("SUC 0", sig)
+    with pytest.raises(ParseError) as info:
+        parse_goal("  SUC 0", sig)
+    assert str(info.value) == "line 1, column 1: goal is not a boolean formula"
 
 
 # ------------------------------------------------- randomized accessibility
@@ -575,15 +591,15 @@ def test_accessibility_laws_on_random_corpora():
         ),
         (
             "tt(bad, ax, T => (SUC T = 0) & (0 0 = 0)).",
-            (2, 33),
-            "applying non-function 0 : nat",
+            (2, 13),
+            "in SUC T: expected argument of type nat, got T : bool",
         ),
     ],
     ids=["bool-operand-then-later", "under-negation", "right-of-eq", "quantifier-body", "later-eq"],
 )
 def test_type_error_wording_and_place(line2, where, message):
-    """The first error of a statement in the checker's order, placed at the
-    statement, or at an ``=`` whose left side has no type."""
+    """The first ill-typed application in reading order, placed at the
+    statement."""
     with pytest.raises(ParseError) as info:
         parse_tt(f"tt(T, ty, bool).\n{line2}\n", toy_sig())
     assert info.value.msg == message
@@ -624,3 +640,59 @@ def test_lexical_and_grammar_errors_report_their_position(read, text, where, mes
         read(text)
     assert info.value.msg == message
     assert (info.value.line, info.value.col) == where
+
+
+# Closed terms of several types, each to put in place of an argument of
+# another type.
+_STRANGERS = [
+    Const("0"),
+    Const("SUC"),
+    Const("NIL", (NAT,)),
+    Const("HD", (NAT,)),
+    mk_const_app("LE", (), [Const("0"), Const("0")]),
+    Abs(Var("w", NAT), Const("0")),
+]
+
+
+def _arguments(t, path=()):
+    """Paths (of ``fun``, ``arg`` and ``body`` steps) to the arguments the
+    reader reads back as they are printed: every argument but the left
+    operand of an ``=`` and the abstraction under a quantifier, since the
+    reader takes the instance of ``=`` from its left operand's type and a
+    quantifier's from its bound variable."""
+    if isinstance(t, Abs):
+        yield from _arguments(t.body, path + ("body",))
+    elif not isinstance(t, (Var, Const)):
+        yield from _arguments(t.fun, path + ("fun",))
+        yield from _arguments(t.arg, path + ("arg",))
+        if not (isinstance(t.fun, Const) and t.fun.name in ("=", "!", "?")):
+            yield path + ("arg",)
+
+
+def _replace(t, path, new):
+    if not path:
+        return new
+    return replace(t, **{path[0]: _replace(getattr(t, path[0]), path[1:], new)})
+
+
+def test_reader_names_the_type_error_the_old_checker_named():
+    """Well-typed statements, monomorphic and polymorphic, with one or two
+    arguments (see ``_arguments``) swapped for closed terms of other types:
+    the reader names the first error that a post-order walk of the term as
+    printed names, and places it at the statement."""
+    rng = random.Random(29)
+    sig = toy_sig()
+    for _ in range(400):
+        good = rng.choice([random_closed_formula, random_poly_formula])(rng)
+        paths = list(_arguments(good))
+        bad = good
+        # The deeper path first, in case the other one holds it.
+        for path in sorted(rng.sample(paths, min(len(paths), rng.choice((1, 2)))), key=len, reverse=True):
+            ty = type_of(reduce(getattr, path, good), sig)
+            bad = _replace(bad, path, rng.choice([s for s in _STRANGERS if type_of(s, sig) != ty]))
+        with pytest.raises(TypeMismatch) as want:
+            typecheck(_rename_apart(bad), sig)
+        with pytest.raises(ParseError) as got:
+            parse_tt(f"tt(t, ax, {term_text(bad)}).", sig)
+        assert got.value.msg == str(want.value)
+        assert (got.value.line, got.value.col) == (1, 11)

@@ -10,7 +10,6 @@ from hammerkit.hol import (
     App,
     BOOL,
     Const,
-    NotBoolean,
     TyApp,
     TyVar,
     TypeMismatch,
@@ -34,11 +33,10 @@ from hammerkit.hol import (
     term_ty_vars,
     ty_subst,
     type_of,
-    typecheck,
-    validate_type,
 )
 from .feature_oracle import subterms
 from .helpers import LIST_NAT, NAT, alpha_equal, random_closed_formula, random_term, toy_sig
+from .typecheck_oracle import typecheck, validate_type
 
 
 def test_type_helpers():
@@ -187,44 +185,43 @@ def test_constructors_and_destructors():
 
 
 def _toy_formulas():
-    sig = toy_sig()
     x = Var("x", NAT)
     y = Var("y", NAT)
     le = lambda a, b: mk_const_app("LE", (), [a, b])
-    return sig, x, y, le
+    return x, y, le
 
 
 def test_split_conjuncts_atomic():
-    sig, x, y, le = _toy_formulas()
+    x, y, le = _toy_formulas()
     g = mk_forall(x, le(x, x))
-    assert split_conjuncts(g, sig) == [g]
+    assert split_conjuncts(g) == [g]
 
 
 def test_split_conjuncts_distributes_quantifiers():
     # ! x. P x /\ (! y. Q x y) splits into two closed conjuncts, the second
     # keeping both binders in original order.
-    sig, x, y, le = _toy_formulas()
+    x, y, le = _toy_formulas()
     g = mk_forall(x, mk_conj(le(x, x), mk_forall(y, le(x, y))))
-    assert split_conjuncts(g, sig) == [
+    assert split_conjuncts(g) == [
         mk_forall(x, le(x, x)),
         mk_forall(x, mk_forall(y, le(x, y))),
     ]
 
 
 def test_split_conjuncts_drops_unused_binders():
-    sig, x, y, le = _toy_formulas()
+    x, y, le = _toy_formulas()
     g = mk_foralls([x, y], mk_conj(le(x, x), le(y, y)))
-    assert split_conjuncts(g, sig) == [mk_forall(x, le(x, x)), mk_forall(y, le(y, y))]
+    assert split_conjuncts(g) == [mk_forall(x, le(x, x)), mk_forall(y, le(y, y))]
 
 
 def test_split_conjuncts_nested_four_way():
-    sig, x, y, le = _toy_formulas()
+    x, y, le = _toy_formulas()
     g = mk_conj(
         mk_conj(le(x, x), le(y, y)),
         mk_conj(le(x, y), le(y, x)),
     )
     g = mk_foralls([x, y], g)
-    assert split_conjuncts(g, sig) == [
+    assert split_conjuncts(g) == [
         mk_forall(x, le(x, x)),
         mk_forall(y, le(y, y)),
         mk_foralls([x, y], le(x, y)),
@@ -235,19 +232,13 @@ def test_split_conjuncts_nested_four_way():
 def test_split_conjuncts_recurses_through_inner_quantifiers():
     # ! x. P /\ (! y. Q /\ R) distributes both quantifiers and keeps
     # splitting: three conjuncts, the inner two binding x and y.
-    sig, x, y, le = _toy_formulas()
+    x, y, le = _toy_formulas()
     g = mk_forall(x, mk_conj(le(x, x), mk_forall(y, mk_conj(le(x, y), le(y, x)))))
-    assert split_conjuncts(g, sig) == [
+    assert split_conjuncts(g) == [
         mk_forall(x, le(x, x)),
         mk_foralls([x, y], le(x, y)),
         mk_foralls([x, y], le(y, x)),
     ]
-
-
-def test_split_conjuncts_requires_bool():
-    sig = toy_sig()
-    with pytest.raises(NotBoolean):
-        split_conjuncts(Var("n", NAT), sig)
 
 
 def test_split_random_statements_rejoin():
@@ -256,6 +247,6 @@ def test_split_random_statements_rejoin():
     rng = random.Random(11)
     for _ in range(150):
         g = random_closed_formula(rng)
-        for stmt in split_conjuncts(g, sig):
+        for stmt in split_conjuncts(g):
             assert free_vars(stmt) == []
             assert type_of(stmt, sig) == BOOL
