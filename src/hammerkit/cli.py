@@ -260,9 +260,6 @@ def _print_timings(timings) -> None:
 def _cmd_minimize(args: argparse.Namespace) -> int:
     text = Path(args.file).read_text(encoding="utf-8")
     problem = parse_problem(text)
-    # A problem file carries no source mapping; axiom names stand for
-    # themselves so every axiom is a shrinkable premise.
-    problem = replace(problem, reverse={n: n for n, _ in problem.axioms})
     provers = _provers(args)
     config = provers[0]
     target = problem.conjecture[0]

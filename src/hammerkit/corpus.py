@@ -814,8 +814,13 @@ def _ingest_theory(corpus: Corpus, theory: str, entries: list[ObjectEntry]) -> N
         (TheoremId(theory, i), e)
         for i, e in enumerate(e for e in entries if e.role is Role.THEOREM)
     ]
+    # Within a theory a later theorem overwrites an earlier one; a name
+    # taken in another theory would make two targets share one label.
     names = rename_overwritten([(e.name, tid) for tid, e in theorems])
     for tid, e in theorems:
+        if names[tid] in corpus.by_name:
+            other = corpus.by_name[names[tid]].theory
+            raise ParseError(f"theorem {names[tid]} of theory {theory} is also in theory {other}")
         conjs = tuple(split_conjuncts(e.formula))
         corpus.theorems[tid] = TheoremEntry(
             id=tid,

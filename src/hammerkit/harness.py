@@ -709,8 +709,10 @@ def _run_tasks(
     One ``finally`` ends the batch, whether every result was read, an
     exception or an interrupt came, or the caller closed the stream: it
     starts no queued pair, kills the calls in flight, waits for the
-    threads, and only then stops the idle workers, so none outlives it."""
-    _check_run(provers, jobs)
+    threads, and only then stops the idle workers, so none outlives it.
+
+    A task whose translation fails gets an Error result per prover and
+    runs no prover.  The caller has checked ``provers`` and ``jobs``."""
     with tempfile.TemporaryDirectory(prefix="hammerkit-") as td:
         tmp = Path(td)
         prepared: dict[tuple[int, int], tuple[FofProblem, Path] | Exception] = {}
@@ -757,62 +759,6 @@ def _run_tasks(
             workers.kill()
             pool.shutdown()
             workers.close()
-
-
-def _report(
-    corpus: Corpus,
-    tasks: Sequence[_Task],
-    provers: Sequence[ProverConfig],
-    jobs: int | None,
-) -> ExperimentReport:
-    """Every result of one batch, as a report."""
-    with closing(_run_tasks(corpus, tasks, provers, jobs)) as results:
-        return ExperimentReport(
-            targets=tuple(t.label for t in tasks),
-            provers=tuple(c.name for c in provers),
-            results=tuple(results),
-            theory_of={t.label: t.theory for t in tasks},
-        )
-
-
-# ------------------------------------------------------------------ reprove
-
-
-def reprove(
-    corpus: Corpus,
-    provers: Sequence[ProverConfig],
-    split: str = "unsplit",
-    jobs: int | None = None,
-) -> ExperimentReport:
-    """Re-prove every non-definition theorem from its exact dependencies.
-
-    This is the benchmark's entry point; the command line reaches it as
-    ``experiment --relation exact``.  No relevance filtering: each problem
-    gets the recorded dependencies in full.  ``unsplit`` targets whole
-    statements with the union of the per-conjunct dependencies;
-    ``conjuncts`` targets each conjunct with its own recovered
-    dependencies.
-    """
-    if split not in ("unsplit", "conjuncts"):
-        raise ValueError(f"split must be 'unsplit' or 'conjuncts', not {split!r}")
-    tasks: list[_Task] = []
-    for tid in corpus.order():
-        entry = corpus.theorem(tid)
-        if entry.is_definition:
-            continue
-        if split == "unsplit":
-            targets = [
-                (entry.name, frozenset().union(*entry.dependencies), entry.statement)
-            ]
-        else:
-            targets = [
-                (corpus.conjunct_label(cid), deps, corpus.conjunct_statement(cid))
-                for cid, deps in zip(entry.conjunct_ids(), entry.dependencies)
-            ]
-        for label, deps, statement in targets:
-            premises = tuple(conjunct_premises(corpus, deps))
-            tasks.append(_Task(tid.theory, premises, (label, statement), ranked=False))
-    return _report(corpus, tasks, provers, jobs)
 
 
 # ---------------------------------------------------------------- prediction
@@ -980,7 +926,6 @@ class Advice:
     prover: str | None
     premises: tuple[str, ...]
     core: UnsatCore | None
-    suggested: tuple[tuple[str, float], ...]
     timings: Mapping[str, float]
     results: tuple[AtpResult, ...]
 
@@ -1018,9 +963,6 @@ def advise(
     t0 = time.monotonic()
     budget = max(c.n_premises for c in provers)
     ranked = learner.rank(corpus, query, k, budget)
-    suggested = tuple(
-        (corpus.conjunct_label(cid), weight) for cid, weight in ranked
-    )
     t_predict = time.monotonic() - t0
 
     t0 = time.monotonic()
@@ -1039,7 +981,6 @@ def advise(
         prover=cfg.name if won else None,
         premises=tuple(label for label, _ in given),
         core=result.core,
-        suggested=suggested,
         timings={"parse": t_parse, "predict": t_predict, "prove": t_prove},
         results=tuple(tried),
     )
@@ -1050,12 +991,13 @@ def advise(
 
 def restrict_problem(problem: FofProblem, keep: Iterable[str]) -> FofProblem:
     """The problem cut down to the given source premises.  Helper axioms
-    (lifted definitions, proxy bridges) always stay."""
+    (lifted definitions, proxy bridges) always stay.  An axiom with no
+    source premise stands for itself, as in ``extract_core``."""
     names = set(keep)
     axioms = tuple(
         (n, f)
         for n, f in problem.axioms
-        if n in problem.helpers or problem.reverse.get(n) in names
+        if n in problem.helpers or problem.reverse.get(n, n) in names
     )
     return replace(problem, axioms=axioms)
 
@@ -1105,34 +1047,61 @@ def experiment(
 ) -> ExperimentReport:
     """Prove every non-definition theorem under one accessibility relation.
 
-    Exact dependencies are ``reprove``, with its ``split`` (unsplit when
-    None); the other relations take no split, and rank the accessible
-    conjuncts with the learner to give each prover its budgeted prefix.
+    One pass over the theorems in linear order builds every task, and one
+    batch runs them.  Under ``exact`` each problem gets the recorded
+    dependencies whole: ``split`` ``unsplit`` (the default) targets whole
+    statements with the union of the per-conjunct dependencies,
+    ``conjuncts`` each conjunct with its own.  The other relations take
+    no split; ``suggest`` ranks each target's accessible conjuncts, and
+    each prover gets its budgeted prefix of the ranking.
     """
     if isinstance(relation, str):
         try:
             relation = AccessRelation(relation)
         except ValueError:
             raise ValueError(f"unknown relation {relation!r}") from None
-    if relation is AccessRelation.EXACT_DEPS:
-        return reprove(corpus, provers, split=split or "unsplit", jobs=jobs)
-    if split is not None:
+    exact = relation is AccessRelation.EXACT_DEPS
+    if not exact and split is not None:
         raise ValueError(f"split {split!r} applies only to the exact relation")
+    split = "unsplit" if split is None else split
+    if split not in ("unsplit", "conjuncts"):
+        raise ValueError(f"split must be 'unsplit' or 'conjuncts', not {split!r}")
     _check_run(provers, jobs)
-    tasks = []
     budget = max(c.n_premises for c in provers)
+    tasks: list[_Task] = []
     for tid in corpus.order():
         entry = corpus.theorem(tid)
         if entry.is_definition:
             continue
-        ranked = suggest(
-            corpus,
-            entry.statement,
-            k=k,
-            n_premises=budget,
-            relation=relation,
-            target=tid,
+        if not exact:
+            ranked = suggest(
+                corpus, entry.statement, k=k, n_premises=budget, relation=relation, target=tid
+            )
+            tasks.append(_ranked_task(corpus, tid.theory, (entry.name, entry.statement), ranked))
+        elif split == "unsplit":
+            deps = frozenset().union(*entry.dependencies)
+            premises = tuple(conjunct_premises(corpus, deps))
+            tasks.append(_Task(tid.theory, premises, (entry.name, entry.statement), ranked=False))
+        else:
+            for cid, deps in zip(entry.conjunct_ids(), entry.dependencies):
+                premises = tuple(conjunct_premises(corpus, deps))
+                conjecture = (corpus.conjunct_label(cid), corpus.conjunct_statement(cid))
+                tasks.append(_Task(tid.theory, premises, conjecture, ranked=False))
+    with closing(_run_tasks(corpus, tasks, provers, jobs)) as results:
+        return ExperimentReport(
+            targets=tuple(t.label for t in tasks),
+            provers=tuple(c.name for c in provers),
+            results=tuple(results),
+            theory_of={t.label: t.theory for t in tasks},
         )
-        conjecture = (entry.name, entry.statement)
-        tasks.append(_ranked_task(corpus, tid.theory, conjecture, ranked))
-    return _report(corpus, tasks, provers, jobs)
+
+
+def reprove(
+    corpus: Corpus,
+    provers: Sequence[ProverConfig],
+    split: str = "unsplit",
+    jobs: int | None = None,
+) -> ExperimentReport:
+    """``experiment`` under exact dependencies, kept as the benchmark's
+    entry point."""
+    return experiment(corpus, AccessRelation.EXACT_DEPS, provers, jobs=jobs, split=split)

@@ -11,6 +11,7 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -437,6 +438,37 @@ def test_experiment_exact_relation(corpus_dir, tmp_path, capsys):
     # The paths printed are the files written.
     assert f"written: {tmp_path / 'rep.csv'} {tmp_path / 'rep.txt'}" in out
     assert (tmp_path / "rep.csv").exists() and (tmp_path / "rep.txt").exists()
+
+
+def test_theorem_name_in_two_theories_is_input_error(corpus_dir, capsys):
+    club = Path(corpus_dir) / "club.tt"
+    club.write_text(club.read_text(encoding="utf-8") + "tt(ADD_0, ax, ADD 0 0 = 0).\n")
+    code, out, err = run(
+        capsys, "experiment", "--corpus", corpus_dir, "--relation", "exact", "--provers", "microres"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: theorem ADD_0 of theory club is also in theory arith\n"
+
+
+def test_translate_name_prints_the_problem_the_exact_relation_proves(
+    corpus_dir, capsys, monkeypatch
+):
+    sent = {}
+    run_prover = harness.run_prover
+
+    def record(path, config, *args, **kwargs):
+        sent[kwargs["target"]] = Path(path).read_text(encoding="utf-8")
+        return run_prover(path, config, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_prover", record)
+    code, _, _ = run(
+        capsys, "experiment", "--corpus", corpus_dir, "--relation", "exact", "--provers", "microres"
+    )
+    assert code == 0
+    assert set(sent) == {"ADD_0", "ADD_1", "ADD_BOTH"}
+    for name, problem in sent.items():
+        code, out, _ = run(capsys, "translate", "--corpus", corpus_dir, name)
+        assert (code, out) == (0, problem)
 
 
 def test_experiment_rejects_unknown_relation(corpus_dir):

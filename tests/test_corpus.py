@@ -468,6 +468,21 @@ def test_overwritten_names_in_corpus():
     assert c.theorem_named("T").statement != c.theorem_named("T~1").statement
 
 
+def test_name_reused_in_another_theory_is_refused():
+    # Labels, core names and report rows each stand for one theorem, so a
+    # later theory may not take a name an earlier one holds.
+    thy = "theory(a, []).\ntheory(b, [a]).\n"
+    a = TOY_DECLS + "tt(P_AX, ax, LE 0 0).\ntt(T, ax, LE 0 0).\n"
+    b = "tt(T, ax, LE 0 (SUC 0)).\ntt(U, ax, LE 0 0).\n"
+    with pytest.raises(ParseError) as info:
+        load_corpus_files(thy, {"a": (a, None), "b": (b, None)})
+    assert str(info.value) == "theorem T of theory b is also in theory a"
+    # A name overwritten within the one theory keeps its renaming.
+    b = "tt(U, ax, LE 0 0).\ntt(U, ax, LE 0 (SUC 0)).\n"
+    c = load_corpus_files(thy, {"a": (a, None), "b": (b, None)})
+    assert [c.theorem(t).name for t in c.order()] == ["P_AX", "T", "U~1", "U"]
+
+
 def test_parse_goal_forms():
     sig = toy_sig()
     name, g = parse_goal("tt(G, conj, LE 0 0).", sig)

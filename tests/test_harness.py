@@ -21,7 +21,7 @@ import pytest
 from hammerkit import harness, knn
 from hammerkit.corpus import AccessRelation, accessible_set, load_corpus, parse_goal
 from hammerkit.features import extract
-from hammerkit.fof import translate_problem
+from hammerkit.fof import TranslateError, translate_problem
 from hammerkit.harness import (
     ProverConfig,
     SpawnError,
@@ -40,7 +40,7 @@ from hammerkit.harness import (
     write_report,
 )
 from hammerkit.provers import microres
-from hammerkit.tptp import print_problem
+from hammerkit.tptp import parse_problem, print_problem
 from .helpers import (
     TOY,
     TOY_DECLS,
@@ -1039,6 +1039,11 @@ print(harness.run_prover(problem, once).status.kind)
 # ------------------------------------------------------------------- advise
 
 
+def ranking(c, goal, n):
+    """The labels ``advise`` ranks for ``goal`` at a budget of ``n``."""
+    return tuple(c.conjunct_label(cid) for cid, _ in suggest(c, goal, harness.DEFAULT_K, n))
+
+
 def test_advise_proves_and_times_stages():
     c = tiny_corpus()
     goal = c.theorem_named("ADD_1").statement
@@ -1049,7 +1054,7 @@ def test_advise_proves_and_times_stages():
     assert all(t >= 0 for t in advice.timings.values())
     assert advice.core.premises
     assert set(advice.core.premises) <= set(advice.premises)
-    assert advice.suggested
+    assert advice.premises == ranking(c, goal, 32)
 
 
 def test_goal_named_like_a_premise_gets_the_core_of_any_other_name():
@@ -1070,7 +1075,7 @@ def test_advise_failure_carries_diagnostics():
     assert len(advice.results) == 1
     assert advice.results[0].status.kind == "GaveUp"
     assert set(advice.timings) == {"parse", "predict", "prove"}
-    assert advice.suggested
+    assert ranking(c, goal, hopeless.n_premises)
 
 
 def test_advise_first_listed_prover_wins_with_its_budget():
@@ -1083,14 +1088,14 @@ def test_advise_first_listed_prover_wins_with_its_budget():
     advice = advise(c, goal, [eager, micro()])
     assert advice.prover == "eager"
     assert len(advice.premises) == 1
-    assert advice.premises == (advice.suggested[0][0],)
+    assert advice.premises == ranking(c, goal, 32)[:1]
     # The results end at the winner.
     assert [r.prover for r in advice.results] == ["eager"]
     assert advice.results[-1].status.proved
 
     advice = advise(c, goal, [micro(), eager])
     assert advice.prover == "microres"
-    assert len(advice.premises) == min(32, len(advice.suggested))
+    assert advice.premises == ranking(c, goal, 32)
     assert [r.prover for r in advice.results] == ["microres"]
 
     # A prover listed after the winner is stopped, not awaited.
@@ -1136,6 +1141,18 @@ def test_restrict_problem_keeps_helpers():
     assert "a" not in names and "b" in names
     for h in problem.helpers:
         assert h in names
+
+
+def test_restrict_problem_keeps_named_axioms_of_a_parsed_problem():
+    # A problem read from a file maps no axiom to a source: each name
+    # stands for itself, as when its core is read back.
+    problem = parse_problem(
+        "fof(a1, axiom, p).\nfof(a2, axiom, q).\nfof(a3, axiom, r).\n"
+        "fof(goal, conjecture, p).\n"
+    )
+    cut = restrict_problem(problem, {"a1", "a3", "absent"})
+    assert [n for n, _ in cut.axioms] == ["a1", "a3"]
+    assert cut.conjecture == problem.conjecture
 
 
 def test_minimize_core_drops_redundant_premises():
@@ -1198,6 +1215,29 @@ def test_experiment_ranked_relation_and_reports(tmp_path):
     assert (tmp_path / "exp.txt").read_text(encoding="utf-8") == report.summary_text()
     # Ranked premises plus computation make these provable too.
     assert "ADD_1" in solved_targets(report, "microres")
+
+
+@pytest.mark.parametrize("relation", ["exact", "loaded"])
+def test_translation_failure_is_one_targets_error_row(monkeypatch, relation):
+    c = tiny_corpus()
+    expected = {
+        r.target: str(r.status) for r in experiment(c, relation, [micro()], k=3).results
+    }
+    translate = harness.translate_problem
+
+    def failing(premises, conjecture, sig):
+        if conjecture[0] == "ADD_1":
+            raise TranslateError("no encoding for ADD_1")
+        return translate(premises, conjecture, sig)
+
+    monkeypatch.setattr(harness, "translate_problem", failing)
+    report = experiment(c, relation, [micro()], k=3)
+    got = {r.target: str(r.status) for r in report.results}
+    assert got["ADD_1"] == "Error(translation failed: no encoding for ADD_1)"
+    assert expected["ADD_1"] == "Theorem"
+    del got["ADD_1"], expected["ADD_1"]
+    assert got == expected
+    assert report.targets == ("ADD_0", "ADD_1", "ADD_BOTH")
 
 
 def test_experiment_validates_inputs():

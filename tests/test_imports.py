@@ -1,7 +1,8 @@
 """No module of the package or of its tests imports a name it never uses,
 every module of the package is reachable from the command line, and every
 module-level function and class, and every method of such a class, is
-named by package code other than its own definition."""
+named by package code other than its own definition, and every field of
+such a dataclass is read by package code."""
 
 import ast
 from collections import Counter
@@ -98,12 +99,15 @@ def _definitions_and_references(path):
 
 def test_every_function_and_class_is_referenced_from_the_package():
     # A definition that only its own body or the tests name is code
-    # nothing runs.
+    # nothing runs.  The benchmark's scripts run the package too, so what
+    # they name counts: ``harness.reprove`` is kept for them alone.
     defined, read = [], set()
     for path in sorted((SRC / "hammerkit").rglob("*.py")):
         names, refs = _definitions_and_references(path)
         defined += [f"{path.relative_to(ROOT)}: {name}" for name in names]
         read |= refs
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        read |= _definitions_and_references(path)[1]
     assert [d for d in defined if d.rpartition(" ")[2] not in read] == []
 
 
@@ -140,3 +144,33 @@ def test_every_method_is_referenced_from_the_package():
         methods += [(f"{path.relative_to(ROOT)}: {q}", name, own) for q, name, own in found]
         read += refs
     assert [q for q, name, own in methods if read[name] <= own[name]] == []
+
+
+def _dataclass_fields(path):
+    """``Class.field`` for each field of ``path``'s module-level dataclasses."""
+    fields = []
+    for cls in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(cls, ast.ClassDef) and any(
+            "dataclass" in {n.id for n in ast.walk(d) if isinstance(n, ast.Name)}
+            for d in cls.decorator_list
+        ):
+            fields += [
+                (f"{cls.name}.{stmt.target.id}", stmt.target.id)
+                for stmt in cls.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            ]
+    return fields
+
+
+def test_every_dataclass_field_is_read_from_the_package():
+    # A field that only the tests read is state nothing uses; the
+    # class's own methods count as readers.
+    fields, read = [], set()
+    for path in sorted((SRC / "hammerkit").rglob("*.py")):
+        fields += [(f"{path.relative_to(ROOT)}: {q}", name) for q, name in _dataclass_fields(path)]
+        read |= {
+            node.attr
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
+    assert [q for q, name in fields if name not in read] == []
