@@ -225,6 +225,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     # Exact dependencies rank nothing; the harness refuses a ranked split.
     if args.relation == AccessRelation.EXACT_DEPS.value and args.k is not None:
         raise ValueError("experiment --relation exact does not read --k")
+    # A report that could not be written is refused before any prover runs.
+    if args.report and not Path(args.report).parent.is_dir():
+        raise ValueError(f"--report {args.report}: no directory {Path(args.report).parent}")
     corpus = _load(args)
     provers = _provers(args)
     k = DEFAULT_K if args.k is None else args.k

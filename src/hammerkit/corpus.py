@@ -14,6 +14,17 @@ Roles are ``ty`` (type constructor or constant declaration), ``ax``
 type arguments of polymorphic constants are explicit, `` > `` is the
 right-associative type arrow, and ``![A:$t]:`` binds a type variable.
 
+Loading ends by numbering every conjunct in linear order: theories in
+build order, a theory's theorems in naming order, a theorem's conjuncts
+in order.  Every dependency must precede its theorem.  A theorem, and a
+theory, is then one span ``(first number, one past last)``, and
+``accessible_set`` answers each relation as sorted, disjoint spans:
+``exact`` the theorems the target's recorded dependencies name,
+``transitive`` those and their dependencies' closure, ``linear``
+everything before the target's first conjunct, and ``loaded`` that
+prefix cut down to the target's ancestor theories and its own.  A fresh
+goal, with no target, may use everything.
+
 The HOL reader is one pass over the tokens: every grammar rule returns a
 term with its type, or a type, and names resolve against the signature
 and the binders in scope as they are read.  A ``$t`` binder scopes over
@@ -46,7 +57,7 @@ from enum import Enum
 from itertools import chain
 from pathlib import Path
 from string import ascii_letters, digits
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .hol import (
     _BARE_NAME,
@@ -603,7 +614,8 @@ class AccessRelation(Enum):
 
 
 class Corpus:
-    """Signature, theories in build order, and the theorem table.
+    """Signature, theories in build order, the theorem table, and the
+    linear numbering of its conjuncts.
 
     Built single-threaded by the loader, then treated as frozen.
     """
@@ -614,10 +626,16 @@ class Corpus:
         self.ancestors: dict[str, tuple[str, ...]] = {}
         self.theorems: dict[TheoremId, TheoremEntry] = {}
         self.by_name: dict[str, TheoremId] = {}
-        self._order: list[TheoremId] | None = None
-        self._pos: dict[TheoremId, int] | None = None
-        # The learner's conjunct numbering and feature index for this
-        # corpus, built by ``harness`` on the first ranking.
+        # The numbering, set by ``_number`` when loading ends: each
+        # theorem's and each theory's (first number, one past last), in
+        # linear order, each theory's strict ancestors' spans merged, and
+        # how many conjuncts there are.
+        self.spans: dict[TheoremId, tuple[int, int]] = {}
+        self.theory_spans: dict[str, tuple[int, int]] = {}
+        self.ancestor_spans: dict[str, tuple[tuple[int, int], ...]] = {}
+        self.size = 0
+        # The learner's dependencies and feature index for this corpus,
+        # built by ``harness`` on the first ranking.
         self.learner: object | None = None
 
     def theorem(self, tid: TheoremId) -> TheoremEntry:
@@ -648,82 +666,85 @@ class Corpus:
         )
 
     def order(self) -> list[TheoremId]:
-        if self._order is None:
-            self._order = linear_order(self)
-            self._pos = {tid: i for i, tid in enumerate(self._order)}
-        return self._order
+        """The theorems in linear order."""
+        return list(self.spans)
 
-    def position(self, tid: TheoremId) -> int:
-        self.order()
-        try:
-            return self._pos[tid]
-        except KeyError:
-            raise UnknownTheorem(f"no theorem {tid.theory}#{tid.seq}") from None
-
-    def theory_closure(self, theory: str) -> set[str]:
-        """The theory and all its transitive ancestors."""
-        out: set[str] = set()
-        todo = [theory]
-        while todo:
-            t = todo.pop()
-            if t in out:
-                continue
-            out.add(t)
-            todo.extend(self.ancestors.get(t, ()))
-        return out
+    def number(self, cid: ConjunctId) -> int:
+        """The conjunct's number in linear order."""
+        self.theorem(cid.theorem)  # an unknown theorem is an error
+        return self.spans[cid.theorem][0] + cid.index - 1
 
 
-def linear_order(corpus: Corpus) -> list[TheoremId]:
-    """Theory build order refined by naming order; checks that every
-    dependency precedes its theorem."""
-    ids: dict[str, list[TheoremId]] = {theory: [] for theory in corpus.theories}
-    for tid in corpus.theorems:
-        ids.get(tid.theory, []).append(tid)
-    order = [tid for theory in corpus.theories for tid in sorted(ids[theory])]
-    pos = {tid: i for i, tid in enumerate(order)}
+def _number(corpus: Corpus) -> None:
+    """Number the conjuncts in linear order (theories in build order, a
+    theory's theorems in naming order, which is the order the loader
+    added them in) and record the spans; checks that every dependency
+    precedes its theorem."""
+    n = 0
     for tid, entry in corpus.theorems.items():
-        for deps in entry.dependencies:
-            for cid in deps:
-                if cid.theorem not in pos:
-                    raise UnknownTheorem(
-                        f"{entry.name} depends on unknown {cid.theorem}"
-                    )
-                if pos[cid.theorem] >= pos[tid]:
-                    raise CycleDetected(
-                        f"{entry.name} depends on "
-                        f"{corpus.theorem(cid.theorem).name}, which does not "
-                        f"precede it"
-                    )
-    return order
+        for cid in chain.from_iterable(entry.dependencies):
+            if cid.theorem not in corpus.spans:
+                raise CycleDetected(
+                    f"{entry.name} depends on "
+                    f"{corpus.theorem(cid.theorem).name}, which does not "
+                    f"precede it"
+                )
+        corpus.spans[tid] = (n, n + len(entry.conjuncts))
+        lo = corpus.theory_spans.get(tid.theory, (n,))[0]
+        n += len(entry.conjuncts)
+        corpus.theory_spans[tid.theory] = (lo, n)
+    corpus.size = n
+    closure: dict[str, set[str]] = {}
+    for theory in corpus.theories:
+        strict = closure[theory] = set().union(
+            *(closure[a] | {a} for a in corpus.ancestors[theory])
+        )
+        corpus.ancestor_spans[theory] = tuple(
+            _merge(corpus.theory_spans[t] for t in strict if t in corpus.theory_spans)
+        )
+
+
+def _merge(spans: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Spans sorted, with empty ones dropped and touching ones joined."""
+    out: list[tuple[int, int]] = []
+    for lo, hi in sorted(spans):
+        if lo >= hi:
+            continue
+        if out and out[-1][1] == lo:
+            out[-1] = (out[-1][0], hi)
+        else:
+            out.append((lo, hi))
+    return out
 
 
 def accessible_set(
-    corpus: Corpus, target: TheoremId, relation: AccessRelation
-) -> set[TheoremId]:
-    """Theorems assumed available when attacking ``target``."""
-    entry = corpus.theorem(target)
-    if relation is AccessRelation.EXACT_DEPS:
-        return set(corpus.exact_deps(target))
-    if relation is AccessRelation.TRANSITIVE_DEPS:
-        out: set[TheoremId] = set()
-        todo = list(corpus.exact_deps(target))
-        while todo:
-            tid = todo.pop()
-            if tid in out:
-                continue
-            out.add(tid)
-            todo.extend(corpus.exact_deps(tid))
-        return out
-    if relation is AccessRelation.LOADED_THEORIES:
-        closure = corpus.theory_closure(target.theory)
-        return {
-            t
-            for t in corpus.theorems
-            if t.theory in closure and (t.theory != target.theory or t.seq < target.seq)
-        }
+    corpus: Corpus, target: TheoremId | None, relation: AccessRelation
+) -> Sequence[tuple[int, int]]:
+    """The numbers of the conjuncts assumed available when attacking
+    ``target``, as sorted, disjoint, non-empty spans.  A fresh goal (no
+    target) sits past the end of the corpus: everything is accessible."""
+    if not isinstance(relation, AccessRelation):
+        raise ValueError(f"unknown relation {relation!r}")
+    if target is None:
+        return [(0, corpus.size)] if corpus.size else []
+    corpus.theorem(target)  # an unknown target is an error
+    first = corpus.spans[target][0]
     if relation is AccessRelation.LINEAR_ORDER:
-        return set(corpus.order()[: corpus.position(target)])
-    raise ValueError(f"unknown relation {relation!r}")
+        return [(0, first)] if first else []
+    if relation is AccessRelation.LOADED_THEORIES:
+        # Ancestors precede the theory: its own prefix goes last.
+        spans, lo = corpus.ancestor_spans[target.theory], corpus.theory_spans[target.theory][0]
+        if spans and spans[-1][1] == lo:
+            spans, lo = spans[:-1], spans[-1][0]
+        return spans if lo == first else (*spans, (lo, first))
+    tids = set(corpus.exact_deps(target))
+    if relation is AccessRelation.TRANSITIVE_DEPS:
+        todo = list(tids)
+        while todo:
+            for dep in corpus.exact_deps(todo.pop()) - tids:
+                tids.add(dep)
+                todo.append(dep)
+    return _merge(corpus.spans[t] for t in tids)
 
 
 def rename_overwritten(
@@ -785,18 +806,24 @@ _CONJ_SUFFIX = re.compile(r"^(.*)_c([0-9]+)$")
 
 def resolve_dep_name(corpus: Corpus, name: str) -> tuple[TheoremId, int | None]:
     """A dependency string: a theorem name, or name_cK for one conjunct.
-    Returns (id, index) with index None meaning the whole theorem."""
-    if name in corpus.by_name:
-        return corpus.by_name[name], None
+    Returns (id, index) with index None meaning the whole theorem.  A name
+    that reads both ways is refused."""
     m = _CONJ_SUFFIX.match(name)
-    if m and m.group(1) in corpus.by_name:
-        tid = corpus.by_name[m.group(1)]
-        k = int(m.group(2))
-        n = len(corpus.theorem(tid).conjuncts)
-        if not 1 <= k <= n:
-            raise UnknownTheorem(f"{m.group(1)} has no conjunct {k}")
-        return tid, k
-    raise UnknownTheorem(f"unknown dependency name: {name}")
+    base = corpus.by_name.get(m.group(1)) if m else None
+    k = int(m.group(2)) if base is not None else 0
+    fits = base is not None and 1 <= k <= len(corpus.theorem(base).conjuncts)
+    if name in corpus.by_name:
+        if fits:
+            raise ParseError(
+                f"dependency {name} names both the theorem {name} "
+                f"and conjunct {k} of {m.group(1)}"
+            )
+        return corpus.by_name[name], None
+    if base is None:
+        raise UnknownTheorem(f"unknown dependency name: {name}")
+    if not fits:
+        raise UnknownTheorem(f"{m.group(1)} has no conjunct {k}")
+    return base, k
 
 
 def _expand_dep(corpus: Corpus, name: str) -> frozenset[ConjunctId]:
@@ -834,7 +861,7 @@ def _ingest_theory(corpus: Corpus, theory: str, entries: list[ObjectEntry]) -> N
 
 
 def _ingest_deps(corpus: Corpus, lines: list[tuple[str, list[str]]]) -> None:
-    # Order violations surface through linear_order once loading finishes.
+    # Order violations surface through _number once loading finishes.
     updated: dict[TheoremId, list[frozenset[ConjunctId]]] = {}
     for key, vals in lines:
         tid, k = resolve_dep_name(corpus, key)
@@ -872,7 +899,7 @@ def _build_corpus(
         _ingest_theory(corpus, theory, entries)
         if deps_text is not None:
             _ingest_deps(corpus, parse_deps(deps_text))
-    corpus.order()
+    _number(corpus)
     return corpus
 
 

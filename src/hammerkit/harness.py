@@ -647,7 +647,7 @@ def conjunct_premises(
     corpus: Corpus, cids: Iterable[ConjunctId]
 ) -> list[tuple[str, HolTerm]]:
     """Labelled conjunct statements in linear order."""
-    ordered = sorted(set(cids), key=lambda c: (corpus.position(c.theorem), c.index))
+    ordered = sorted(set(cids), key=corpus.number)
     return [
         (corpus.conjunct_label(c), corpus.conjunct_statement(c)) for c in ordered
     ]
@@ -765,33 +765,15 @@ def _run_tasks(
 
 
 class _Learner:
-    """The learner's state for one corpus: every conjunct numbered in
-    linear order, its numbered dependencies and features, and one
-    feature index over all of them.
-
-    Accessibility is a list of spans of that numbering, since a theory's
-    theorems and a theorem's conjuncts are each one stretch of the
-    linear order: ``linear`` is everything before the target's first
-    conjunct, ``loaded`` that prefix cut down to the target's ancestor
-    theories and its own, and ``transitive`` and ``exact`` the stretches
-    of the theorems ``accessible_set`` names.
-    """
+    """The learner's state for one corpus: every conjunct by its number
+    in the corpus's linear numbering, its numbered dependencies and
+    features, and one feature index over all of them.  What a target may
+    use is asked of ``accessible_set``, as spans of that numbering."""
 
     def __init__(self, corpus: Corpus) -> None:
-        self.ids: list[ConjunctId] = []
-        # TheoremId -> (first conjunct number, one past its last)
-        self.span: dict[TheoremId, tuple[int, int]] = {}
-        # theory -> the same for its theorems
-        self.theory_span: dict[str, tuple[int, int]] = {}
-        for tid in corpus.order():
-            start = len(self.ids)
-            self.ids.extend(corpus.theorem(tid).conjunct_ids())
-            self.span[tid] = (start, len(self.ids))
-            lo, _ = self.theory_span.setdefault(tid.theory, (start, start))
-            self.theory_span[tid.theory] = (lo, len(self.ids))
-        number = {cid: i for i, cid in enumerate(self.ids)}
+        self.ids = [cid for tid in corpus.order() for cid in corpus.theorem(tid).conjunct_ids()]
         self.deps = [
-            sorted(number[d] for d in corpus.theorem(cid.theorem).dependencies[cid.index - 1])
+            sorted(map(corpus.number, corpus.theorem(cid.theorem).dependencies[cid.index - 1]))
             for cid in self.ids
         ]
         statements = [corpus.conjunct_statement(cid) for cid in self.ids]
@@ -800,14 +782,6 @@ class _Learner:
         # id(statement) -> (statement, its features).  Holding the
         # statement keeps its id from going to another object.
         self.known = {id(s): (s, fs) for s, fs in zip(statements, features)}
-        # theory -> the spans of its strict ancestors
-        self.ancestors = {
-            theory: tuple(_merge(
-                self.theory_span[t] for t in corpus.theory_closure(theory) - {theory}
-                if t in self.theory_span
-            ))
-            for theory in corpus.theories
-        }
 
     def features(self, goal: HolTerm) -> frozenset[str]:
         """``extract(goal)``: stored when the goal is the very object of
@@ -815,27 +789,6 @@ class _Learner:
         matched by identity only, since hashing a term walks it."""
         stmt, fs = self.known.get(id(goal), (None, None))
         return fs if stmt is goal else extract(goal)
-
-    def accessible(
-        self, corpus: Corpus, target: TheoremId | None, relation: AccessRelation
-    ) -> Sequence[tuple[int, int]]:
-        """The conjuncts ``target`` may use, as sorted, disjoint spans.  A
-        fresh goal (no target) sits past the end of the corpus:
-        everything is accessible."""
-        if target is None:
-            return [(0, len(self.ids))]
-        corpus.theorem(target)  # an unknown target is an error
-        first = self.span[target][0]
-        if relation is AccessRelation.LINEAR_ORDER:
-            return [(0, first)]
-        if relation is AccessRelation.LOADED_THEORIES:
-            # Ancestors precede the theory: its own prefix goes last.
-            spans, lo = self.ancestors[target.theory], self.theory_span[target.theory][0]
-            if spans and spans[-1][1] == lo:
-                spans, lo = spans[:-1], spans[-1][0]
-            return spans if lo == first else (*spans, (lo, first))
-        tids = accessible_set(corpus, target, relation) - {target}
-        return _merge(self.span[t] for t in tids)
 
     def rank(
         self,
@@ -848,23 +801,10 @@ class _Learner:
     ) -> list[tuple[ConjunctId, float]]:
         """The top conjuncts for the query, with weights: ``knn`` ranks by
         number, summing votes in neighbour order; numbers map to ids last."""
-        spans = self.accessible(corpus, target, relation)
+        spans = accessible_set(corpus, target, relation)
         neighbors = knn.k_nearest(self.index, query, k, spans=spans)
         ranked = knn.rank_premises(neighbors, self.deps, spans, n_premises)
         return [(self.ids[i], weight) for i, weight in ranked]
-
-
-def _merge(spans: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Spans sorted, with empty ones dropped and touching ones joined."""
-    out: list[tuple[int, int]] = []
-    for lo, hi in sorted(spans):
-        if lo >= hi:
-            continue
-        if out and out[-1][1] == lo:
-            out[-1] = (out[-1][0], hi)
-        else:
-            out.append((lo, hi))
-    return out
 
 
 def _learner(corpus: Corpus) -> _Learner:
@@ -887,9 +827,11 @@ def suggest(
     id, weight) pairs, heaviest first, ties in linear order.
 
     The first call on a corpus builds its learner (features and index for
-    every conjunct, numbered in linear order); later calls rank numbers
-    alone, each neighbour voting for itself and its dependencies, the
-    votes summed in neighbour order.  A goal that is the corpus's own
+    every conjunct, by its number in the corpus's linear numbering); later
+    calls rank numbers alone, within the spans ``accessible_set`` gives
+    for ``target`` under ``relation`` (every conjunct, with no target),
+    each neighbour voting for itself and its dependencies, the votes
+    summed in neighbour order.  A goal that is the corpus's own
     statement object of a one-conjunct theorem, or of one conjunct,
     reuses the features the learner holds; any other goal, a
     multi-conjunct statement or an equal copy included, is extracted.

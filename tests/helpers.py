@@ -274,7 +274,7 @@ def print_deps(corpus: Corpus) -> str:
     for tid in corpus.order():
         entry = corpus.theorem(tid)
         for k, deps in enumerate(entry.dependencies, start=1):
-            ordered = sorted(deps, key=lambda c: (corpus.position(c.theorem), c.index))
+            ordered = sorted(deps, key=corpus.number)
             label = show_name(f"{entry.name}_c{k}")
             names = ", ".join(show_name(corpus.conjunct_label(c)) for c in ordered)
             lines.append(f"deps({label}, [{names}]).")

@@ -46,6 +46,9 @@ def test_tracer_sees_every_prover_call_and_uninstalls(monkeypatch):
     assert tracer.counts["harness.prover_calls"] == len(report.results)
     assert len(tracer.problems) == len(report.results)
     assert tracer.seconds("harness.suggest") > 0
+    # Every ranking asks the corpus what the target may use, a goal with
+    # no target included, through the name the tracer wraps.
+    assert tracer.seconds("corpus.accessible") > 0
     # The learner pass, as a traced select run reads it: one index, and
     # the ranking called through the knn module.
     assert tracer.counts["knn.build_index_calls"] == 1

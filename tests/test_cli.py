@@ -209,6 +209,21 @@ def test_report_is_written_when_output_pipe_is_closed(corpus_dir, tmp_path, caps
     assert "100.00" in (tmp_path / "rep.txt").read_text(encoding="utf-8")
 
 
+def test_report_into_a_missing_directory_is_refused_before_any_prover_runs(
+    corpus_dir, tmp_path, capsys, monkeypatch
+):
+    calls = []
+    monkeypatch.setattr(harness, "run_prover", lambda *args, **kwargs: calls.append(args))
+    base = tmp_path / "missing" / "rep"
+    code, out, err = run(
+        capsys, "experiment", "--relation", "exact", "--corpus", corpus_dir,
+        "--provers", "microres", "--report", str(base),
+    )
+    assert (code, out, calls) == (2, "", [])
+    assert err == f"error: --report {base}: no directory {base.parent}\n"
+    assert not base.parent.exists()
+
+
 def test_interrupt_exits_130_without_traceback(corpus_dir, capsys, monkeypatch):
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
@@ -448,6 +463,19 @@ def test_theorem_name_in_two_theories_is_input_error(corpus_dir, capsys):
     )
     assert (code, out) == (2, "")
     assert err == "error: theorem ADD_0 of theory club is also in theory arith\n"
+
+
+def test_ambiguous_dependency_name_is_input_error(corpus_dir, capsys):
+    # club's deps name ADD_DEF_c1, now both a theorem and ADD_DEF's first
+    # conjunct; it used to load as the theorem, silently.
+    club = Path(corpus_dir) / "club.tt"
+    club.write_text("tt(ADD_DEF_c1, ax, ADD 0 0 = 0).\n" + club.read_text(encoding="utf-8"))
+    code, out, err = run(capsys, "deps", "--corpus", corpus_dir)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: dependency ADD_DEF_c1 names both the theorem ADD_DEF_c1 "
+        "and conjunct 1 of ADD_DEF\n"
+    )
 
 
 def test_translate_name_prints_the_problem_the_exact_relation_proves(

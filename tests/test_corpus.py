@@ -55,6 +55,7 @@ from .helpers import (
     random_poly_formula,
     toy_sig,
 )
+from . import access_oracle
 from .typecheck_oracle import typecheck
 
 CANONICAL_LINES = [
@@ -376,26 +377,54 @@ def test_resolve_dep_name():
         resolve_dep_name(c, "nope")
 
 
+def test_ambiguous_dependency_name_is_refused():
+    # A_c1 reads as the theorem A_c1 and as A's first conjunct.
+    tt = TOY_DECLS + (
+        "tt(A, ax, (LE 0 0) & (LE 0 (SUC 0))).\n"
+        "tt(A_c1, ax, LE 0 0).\ntt(A_c3, ax, LE 0 0).\ntt(B, ax, LE 0 0).\n"
+    )
+    with pytest.raises(ParseError) as info:
+        load_corpus_files("theory(base, []).\n", {"base": (tt, "deps(B, [A_c1]).\n")})
+    assert str(info.value) == "dependency A_c1 names both the theorem A_c1 and conjunct 1 of A"
+    # A has no third conjunct, so A_c3 reads one way only.
+    c = load_corpus_files("theory(base, []).\n", {"base": (tt, "deps(B, [A_c3]).\n")})
+    assert resolve_dep_name(c, "A_c3") == (c.by_name["A_c3"], None)
+    assert resolve_dep_name(c, "A_c2") == (c.by_name["A"], 2)
+    assert c.exact_deps(c.by_name["B"]) == {c.by_name["A_c3"]}
+
+
 def test_linear_order_and_positions():
     c = small_corpus()
     names = [c.theorem(t).name for t in c.order()]
     assert names == ["B0", "B1", "M0", "M1"]
-    assert c.position(c.by_name["B0"]) == 0
-    assert c.position(c.by_name["M1"]) == 3
+    # B0 is conjunct 0, B1 conjuncts 1 and 2, M0 3, M1 4 and 5.
+    spans = {c.theorem(t).name: span for t, span in c.spans.items()}
+    assert spans == {"B0": (0, 1), "B1": (1, 3), "M0": (3, 4), "M1": (4, 6)}
+    assert c.theory_spans == {"base": (0, 3), "more": (3, 6)}
+    assert c.ancestor_spans == {"base": (), "more": ((0, 3),)}
+    assert c.size == 6
+    assert c.number(ConjunctId(c.by_name["B0"], 1)) == 0
+    assert c.number(ConjunctId(c.by_name["M1"], 2)) == 5
+    with pytest.raises(UnknownTheorem):
+        c.number(ConjunctId(TheoremId("base", 7), 1))
 
 
 def test_accessible_sets_by_hand():
     c = small_corpus()
     m1 = c.by_name["M1"]
-    by = lambda rel: {
-        c.theorem(t).name for t in accessible_set(c, m1, rel)
-    }
-    assert by(AccessRelation.EXACT_DEPS) == {"M0", "B0"}
-    assert by(AccessRelation.TRANSITIVE_DEPS) == {"M0", "B0", "B1"}
-    assert by(AccessRelation.LOADED_THEORIES) == {"B0", "B1", "M0"}
-    assert by(AccessRelation.LINEAR_ORDER) == {"B0", "B1", "M0"}
+    by = lambda rel: list(accessible_set(c, m1, rel))
+    assert by(AccessRelation.EXACT_DEPS) == [(0, 1), (3, 4)]  # B0, M0
+    assert by(AccessRelation.TRANSITIVE_DEPS) == [(0, 4)]  # and B1
+    assert by(AccessRelation.LOADED_THEORIES) == [(0, 4)]
+    assert by(AccessRelation.LINEAR_ORDER) == [(0, 4)]
     b0 = c.by_name["B0"]
-    assert accessible_set(c, b0, AccessRelation.LINEAR_ORDER) == set()
+    for relation in AccessRelation:
+        assert list(accessible_set(c, b0, relation)) == []
+    # A fresh goal may use everything, whatever the relation.
+    for relation in AccessRelation:
+        assert list(accessible_set(c, None, relation)) == [(0, 6)]
+    with pytest.raises(ValueError, match="unknown relation 'loaded'"):
+        accessible_set(c, None, "loaded")
 
 
 def test_dependency_must_precede():
@@ -530,51 +559,26 @@ def random_corpus(rng: random.Random) -> Corpus:
     return load_corpus_files(print_thy(thy), files)
 
 
-def transitive_oracle(c: Corpus, tid: TheoremId) -> set[TheoremId]:
-    out: set[TheoremId] = set()
-    frontier = {tid}
-    while frontier:
-        nxt: set[TheoremId] = set()
-        for t in frontier:
-            for d in c.exact_deps(t):
-                if d not in out:
-                    out.add(d)
-                    nxt.add(d)
-        frontier = nxt
-    return out
-
-
-def loaded_oracle(c: Corpus, tid: TheoremId) -> set[TheoremId]:
-    closure: set[str] = set()
-    todo = [tid.theory]
-    while todo:
-        t = todo.pop()
-        if t not in closure:
-            closure.add(t)
-            todo.extend(c.ancestors[t])
-    return {
-        t
-        for t in c.theorems
-        if (t.theory in closure - {tid.theory})
-        or (t.theory == tid.theory and t.seq < tid.seq)
-    }
-
-
 def test_accessibility_laws_on_random_corpora():
     rng = random.Random(2024)
     for _ in range(40):
         c = random_corpus(rng)
         linear = c.order()
+        assert linear == access_oracle.linear_order(c)
         for tid in linear:
-            ed = accessible_set(c, tid, AccessRelation.EXACT_DEPS)
-            td = accessible_set(c, tid, AccessRelation.TRANSITIVE_DEPS)
-            lt = accessible_set(c, tid, AccessRelation.LOADED_THEORIES)
-            lo = accessible_set(c, tid, AccessRelation.LINEAR_ORDER)
+            spans = {
+                rel: access_oracle.covered(accessible_set(c, tid, rel))
+                for rel in AccessRelation
+            }
+            for rel, got in spans.items():
+                want = access_oracle.accessible_set(c, tid, rel)
+                assert got == access_oracle.numbers(c, want)
+            ed, td, lt, lo = (spans[rel] for rel in AccessRelation)
             assert ed <= td <= lo
             assert lt <= lo
-            assert td == transitive_oracle(c, tid)
-            assert lt == loaded_oracle(c, tid)
-            assert lo == set(linear[: c.position(tid)])
+            assert lo == set(range(c.spans[tid][0]))
+            for cid in c.theorem(tid).conjunct_ids():
+                assert c.number(cid) == c.spans[tid][0] + cid.index - 1
 
 
 # ------------------------------------------------------- error placement

@@ -22,6 +22,7 @@ from hammerkit import harness, knn
 from hammerkit.corpus import AccessRelation, accessible_set, load_corpus, parse_goal
 from hammerkit.features import extract
 from hammerkit.fof import TranslateError, translate_problem
+from hammerkit.hol import App, Const
 from hammerkit.harness import (
     ProverConfig,
     SpawnError,
@@ -41,6 +42,7 @@ from hammerkit.harness import (
 )
 from hammerkit.provers import microres
 from hammerkit.tptp import parse_problem, print_problem
+from . import access_oracle
 from .helpers import (
     TOY,
     TOY_DECLS,
@@ -676,19 +678,18 @@ deps(UP_C, [U_SING_def, UP_B_def]).
 """
 
 
-def test_reprove_canaries_get_true_verdicts(tmp_path):
+def canary_corpus():
+    return load_corpus_files(
+        "theory(arith, []).\ntheory(canary, [arith]).\n",
+        {"arith": (TOY_DECLS, None), "canary": (CANARY_TT, CANARY_DEPS)},
+    )
+
+
+def test_reprove_canaries_get_true_verdicts():
     # BOGUS does not follow from a singleton type's axiom, which an
     # encoding without tags lets equate every term with one_c.  UP_C does
     # follow from its singleton type's axiom and UP ub.
-    files = {
-        "corpus.thy": "theory(arith, []).\ntheory(canary, [arith]).\n",
-        "arith.tt": TOY_DECLS,
-        "canary.tt": CANARY_TT,
-        "canary.deps": CANARY_DEPS,
-    }
-    for name, text in files.items():
-        (tmp_path / name).write_text(text, encoding="utf-8")
-    c = load_corpus(tmp_path)
+    c = canary_corpus()
     report = reprove(c, [micro()], jobs=1)
     verdicts = {r.target: r for r in report.results}
     assert set(verdicts) == {"BOGUS", "UP_C"}
@@ -698,6 +699,43 @@ def test_reprove_canaries_get_true_verdicts(tmp_path):
     deps = frozenset().union(*c.theorem_named("UP_C").dependencies)
     given = {label for label, _ in conjunct_premises(c, deps)}
     assert given and set(up_c.core.premises) <= given
+
+
+def test_no_refuted_goal_is_proved():
+    # Every toy target's statement is consistent with its premises, so
+    # premises |- ~statement is no theorem; nor is BOGUS from its
+    # singleton type's axiom, nor ~UP_C.  Each goal gets its exact
+    # dependencies and its loaded top 32.  A Theorem here is an unsound
+    # encoding or search.
+    #
+    # Limits: the search stops at 300 clauses or 0.05 s, so this catches
+    # only an unsoundness that a short refutation reaches, and most
+    # answers are GaveUp or Timeout, which of the two depending on host
+    # speed.  It checks that no false goal is proved, not that a true one
+    # is.  The toy corpus has no singleton type; the canary is the one
+    # goal on which an encoding that drops tags goes wrong.
+    toy, canary = toy_corpus(), canary_corpus()
+    goals = [
+        (toy, tid, App(Const("~"), toy.theorem(tid).statement))
+        for tid in toy.order()
+        if not toy.theorem(tid).is_definition
+    ]
+    bogus, up_c = canary.theorem_named("BOGUS"), canary.theorem_named("UP_C")
+    goals += [(canary, bogus.id, bogus.statement), (canary, up_c.id, App(Const("~"), up_c.statement))]
+    proved = []
+    for c, tid, goal in goals:
+        entry = c.theorem(tid)
+        top = suggest(c, entry.statement, k=40, n_premises=32, target=tid)
+        for premises in (
+            conjunct_premises(c, frozenset().union(*entry.dependencies)),
+            [(c.conjunct_label(cid), c.conjunct_statement(cid)) for cid, _ in top],
+        ):
+            text = harness.build_problem(c, premises, (entry.name, goal))[1]
+            _, result = microres.prove(parse_problem(text), timeout=0.05, max_clauses=300)
+            if result.status == "Theorem":
+                proved.append(entry.name)
+    assert len(goals) == 59 + 2
+    assert proved == []
 
 
 def test_parallel_and_sequential_reports_agree():
@@ -825,9 +863,9 @@ def test_suggest_never_offers_the_future():
         relation=AccessRelation.LINEAR_ORDER,
         target=target,
     )
-    pos = c.position(target)
+    order = access_oracle.linear_order(c)
     for cid, _ in ranked:
-        assert c.position(cid.theorem) < pos
+        assert order.index(cid.theorem) < order.index(target)
 
 
 def test_suggest_validates_k():
@@ -894,7 +932,8 @@ def rebuilt_suggest(corpus, goal, k, n_premises, relation, target):
     """The ranking as the learner computed it before it kept one index
     per corpus: the accessible pool and its features built afresh for the
     target, every pool member sharing a feature with the goal scored."""
-    tids = sorted(accessible_set(corpus, target, relation) - {target}, key=corpus.position)
+    order = access_oracle.linear_order(corpus)
+    tids = sorted(access_oracle.accessible_set(corpus, target, relation), key=order.index)
     pool = [cid for tid in tids for cid in corpus.theorem(tid).conjunct_ids()]
     feats = [extract(corpus.conjunct_statement(cid)) for cid in pool]
     query = extract(goal)
@@ -914,14 +953,15 @@ def test_learner_filters_and_ranks_like_a_per_target_rebuild(tmp_path):
     add2 = c.by_name["ADD_2"]
     # The case the theory filter exists for: a loaded target misses
     # the sibling theory, although it is earlier in the linear order.
-    assert c.by_name["ADD_1"] not in accessible_set(c, add2, loaded)
-    assert c.position(c.by_name["ADD_1"]) < c.position(add2)
+    assert c.by_name["ADD_1"] not in access_oracle.accessible_set(c, add2, loaded)
+    order = access_oracle.linear_order(c)
+    assert order.index(c.by_name["ADD_1"]) < order.index(add2)
     learner = harness._learner(c)
     for relation in AccessRelation:
         for tid in c.order():
-            spans = learner.accessible(c, tid, relation)
-            ids = {learner.ids[i] for lo, hi in spans for i in range(lo, hi)}
-            want = accessible_set(c, tid, relation) - {tid}
+            spans = accessible_set(c, tid, relation)
+            ids = {learner.ids[i] for i in access_oracle.covered(spans)}
+            want = access_oracle.accessible_set(c, tid, relation)
             assert ids == {cid for t in want for cid in c.theorem(t).conjunct_ids()}
             statement = c.theorem(tid).statement
             for k, n in ((40, 32), (2, 3)):
