@@ -8,20 +8,22 @@ theorem from its recorded dependencies, whole or (``--split
 conjuncts``) one conjunct at a time.
 
 A goal given on the command line is ranked against the whole corpus, so
-only ``experiment`` takes ``--relation``.  A prover's premise budget has
-one source: the ``n_premises`` key of its ``--prover-config`` section,
-or the stock value when no section sets it.
-
-Every problem is emitted in one encoding, with every term tagged by its
-type.  No option chooses the encoding: the old flag that asked for all
-tags is gone, and passing it is a usage error (exit 2).
+only ``experiment`` takes ``--relation``.  The learner's k is the
+constant ``harness.DEFAULT_K``, not an option.  A goal's ranked list is
+``harness.GOAL_PREMISES`` long unless ``-n`` says otherwise, and that
+constant is the bundled prover's stock budget too.  A prover's premise
+budget has one source: the ``n_premises`` key of its
+``--prover-config`` section, or the stock value when no section sets
+it.  Every problem is emitted in one encoding, with every term tagged
+by its type; no option chooses it.
 
 Exit codes: 0 on proof or normal completion, 1 when a proving command
-finds no proof, 2 on usage, input, or configuration errors, including
-input nested too deeply to process, and 130 when interrupted (Ctrl-C),
-after stopping every prover it started.  A reader that closes the
-output early (``hammerkit features | head``) ends the run normally,
-with 0.
+finds no proof, 2 on usage, input, or configuration errors, and 130
+when interrupted (Ctrl-C), after stopping every prover it started.
+Exit 2 covers any ValueError or OSError (every error the package lets
+out derives from one of them) and input nested too deeply to process.
+A reader that closes the output early (``hammerkit features | head``)
+ends the run normally, with 0.
 """
 
 from __future__ import annotations
@@ -36,21 +38,17 @@ from pathlib import Path
 from .corpus import (
     AccessRelation,
     Corpus,
-    ParseError,
     Signature,
-    UnknownTheorem,
     load_corpus,
     parse_goal,
     parse_tt,
     print_tt,
 )
 from .features import extract
-from .fof import TranslateError
 from .harness import (
-    DEFAULT_K,
+    GOAL_PREMISES,
     ExperimentReport,
     ProverConfig,
-    SpawnError,
     UnsatCore,
     build_problem,
     builtin_config,
@@ -63,19 +61,7 @@ from .harness import (
     advise,
     write_report,
 )
-from .hol import HolError, PrintError
 from .tptp import parse_problem
-
-_USAGE_ERRORS = (
-    ParseError,
-    PrintError,
-    UnknownTheorem,
-    HolError,
-    TranslateError,
-    SpawnError,
-    ValueError,
-    OSError,
-)
 
 
 def _default_corpus() -> Path:
@@ -123,6 +109,8 @@ def _provers(args: argparse.Namespace) -> list[ProverConfig]:
 
 def _cmd_parse(args: argparse.Namespace) -> int:
     if args.files:
+        if args.corpus is not None:
+            raise ValueError("parse FILES does not read --corpus")
         sig = Signature()
         for fname in args.files:
             text = Path(fname).read_text(encoding="utf-8")
@@ -154,6 +142,8 @@ def _cmd_deps(args: argparse.Namespace) -> int:
 
 
 def _cmd_features(args: argparse.Namespace) -> int:
+    if args.names and args.goal is not None:
+        raise ValueError("features NAMES does not read --goal")
     corpus = _load(args)
     if args.goal is not None:
         _, term = _goal(args, corpus)
@@ -175,7 +165,7 @@ def _cmd_features(args: argparse.Namespace) -> int:
 def _cmd_predict(args: argparse.Namespace) -> int:
     corpus = _load(args)
     _, term = _goal(args, corpus)
-    ranked = suggest(corpus, term, k=args.k, n_premises=args.n_premises)
+    ranked = suggest(corpus, term, n_premises=args.n_premises)
     for cid, weight in ranked:
         print(f"{corpus.conjunct_label(cid)}\t{weight:.6f}")
     return 0
@@ -184,7 +174,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 def _cmd_translate(args: argparse.Namespace) -> int:
     if args.name:
         # The exact-dependency problem ranks nothing.
-        for opt, value in (("--goal", args.goal), ("--k", args.k), ("-n", args.n_premises)):
+        for opt, value in (("--goal", args.goal), ("-n", args.n_premises)):
             if value is not None:
                 raise ValueError(f"translate NAME does not read {opt}")
     corpus = _load(args)
@@ -196,9 +186,8 @@ def _cmd_translate(args: argparse.Namespace) -> int:
         if args.goal is None:
             raise ValueError("translate wants a theorem NAME or --goal")
         gname, term = _goal(args, corpus)
-        k = DEFAULT_K if args.k is None else args.k
-        n = 32 if args.n_premises is None else args.n_premises
-        ranked = suggest(corpus, term, k=k, n_premises=n)
+        n = GOAL_PREMISES if args.n_premises is None else args.n_premises
+        ranked = suggest(corpus, term, n_premises=n)
         premises = [
             (corpus.conjunct_label(cid), corpus.conjunct_statement(cid))
             for cid, _ in ranked
@@ -222,16 +211,12 @@ def _print_report(report: ExperimentReport, path: str | None) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    # Exact dependencies rank nothing; the harness refuses a ranked split.
-    if args.relation == AccessRelation.EXACT_DEPS.value and args.k is not None:
-        raise ValueError("experiment --relation exact does not read --k")
     # A report that could not be written is refused before any prover runs.
     if args.report and not Path(args.report).parent.is_dir():
         raise ValueError(f"--report {args.report}: no directory {Path(args.report).parent}")
     corpus = _load(args)
     provers = _provers(args)
-    k = DEFAULT_K if args.k is None else args.k
-    report = experiment(corpus, args.relation, provers, k=k, jobs=args.jobs, split=args.split)
+    report = experiment(corpus, args.relation, provers, jobs=args.jobs, split=args.split)
     return _print_report(report, args.report)
 
 
@@ -239,7 +224,7 @@ def _cmd_advise(args: argparse.Namespace) -> int:
     corpus = _load(args)
     provers = _provers(args)
     gname, term = _goal(args, corpus)
-    advice = advise(corpus, term, provers, k=args.k, jobs=args.jobs, goal_name=gname)
+    advice = advise(corpus, term, provers, jobs=args.jobs, goal_name=gname)
     if advice.core is None:
         attempts = ", ".join(f"{r.prover}: {r.status}" for r in advice.results)
         print(f"no proof: no prover proved the goal ({attempts})")
@@ -292,11 +277,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="corpus directory (default: the bundled toy corpus)",
     )
 
-    learn_opt = argparse.ArgumentParser(add_help=False)
-    learn_opt.add_argument(
-        "--k", type=int, default=DEFAULT_K, help="nearest neighbours (default: 40)"
-    )
-
     prover_opt = argparse.ArgumentParser(add_help=False)
     prover_opt.add_argument(
         "--provers",
@@ -338,17 +318,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "predict",
-        parents=[corpus_opt, learn_opt],
+        parents=[corpus_opt],
         help="rank premises for a goal",
     )
     p.add_argument("--goal", required=True, metavar="FILE|TEXT")
     p.add_argument(
-        "-n", "--n-premises", type=int, default=32, help="list length (default: 32)"
+        "-n", "--n-premises", type=int, default=GOAL_PREMISES,
+        help=f"list length (default: {GOAL_PREMISES})",
     )
     p.set_defaults(func=_cmd_predict)
 
-    # The learner's options have no default here, so that a NAME given
-    # with one of them is told apart and refused.
+    # -n has no default here, so that a NAME given with it is told apart
+    # and refused.
     p = sub.add_parser(
         "translate",
         parents=[corpus_opt],
@@ -360,15 +341,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="theorem name: its exact-dependency problem (otherwise use --goal)",
     )
     p.add_argument("--goal", metavar="FILE|TEXT", help="goal with predicted premises")
-    p.add_argument("--k", type=int, help="with --goal: nearest neighbours (default: 40)")
     p.add_argument(
-        "-n", "--n-premises", type=int, help="with --goal: premise count (default: 32)"
+        "-n", "--n-premises", type=int,
+        help=f"with --goal: premise count (default: {GOAL_PREMISES})",
     )
     p.add_argument("-o", "--output", metavar="FILE", help="write here instead of stdout")
     p.set_defaults(func=_cmd_translate)
 
-    # --k and --split have no default here, so that the relation that
-    # does not read one is told apart and refused.
+    # --split has no default here, so that a ranked relation given it is
+    # told apart and refused.
     p = sub.add_parser(
         "experiment",
         parents=[corpus_opt, prover_opt, jobs_opt],
@@ -383,9 +364,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "the recorded dependencies whole",
     )
     p.add_argument(
-        "--k", type=int, help="ranked relations: nearest neighbours (default: 40)"
-    )
-    p.add_argument(
         "--split",
         choices=["unsplit", "conjuncts"],
         help="exact: one problem per theorem or per conjunct (default: unsplit)",
@@ -395,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "advise",
-        parents=[corpus_opt, learn_opt, prover_opt, jobs_opt],
+        parents=[corpus_opt, prover_opt, jobs_opt],
         help="select premises for a goal and try to prove it",
     )
     p.add_argument("--goal", required=True, metavar="FILE|TEXT")
@@ -432,7 +410,7 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError as e:
         print(f"error: input nested too deeply ({e})", file=sys.stderr)
         return 2
-    except _USAGE_ERRORS as e:
+    except (ValueError, OSError) as e:
         # One line, however many the message has.
         print("error:", " ".join(str(e).splitlines()), file=sys.stderr)
         return 2

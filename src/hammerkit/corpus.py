@@ -86,7 +86,7 @@ from .hol import (
 )
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     def __init__(self, msg: str, line: int | None = None, col: int | None = None):
         super().__init__(msg if line is None else f"line {line}, column {col}: {msg}")
         self.msg = msg  # without the position
@@ -94,7 +94,7 @@ class ParseError(Exception):
         self.col = col
 
 
-class UnknownTheorem(Exception):
+class UnknownTheorem(ValueError):
     pass
 
 

@@ -66,7 +66,7 @@ RESERVED = frozenset({"s", "ap", "bool", "fn"})
 _CONNECTIVES = frozenset({"=", "&", "|", "=>", "~", "!", "?"})
 
 
-class TranslateError(Exception):
+class TranslateError(ValueError):
     pass
 
 
@@ -533,7 +533,8 @@ def translate_statement(t: HolTerm, state: TranslationState) -> FofFormula:
 
 def _drain_pending(state: TranslationState) -> list[tuple[str, FofFormula]]:
     """Translate queued lifted definitions and proxy axioms (which may in
-    turn queue more proxies) until the state settles."""
+    turn queue more proxies) until the state settles.  Both are built
+    from beta-normal terms, so they are not normalized again."""
     out: list[tuple[str, FofFormula]] = []
     while state.pending_defs or state.pending_proxy_axioms:
         if state.pending_defs:
@@ -542,7 +543,7 @@ def _drain_pending(state: TranslationState) -> list[tuple[str, FofFormula]]:
         else:
             name, axiom = state.pending_proxy_axioms.pop(0)
             suffix = "_ax"
-        axiom = remove_bool_args(beta_normalize(axiom), state.sig)
+        axiom = remove_bool_args(axiom, state.sig)
         f = _Translator(state).statement(axiom)
         out.append((state.symbol(name) + suffix, f))
     return out

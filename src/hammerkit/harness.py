@@ -75,14 +75,18 @@ from .tptp import (
 
 DEFAULT_TIMEOUT = microres.DEFAULT_TIMEOUT
 DEFAULT_PREMISES = 96
+# The learner's k, which no option sets.
 DEFAULT_K = 40
+# A goal's ranked list: ``suggest``'s default, the command line's
+# premise count, and the stock budget of the bundled prover.
+GOAL_PREMISES = 32
 
 # Extra seconds the process gets beyond its own soft limit before the
 # harness kills it.
 _GRACE = 2.0
 
 
-class SpawnError(Exception):
+class SpawnError(OSError):
     """A prover binary could not be launched."""
 
 
@@ -133,7 +137,7 @@ _STOCK: dict[str, dict[str, str]] = {
     "microres": {
         "executable": sys.executable,
         "args": "-m hammerkit.provers.microres {problem} --timeout {timeout}",
-        "n_premises": "32",
+        "n_premises": str(GOAL_PREMISES),
     },
     "vampire": {
         "executable": "vampire",
@@ -818,7 +822,7 @@ def suggest(
     corpus: Corpus,
     goal: HolTerm,
     k: int = DEFAULT_K,
-    n_premises: int = 128,
+    n_premises: int = GOAL_PREMISES,
     relation: AccessRelation = AccessRelation.LOADED_THEORIES,
     target: TheoremId | None = None,
     feature_cache: dict[ConjunctId, frozenset[str]] | None = None,
@@ -835,8 +839,9 @@ def suggest(
     statement object of a one-conjunct theorem, or of one conjunct,
     reuses the features the learner holds; any other goal, a
     multi-conjunct statement or an equal copy included, is extracted.
-    ``feature_cache`` has no effect and stays only because the benchmark
-    passes it.
+    ``k`` stays a parameter, and ``feature_cache`` (which has no effect)
+    stays at all, only because the benchmark passes them; the package
+    ranks with ``DEFAULT_K``.
     """
     learner = _learner(corpus)
     return learner.rank(corpus, learner.features(goal), k, n_premises, relation, target)
@@ -876,7 +881,6 @@ def advise(
     corpus: Corpus,
     goal: HolTerm,
     provers: Sequence[ProverConfig],
-    k: int = DEFAULT_K,
     jobs: int | None = None,
     goal_name: str = "goal",
 ) -> Advice:
@@ -904,7 +908,7 @@ def advise(
 
     t0 = time.monotonic()
     budget = max(c.n_premises for c in provers)
-    ranked = learner.rank(corpus, query, k, budget)
+    ranked = learner.rank(corpus, query, DEFAULT_K, budget)
     t_predict = time.monotonic() - t0
 
     t0 = time.monotonic()
@@ -983,7 +987,6 @@ def experiment(
     corpus: Corpus,
     relation: AccessRelation | str,
     provers: Sequence[ProverConfig],
-    k: int = DEFAULT_K,
     jobs: int | None = None,
     split: str | None = None,
 ) -> ExperimentReport:
@@ -1017,7 +1020,7 @@ def experiment(
             continue
         if not exact:
             ranked = suggest(
-                corpus, entry.statement, k=k, n_premises=budget, relation=relation, target=tid
+                corpus, entry.statement, n_premises=budget, relation=relation, target=tid
             )
             tasks.append(_ranked_task(corpus, tid.theory, (entry.name, entry.statement), ranked))
         elif split == "unsplit":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 
-class HolError(Exception):
+class HolError(ValueError):
     pass
 
 
@@ -210,7 +210,7 @@ class Signature:
 # reads back; error messages quote terms and types in it too.
 
 
-class PrintError(Exception):
+class PrintError(ValueError):
     pass
 
 

@@ -105,6 +105,15 @@ def test_parse_bad_file_is_usage_error(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_parse_files_refuse_a_corpus(tmp_path, capsys):
+    # FILES are read on their own, so a corpus given with them, even a
+    # missing one, is refused rather than ignored.
+    path = tmp_path / "decl.tt"
+    path.write_text(TOY_DECLS, encoding="utf-8")
+    code, out, err = run(capsys, "parse", str(path), "--corpus", str(tmp_path / "missing"))
+    assert (code, out, err) == (2, "", "error: parse FILES does not read --corpus\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [["parse"], ["features"], ["translate", "ADD_0"], ["predict", "--goal", "ADD 0 0 = 0"]],
@@ -268,8 +277,6 @@ def test_predict_ranks_premises(corpus_dir, capsys):
         corpus_dir,
         "--goal",
         "ADD (SUC 0) 0 = SUC 0",
-        "--k",
-        "3",
     )
     assert code == 0
     lines = [l for l in out.splitlines() if l]
@@ -370,9 +377,7 @@ def test_translate_needs_name_or_goal(corpus_dir, capsys):
 
 # The exact-dependency problem of a NAME ranks nothing, so the options
 # of the goal form are refused with it.
-@pytest.mark.parametrize(
-    "option, value", [("--goal", "0 = 0"), ("--k", "1"), ("-n", "1")]
-)
+@pytest.mark.parametrize("option, value", [("--goal", "0 = 0"), ("-n", "1")])
 def test_translate_name_refuses_goal_options(corpus_dir, capsys, option, value):
     code, out, err = run(capsys, "translate", "--corpus", corpus_dir, "ADD_1", option, value)
     assert (code, out) == (2, "")
@@ -497,6 +502,25 @@ def test_translate_name_prints_the_problem_the_exact_relation_proves(
     for name, problem in sent.items():
         code, out, _ = run(capsys, "translate", "--corpus", corpus_dir, name)
         assert (code, out) == (0, problem)
+
+
+def test_translate_goal_prints_the_problem_advise_sends(capsys, monkeypatch):
+    # One goal premise count: translate's default list is the stock
+    # budget of the bundled prover, which advise gives it.
+    sent = []
+    run_prover = harness.run_prover
+
+    def record(path, config, *args, **kwargs):
+        sent.append(Path(path).read_text(encoding="utf-8"))
+        return run_prover(path, config, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_prover", record)
+    goal = "ADD 0 (SUC 0) = SUC 0"
+    code, out, _ = run(capsys, "advise", "--goal", goal, "--provers", "microres")
+    assert code == 0
+    assert f"premises given: {harness.GOAL_PREMISES}\n" in out
+    assert len(sent) == 1
+    assert run(capsys, "translate", "--goal", goal) == (0, sent[0], "")
 
 
 def test_experiment_rejects_unknown_relation(corpus_dir):
@@ -665,30 +689,37 @@ def test_minimize_unprovable_file_exits_one(tmp_path, capsys):
     assert "unconfirmed" in out
 
 
-# Options that these commands once accepted and never read, the --budget
-# that a config file's n_premises replaced, the options one relation of
-# experiment reads and the other does not, and the reprove subcommand
-# that experiment --relation exact replaced.  Each case is complete
-# otherwise, so only the option makes it a usage error.
+# Options that these commands once accepted and never read, the --goal
+# that features NAMES does not read, the --budget that a config file's
+# n_premises replaced, the --k that became a constant, the --split that
+# only the exact relation of experiment reads, and the reprove
+# subcommand that experiment --relation exact replaced.  Each case is
+# complete otherwise, so only the option makes it a usage error.
 @pytest.mark.parametrize(
     "argv",
     [
         ["predict", "--goal", "ADD 0 0 = 0", "--relation", "exact"],
         ["translate", "--goal", "ADD 0 0 = 0", "--relation", "exact"],
         ["advise", "--goal", "ADD 0 0 = 0", "--provers", "microres", "--relation", "exact"],
+        ["features", "ADD_0", "--goal", "ADD 0 0 = 0"],
         ["experiment", "--relation", "exact", "--provers", "microres", "--budget", "microres=1"],
         ["experiment", "--provers", "microres", "--budget", "microres=1"],
         ["advise", "--goal", "ADD 0 0 = 0", "--provers", "microres", "--budget", "microres=1"],
         ["minimize", "PROBLEM", "--provers", "microres", "--jobs", "1"],
         ["minimize", "PROBLEM", "--provers", "microres", "--budget", "microres=1"],
-        ["experiment", "--relation", "exact", "--provers", "microres", "--k", "3"],
+        ["predict", "--goal", "ADD 0 0 = 0", "--k", "3"],
+        ["translate", "--goal", "ADD 0 0 = 0", "--k", "3"],
+        ["experiment", "--provers", "microres", "--k", "3"],
+        ["advise", "--goal", "ADD 0 0 = 0", "--provers", "microres", "--k", "3"],
         ["experiment", "--relation", "loaded", "--provers", "microres", "--split", "conjuncts"],
         ["reprove", "--provers", "microres"],
     ],
     ids=[
-        "predict--relation", "translate--relation", "advise--relation",
+        "predict--relation", "translate--relation", "advise--relation", "features--goal",
         "exact--budget", "experiment--budget", "advise--budget",
-        "minimize--jobs", "minimize--budget", "exact--k", "loaded--split", "reprove",
+        "minimize--jobs", "minimize--budget",
+        "predict--k", "translate--k", "experiment--k", "advise--k",
+        "loaded--split", "reprove",
     ],
 )
 def test_options_nothing_reads_are_usage_errors(corpus_dir, tmp_path, capsys, argv):
@@ -698,8 +729,8 @@ def test_options_nothing_reads_are_usage_errors(corpus_dir, tmp_path, capsys, ar
         argv = [argv[0], str(problem), *argv[2:]]
     else:
         argv = [argv[0], "--corpus", corpus_dir, *argv[1:]]
-    # The parser refuses most; an option only one relation reads is
-    # refused after parsing, as an error (exit 2).
+    # The parser refuses most; an option that only some forms of a
+    # command read is refused after parsing, as an error (exit 2).
     try:
         code = cli.main(argv)
     except SystemExit as exc:
@@ -720,7 +751,7 @@ def test_settable_values_stay_few():
         for action in command._actions
         if not isinstance(action, argparse._HelpAction)
     ]
-    assert len(settable) <= 37
+    assert len(settable) <= 33
 
 
 def test_missing_subcommand_is_usage_error():

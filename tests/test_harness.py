@@ -738,6 +738,27 @@ def test_no_refuted_goal_is_proved():
     assert proved == []
 
 
+def test_no_exact_dependency_goal_is_countersatisfiable():
+    # The inverse: every toy target and UP_C follow from their exact
+    # dependencies, so no search may call one CounterSatisfiable or
+    # Satisfiable.  Same limits as above: all 60 are Theorem on a fast
+    # host, but a slow one may stop some at the clock, so this checks that
+    # no true goal is refuted, not that it is proved.
+    toy, canary = toy_corpus(), canary_corpus()
+    goals = [(toy, tid) for tid in toy.order() if not toy.theorem(tid).is_definition]
+    goals.append((canary, canary.by_name["UP_C"]))
+    refuted = []
+    for c, tid in goals:
+        entry = c.theorem(tid)
+        premises = conjunct_premises(c, frozenset().union(*entry.dependencies))
+        text = harness.build_problem(c, premises, (entry.name, entry.statement))[1]
+        _, result = microres.prove(parse_problem(text), timeout=0.05, max_clauses=300)
+        if result.status in ("CounterSatisfiable", "Satisfiable"):
+            refuted.append((entry.name, result.status))
+    assert len(goals) == 59 + 1
+    assert refuted == []
+
+
 def test_parallel_and_sequential_reports_agree():
     c = tiny_corpus()
     seq = reprove(c, [micro()], jobs=1)
@@ -1246,7 +1267,7 @@ def test_experiment_exact_splits_and_ranked_refuses_split():
 
 def test_experiment_ranked_relation_and_reports(tmp_path):
     c = tiny_corpus()
-    report = experiment(c, AccessRelation.LINEAR_ORDER, [micro()], k=3)
+    report = experiment(c, AccessRelation.LINEAR_ORDER, [micro()])
     assert set(report.targets) == {"ADD_0", "ADD_1", "ADD_BOTH"}
     assert write_report(report, tmp_path / "exp") == (
         tmp_path / "exp.csv", tmp_path / "exp.txt"
@@ -1261,7 +1282,7 @@ def test_experiment_ranked_relation_and_reports(tmp_path):
 def test_translation_failure_is_one_targets_error_row(monkeypatch, relation):
     c = tiny_corpus()
     expected = {
-        r.target: str(r.status) for r in experiment(c, relation, [micro()], k=3).results
+        r.target: str(r.status) for r in experiment(c, relation, [micro()]).results
     }
     translate = harness.translate_problem
 
@@ -1271,7 +1292,7 @@ def test_translation_failure_is_one_targets_error_row(monkeypatch, relation):
         return translate(premises, conjecture, sig)
 
     monkeypatch.setattr(harness, "translate_problem", failing)
-    report = experiment(c, relation, [micro()], k=3)
+    report = experiment(c, relation, [micro()])
     got = {r.target: str(r.status) for r in report.results}
     assert got["ADD_1"] == "Error(translation failed: no encoding for ADD_1)"
     assert expected["ADD_1"] == "Theorem"
@@ -1284,7 +1305,4 @@ def test_experiment_validates_inputs():
     c = tiny_corpus()
     with pytest.raises(ValueError):
         experiment(c, "sideways", [micro()])
-    with pytest.raises(ValueError):
-        experiment(c, "linear", [micro()], k=0)
-    # Exact dependencies never consult the learner, k is free.
-    experiment(c, "exact", [micro()], k=0)
+

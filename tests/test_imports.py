@@ -1,10 +1,12 @@
 """No module of the package or of its tests imports a name it never uses,
 every module of the package is reachable from the command line, and every
 module-level function and class, and every method of such a class, is
-named by package code other than its own definition, and every field of
-such a dataclass is read by package code."""
+named by package code other than its own definition, every field of
+such a dataclass is read by package code, and every error class the
+package defines is one the command line reports as an input error."""
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -174,3 +176,19 @@ def test_every_dataclass_field_is_read_from_the_package():
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
         }
     assert [q for q, name in fields if name not in read] == []
+
+
+def test_every_error_is_an_input_error():
+    # The command line exits 2 on any ValueError or OSError and names no
+    # error class of its own.  microres's _OutOfTime never leaves prove.
+    stray = [
+        f"{module.__name__}.{name}"
+        for path in sorted((SRC / "hammerkit").rglob("*.py"))
+        for module in [importlib.import_module(_module_name(path))]
+        for name, obj in vars(module).items()
+        if isinstance(obj, type)
+        and issubclass(obj, BaseException)
+        and obj.__module__ == module.__name__
+        and not issubclass(obj, (ValueError, OSError))
+    ]
+    assert [s for s in stray if s != "hammerkit.provers.microres._OutOfTime"] == []
